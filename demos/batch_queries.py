@@ -43,7 +43,7 @@ def main():
             if reference is None:
                 reference = ans.distances
             assert np.array_equal(ans.distances, reference)
-            print(f"  {algo:>21}: {ans.runs:>2} runs, {ans.settled_copies:>8} settled, {ans.relaxations:>9} relaxations")
+            print(f"  {algo:>10}: {ans.runs:>2} runs, {ans.settled_copies:>8} settled, {ans.relaxations:>9} relaxations")
         print()
 
 

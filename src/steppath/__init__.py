@@ -22,18 +22,7 @@ from .batch import (
     vc_sssp_batch,
 )
 from .bench import BenchConfig, BenchError, BenchReport, auto_delta, run_bench, work_cost
-from .engine import (
-    INF,
-    THREADS_ENV_VAR,
-    DistanceState,
-    Frontier,
-    StepPolicy,
-    default_policy,
-    default_threads,
-    run_search,
-    sssp,
-    write_min,
-)
+from .engine import INF, Frontier, StepPolicy, default_policy, run_search, sssp
 from .graph import (
     ComponentInfo,
     CsrGraph,
@@ -81,7 +70,6 @@ __all__ = [
     "BenchReport",
     "ComponentInfo",
     "CsrGraph",
-    "DistanceState",
     "EARTH_RADIUS_KM",
     "Frontier",
     "INF",
@@ -91,7 +79,6 @@ __all__ = [
     "QueryGraph",
     "STRATEGIES",
     "StepPolicy",
-    "THREADS_ENV_VAR",
     "auto_delta",
     "baseline_batch",
     "build_csr",
@@ -99,7 +86,6 @@ __all__ = [
     "check_consistent",
     "consistency_violation",
     "default_policy",
-    "default_threads",
     "dijkstra",
     "euclidean_heuristic",
     "exact_vertex_cover",
@@ -131,6 +117,5 @@ __all__ = [
     "sssp",
     "vc_sssp_batch",
     "work_cost",
-    "write_min",
     "zero_heuristic",
 ]

@@ -8,23 +8,22 @@ answer it are provided, all exact:
   per-endpoint pruning radius of half its largest pending answer.
 * :func:`vc_sssp_batch` covers the query edges with endpoint vertices and
   answers from one full SSSP per cover vertex.
-* :func:`baseline_batch` answers each edge independently (sequential or
-  concurrent bidirectional searches, or one SSSP per oriented source).
+* :func:`baseline_batch` answers each edge independently (one
+  bidirectional search per edge, or one SSSP per oriented source).
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import INF, Search, StepPolicy, run_search, sssp
+from .engine import INF, Search, StepPolicy, _arc_ranges, _scatter_min, run_search, sssp
 from .graph import CsrGraph
 from .ppsp import ppsp
 
-BATCH_ALGOS = ("multi", "vc", "plain-bids", "plain-bids-concurrent", "plain-sssp")
+BATCH_ALGOS = ("multi", "vc", "plain-bids", "plain-sssp")
 
 DEFAULT_CELL_CAP = 2**31
 
@@ -150,27 +149,13 @@ class MultiBidsSearch(Search):
     def on_improved(self, cells):
         qg, c = self.qg, self.copies
         verts = cells // c
-        idx = cells - verts * c
-        deg = qg.q_offsets[idx + 1] - qg.q_offsets[idx]
-        total = int(deg.sum())
-        if total == 0:
-            return
-        shift = np.repeat(qg.q_offsets[idx] - np.concatenate(([0], np.cumsum(deg[:-1]))), deg)
-        slots = np.arange(total, dtype=np.int64) + shift
+        slots, deg = _arc_ranges(qg.q_offsets, cells - verts * c)
         mates = qg.q_neighbors[slots]
-        eids = qg.q_edges[slots]
-        verts_rep = np.repeat(verts, deg)
-        sums = np.repeat(self.state.values[cells], deg) + self.state.values[verts_rep * c + mates]
-        order = np.argsort(eids, kind="stable")
-        se, sv = eids[order], sums[order]
-        starts = np.flatnonzero(np.concatenate(([True], se[1:] != se[:-1])))
-        uniq_e = se[starts]
-        gmin = np.minimum.reduceat(sv, starts)
-        better = gmin < self.edge_best[uniq_e]
-        hit = uniq_e[better]
+        own = np.repeat(self.state.values[cells], deg)
+        sums = own + self.state.values[np.repeat(verts, deg) * c + mates]
+        hit = _scatter_min(self.edge_best, qg.q_edges[slots], sums)
         if hit.size == 0:
             return
-        self.edge_best[hit] = gmin[better]
         for endpoint in np.unique(self.qg.edges[hit].ravel()):
             incident = self.edge_best[qg.incident_edges(endpoint)]
             top = float(incident.max())
@@ -182,7 +167,6 @@ def multi_bids(
     graph: CsrGraph,
     qg: QueryGraph,
     policy: StepPolicy | None = None,
-    threads: int = 1,
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> BatchAnswer:
     """Answer the whole batch with one joint pruned search."""
@@ -196,7 +180,7 @@ def multi_bids(
     if len(qg.edges) == 0:
         return BatchAnswer(np.zeros(qg.n_pairs), 0, 0, 0, 0)
     search = MultiBidsSearch(graph, qg)
-    stats = run_search(graph, search, policy=policy, threads=threads)
+    stats = run_search(graph, search, policy=policy)
     return BatchAnswer(
         _fan_out(qg, search.edge_best),
         1,
@@ -255,7 +239,6 @@ def vc_sssp_batch(
     graph: CsrGraph,
     qg: QueryGraph,
     policy: StepPolicy | None = None,
-    threads: int = 1,
     exact_cover_limit: int = 20,
 ) -> BatchAnswer:
     """Answer the batch from one full SSSP per cover endpoint.
@@ -276,7 +259,7 @@ def vc_sssp_batch(
     dist_rows = {}
     steps = relax = settled = 0
     for k in cover:
-        dist, stats = sssp(graph, int(qg.endpoints[k]), policy=policy, threads=threads, return_stats=True)
+        dist, stats = sssp(graph, int(qg.endpoints[k]), policy=policy, return_stats=True)
         dist_rows[int(k)] = dist
         steps += stats.steps
         relax += stats.relaxations
@@ -296,13 +279,12 @@ def baseline_batch(
     qg: QueryGraph,
     mode: str = "plain-bids",
     policy: StepPolicy | None = None,
-    threads: int = 1,
 ) -> BatchAnswer:
-    """Per-edge baselines: independent bidirectional searches (sequential
-    or all issued concurrently), or one SSSP per oriented source (each
-    edge is oriented from its smaller endpoint index)."""
+    """Per-edge baselines: one bidirectional search per edge, or one SSSP
+    per oriented source (each edge is oriented from its smaller endpoint
+    index)."""
     _validate_batch(graph, qg)
-    if mode not in ("plain-bids", "plain-bids-concurrent", "plain-sssp"):
+    if mode not in ("plain-bids", "plain-sssp"):
         raise ValueError(f"unknown baseline mode {mode!r}")
     edge_dist = np.empty(len(qg.edges))
     steps = relax = settled = runs = 0
@@ -313,7 +295,7 @@ def baseline_batch(
         sources = np.unique(qg.edges[:, 0])
         rows = {}
         for k in sources:
-            dist, stats = sssp(graph, int(qg.endpoints[k]), policy=policy, threads=threads, return_stats=True)
+            dist, stats = sssp(graph, int(qg.endpoints[k]), policy=policy, return_stats=True)
             rows[int(k)] = dist
             steps += stats.steps
             relax += stats.relaxations
@@ -322,16 +304,8 @@ def baseline_batch(
         for e, (a, b) in enumerate(qg.edges):
             edge_dist[e] = rows[int(a)][qg.endpoints[b]]
     else:
-        def one(edge):
-            a, b = edge
-            return ppsp(graph, int(qg.endpoints[a]), int(qg.endpoints[b]), "bids", policy=policy, threads=threads)
-
-        if mode == "plain-bids-concurrent" and len(qg.edges) > 1:
-            with ThreadPoolExecutor(max_workers=min(8, len(qg.edges))) as pool:
-                answers = list(pool.map(one, qg.edges))
-        else:
-            answers = [one(edge) for edge in qg.edges]
-        for e, ans in enumerate(answers):
+        for e, (a, b) in enumerate(qg.edges):
+            ans = ppsp(graph, int(qg.endpoints[a]), int(qg.endpoints[b]), "bids", policy=policy)
             edge_dist[e] = ans.distance
             steps += ans.steps
             relax += ans.relaxations

@@ -82,7 +82,6 @@ class BenchConfig:
     delta: float | str = "auto"
     warmup: int = DEFAULT_WARMUP
     rounds: int = DEFAULT_ROUNDS
-    threads: int = 1
     seed: int = 0
     radius: float | None = None
     label: str = ""
@@ -100,10 +99,7 @@ def _query_runner(graph, cfg, s, t):
         kwargs["radius"] = cfg.radius
 
     def run(delta):
-        ans = ppsp(
-            graph, s, t, cfg.strategy,
-            policy=StepPolicy(delta), threads=cfg.threads, **kwargs,
-        )
+        ans = ppsp(graph, s, t, cfg.strategy, policy=StepPolicy(delta), **kwargs)
         return np.asarray([ans.distance]), ans.steps, ans.relaxations, ans.settled_copies
 
     return run
@@ -112,11 +108,11 @@ def _batch_runner(graph, cfg, qg):
     def run(delta):
         policy = StepPolicy(delta)
         if cfg.algo == "multi":
-            ans = multi_bids(graph, qg, policy=policy, threads=cfg.threads)
+            ans = multi_bids(graph, qg, policy=policy)
         elif cfg.algo == "vc":
-            ans = vc_sssp_batch(graph, qg, policy=policy, threads=cfg.threads)
+            ans = vc_sssp_batch(graph, qg, policy=policy)
         else:
-            ans = baseline_batch(graph, qg, cfg.algo, policy=policy, threads=cfg.threads)
+            ans = baseline_batch(graph, qg, cfg.algo, policy=policy)
         return ans.distances, ans.steps, ans.relaxations, ans.settled_copies
 
     return run
@@ -171,7 +167,6 @@ def run_bench(graph: CsrGraph, cfg: BenchConfig) -> BenchReport:
             "strategy": cfg.strategy if cfg.mode == "query" else cfg.algo,
             "delta": delta,
             "requested_delta": cfg.delta,
-            "threads": cfg.threads,
             "seed": cfg.seed,
             "warmup_rounds": cfg.warmup,
             "timed_rounds": cfg.rounds,

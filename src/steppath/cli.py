@@ -2,8 +2,7 @@
 
 Every subcommand prints line-delimited ``key=value`` records so output
 is grep- and script-friendly; ``--csv`` exports the same records as CSV.
-Randomized commands take explicit seeds.  The default worker count comes
-from $STEPPATH_THREADS.
+Randomized commands take explicit seeds.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from . import io as gio
 from .batch import BATCH_ALGOS, baseline_batch, build_query_graph, multi_bids, vc_sssp_batch
 from .bench import DEFAULT_ROUNDS, DEFAULT_WARMUP, BenchConfig, auto_delta, run_bench, work_cost
-from .engine import StepPolicy, default_threads
+from .engine import StepPolicy
 from .graph import generate_uniform_weights, largest_component
 from .heuristics import EARTH_RADIUS_KM
 from .ppsp import STRATEGIES, ppsp
@@ -124,32 +123,20 @@ def cmd_gen_batch(args):
 
 def cmd_query(args):
     graph = _load(args)
+
+    def run(d):
+        return ppsp(graph, args.source, args.target, args.strategy, policy=StepPolicy(d), radius=args.radius)
+
     if args.delta == "auto":
 
         def cost(d):
-            a = ppsp(
-                graph,
-                args.source,
-                args.target,
-                args.strategy,
-                policy=StepPolicy(d),
-                threads=args.threads,
-                radius=args.radius,
-            )
+            a = run(d)
             return work_cost(a.steps, a.relaxations, a.settled_copies)
 
         delta, _ = auto_delta(graph, cost)
     else:
         delta = args.delta
-    answer = ppsp(
-        graph,
-        args.source,
-        args.target,
-        args.strategy,
-        policy=StepPolicy(delta),
-        threads=args.threads,
-        radius=args.radius,
-    )
+    answer = run(delta)
     emit(
         {
             "record": "query",
@@ -157,7 +144,6 @@ def cmd_query(args):
             "source": args.source,
             "target": args.target,
             "delta": delta,
-            "threads": args.threads,
             "distance": answer.distance,
             "steps": answer.steps,
             "relaxations": answer.relaxations,
@@ -175,11 +161,11 @@ def cmd_batch(args):
     if args.delta != "auto":
         policy = StepPolicy(args.delta)
     if args.algo == "multi":
-        ans = multi_bids(graph, qg, policy=policy, threads=args.threads)
+        ans = multi_bids(graph, qg, policy=policy)
     elif args.algo == "vc":
-        ans = vc_sssp_batch(graph, qg, policy=policy, threads=args.threads)
+        ans = vc_sssp_batch(graph, qg, policy=policy)
     else:
-        ans = baseline_batch(graph, qg, args.algo, policy=policy, threads=args.threads)
+        ans = baseline_batch(graph, qg, args.algo, policy=policy)
     records = []
     for (s, t), d in zip(pairs, ans.distances):
         records.append(
@@ -197,7 +183,6 @@ def cmd_batch(args):
             "algo": args.algo,
             "pairs": len(pairs),
             "runs": ans.runs,
-            "threads": args.threads,
             "steps": ans.steps,
             "relaxations": ans.relaxations,
             "settled_copies": ans.settled_copies,
@@ -231,7 +216,6 @@ def cmd_bench(args):
         delta=args.delta,
         warmup=args.warmup,
         rounds=args.rounds,
-        threads=args.threads,
         seed=args.seed,
         radius=args.radius,
     )
@@ -291,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--delta", type=_delta_arg, default="auto", help="step width or 'auto'")
-    p.add_argument("--threads", type=int, default=default_threads())
     p.add_argument("--coords", help="coordinates file (for the A* strategies)")
     p.add_argument("--radius", type=float, default=EARTH_RADIUS_KM)
     p.set_defaults(fn=cmd_query)
@@ -301,7 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=BATCH_ALGOS, default="multi")
     p.add_argument("--queries", required=True, help="file of 's t' lines")
     p.add_argument("--delta", type=_delta_arg, default="auto")
-    p.add_argument("--threads", type=int, default=default_threads())
     p.add_argument("--coords")
     p.add_argument("--csv")
     p.set_defaults(fn=cmd_batch)
@@ -321,7 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_delta_arg, default="auto")
     p.add_argument("--warmup", type=int, default=DEFAULT_WARMUP)
     p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
-    p.add_argument("--threads", type=int, default=default_threads())
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coords")
     p.add_argument("--radius", type=float, default=EARTH_RADIUS_KM)

@@ -1,4 +1,4 @@
-"""Parallel stepping loop: distance cells, frontier, thresholds, relaxation.
+"""Stepping loop: distance cells, frontier, thresholds, relaxation.
 
 A search runs over *copies*: cell ``v * copies + i`` holds the tentative
 distance of vertex ``v`` in the i-th concurrent search (one copy for
@@ -11,19 +11,17 @@ into the frontier.
 Relaxations within a step are applied as one grouped scatter-min, which
 is value-equivalent to a sequence of atomic write-min updates: each cell
 ends the step at the minimum of its prior value and every candidate, and
-counts as improved only on a strict decrease.  With ``threads > 1`` the
-candidate generation is partitioned across a thread pool while the
-scatter-min reduction stays single-threaded, so final distances are
-bit-identical for every thread count.  Copies improved mid-step are
-simply re-extracted at a later threshold, which keeps any schedule
-correct: thresholds never decrease and extraction is inclusive.
+counts as improved only on a strict decrease.  Copies improved mid-step
+are simply re-extracted at a later threshold, which keeps any schedule
+correct: thresholds never decrease and extraction is inclusive.  A
+minimum does not depend on the order of its inputs and every schedule
+ends at the same fixpoint, so final distances are bit-identical for
+every step width.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,25 +29,6 @@ import numpy as np
 from .graph import CsrGraph
 
 INF = math.inf
-
-THREADS_ENV_VAR = "STEPPATH_THREADS"
-
-
-def default_threads() -> int:
-    """Worker count taken from $STEPPATH_THREADS, defaulting to 1."""
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def write_min(values: np.ndarray, cell: int, value: float) -> bool:
-    """Monotone minimum update; True iff the cell strictly decreased."""
-    if value < values[cell]:
-        values[cell] = value
-        return True
-    return False
 
 
 class DistanceState:
@@ -62,20 +41,11 @@ class DistanceState:
         self.copies = copies
         self.values = np.full(n * copies, INF)
 
-    def cell(self, v: int, i: int = 0) -> int:
-        return v * self.copies + i
-
-    def write_min(self, cell: int, value: float) -> bool:
-        return write_min(self.values, cell, value)
-
     def array(self, copy: int = 0) -> np.ndarray:
         """Per-vertex distances of one search copy (a view)."""
         if not 0 <= copy < self.copies:
             raise ValueError(f"copy {copy} out of range")
         return self.values[copy :: self.copies] if self.copies > 1 else self.values
-
-    def __getitem__(self, cell):
-        return self.values[cell]
 
 
 @dataclass
@@ -110,38 +80,22 @@ def default_policy(graph: CsrGraph) -> StepPolicy:
 class Frontier:
     """Deduplicating pending set of copy cells with thresholded extraction.
 
-    A boolean membership mask (the dense representation) is kept at all
-    times and is the dedup authority.  A compact id array (the sparse
-    representation) is maintained while the pending count stays below
-    capacity/20; above that it is dropped and extraction scans the mask,
-    until the count falls back under capacity/40 (hysteresis keeps the
-    two modes from thrashing).
+    A boolean membership mask is the dedup authority; the pending cells
+    themselves are kept as a compact id array, so extraction costs time
+    in the number of pending cells, not in the capacity.
     """
 
     def __init__(self, capacity: int, track_directions: bool = False):
-        self.capacity = capacity
         self._mask = np.zeros(capacity, dtype=bool)
-        self._ids: np.ndarray | None = np.empty(0, dtype=np.int64)
+        self._ids = np.empty(0, dtype=np.int64)
         self.size = 0
-        self._enter_dense = capacity / 20.0
-        self._exit_dense = capacity / 40.0
         self.dir_counts = np.zeros(2, dtype=np.int64) if track_directions else None
-
-    @property
-    def mode(self) -> str:
-        return "dense" if self._ids is None else "sparse"
 
     def single_direction(self) -> bool:
         """True while every pending copy belongs to one search direction."""
         if self.dir_counts is None or self.size == 0:
             return False
         return bool((self.dir_counts == 0).any())
-
-    def _switch_modes(self):
-        if self._ids is not None and self.size >= self._enter_dense:
-            self._ids = None
-        elif self._ids is None and self.size < self._exit_dense:
-            self._ids = np.flatnonzero(self._mask)
 
     def add_many(self, cells: np.ndarray) -> int:
         """Insert cells (unique ids); returns how many were newly pending."""
@@ -152,15 +106,10 @@ class Frontier:
             return 0
         self._mask[fresh] = True
         self.size += fresh.size
-        if self._ids is not None:
-            self._ids = np.concatenate([self._ids, fresh])
+        self._ids = np.concatenate([self._ids, fresh])
         if self.dir_counts is not None:
             self.dir_counts += np.bincount(fresh & 1, minlength=2)
-        self._switch_modes()
         return int(fresh.size)
-
-    def add(self, cell: int) -> bool:
-        return self.add_many(np.asarray([cell], dtype=np.int64)) == 1
 
     def extract(self, threshold: float, key_fn) -> tuple[np.ndarray, float]:
         """Remove and return all pending cells with current key <= threshold.
@@ -172,19 +121,16 @@ class Frontier:
         """
         if self.size == 0:
             return np.empty(0, dtype=np.int64), INF
-        pending = self._ids if self._ids is not None else np.flatnonzero(self._mask)
-        keys = key_fn(pending)
+        keys = key_fn(self._ids)
         take = keys <= threshold
-        out = pending[take]
+        out = self._ids[take]
         if out.size:
             self._mask[out] = False
             self.size -= int(out.size)
-            if self._ids is not None:
-                self._ids = pending[~take]
+            self._ids = self._ids[~take]
             if self.dir_counts is not None:
                 self.dir_counts -= np.bincount(out & 1, minlength=2)
         rest = keys[~take]
-        self._switch_modes()
         return out, float(rest.min()) if rest.size else INF
 
 
@@ -286,64 +232,44 @@ def _candidates(graph, dist, cells, copies, directional):
     return tgt_cells, cand, int(arc_idx.size)
 
 
-def _scatter_min(dist: np.ndarray, tgt_cells: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Grouped write-min; returns the cells that strictly decreased."""
-    order = np.argsort(tgt_cells, kind="stable")
-    st = tgt_cells[order]
-    sv = cand[order]
-    starts = np.flatnonzero(np.concatenate(([True], st[1:] != st[:-1])))
-    uniq = st[starts]
-    gmin = np.minimum.reduceat(sv, starts)
-    improved = gmin < dist[uniq]
-    changed = uniq[improved]
-    dist[changed] = gmin[improved]
-    return changed
+def _scatter_min(values: np.ndarray, keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Grouped write-min of ``cand`` into ``values[keys]``.
 
-
-def _pull(graph, dist, cells, copies) -> tuple[np.ndarray, int]:
-    """Relax extracted copies from their neighbors before they push.
-
-    Only used in dense mode on symmetric graphs, where re-reading the
-    neighborhood is cheap relative to the wavefront width.
+    Each distinct key takes the minimum of its current value and all of
+    its candidates; returns the distinct keys (ascending) that strictly
+    decreased.  A tie with the current value is not an improvement.
     """
-    verts = cells // copies if copies > 1 else cells
-    arc_idx, deg = _arc_ranges(graph.offsets, verts)
-    if arc_idx.size == 0:
-        return np.empty(0, dtype=np.int64), 0
-    has = deg > 0
-    nbr_v = graph.targets[arc_idx].astype(np.int64)
-    if copies == 1:
-        nbr_cells = nbr_v
-    else:
-        nbr_cells = nbr_v * copies + np.repeat((cells - verts * copies)[has], deg[has])
-    vals = dist[nbr_cells] + graph.weights[arc_idx]
-    starts = _exclusive_cumsum(deg[has])
-    pulled = np.minimum.reduceat(vals, starts) if starts.size else np.empty(0)
-    subject = cells[has]
-    improved = pulled < dist[subject]
-    changed = subject[improved]
-    dist[changed] = pulled[improved]
-    return changed, int(arc_idx.size)
+    if keys.size == 0:
+        return keys
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], sk[1:] != sk[:-1])))
+    uniq = sk[starts]
+    low = np.minimum.reduceat(cand[order], starts)
+    better = low < values[uniq]
+    changed = uniq[better]
+    values[changed] = low[better]
+    return changed
 
 
 def run_search(
     graph: CsrGraph,
     search: Search,
     policy: StepPolicy | None = None,
-    threads: int = 1,
     collect_best_trace: bool = False,
 ) -> SearchStats:
     """Drive ``search`` to completion; returns instrumentation counters.
 
-    ``steps`` counts rounds that extracted at least one copy (thresholds
-    that cover nothing are skipped in one jump).  ``relaxations`` counts
-    scanned arcs and ``settled_copies`` counts distinct copies expanded
-    at least once.
+    Each step extracts the pending copies under the threshold, drops the
+    pruned ones, pushes the arcs of the rest as one scatter-min, reports
+    the improved cells to ``search.on_improved`` and re-adds the unpruned
+    ones.  ``steps`` counts rounds that extracted at least one copy
+    (thresholds that cover nothing are skipped in one jump).
+    ``relaxations`` counts scanned arcs and ``settled_copies`` counts
+    distinct copies expanded at least once.
     """
     if policy is None:
         policy = default_policy(graph)
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     copies = search.copies
     dist = search.state.values
     frontier = Frontier(graph.n * copies, track_directions=(copies == 2))
@@ -352,66 +278,37 @@ def run_search(
     frontier.add_many(cells)
     stats = SearchStats()
     settled = np.zeros(graph.n * copies, dtype=bool)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     index = 0
-    try:
-        while frontier.size > 0:
-            if search.early_out(frontier):
-                break
-            extracted, min_left = frontier.extract(policy.threshold(index), search.keys)
-            if extracted.size == 0:
-                index = max(index + 1, policy.index_covering(min_left))
-                continue
-            index += 1
-            step = stats.steps
-            stats.steps += 1
-            if copies == 2:
-                for parity in np.unique(extracted & 1):
-                    stats.dir_last_step[parity] = step
-            keep = extracted[~search.prune(extracted)] if search.prune_enabled else extracted
-            if keep.size:
-                fresh = keep[~settled[keep]]
-                settled[fresh] = True
-                stats.settled_copies += int(fresh.size)
-                if (
-                    frontier.mode == "dense"
-                    and graph.symmetric
-                    and search.directional_weights is None
-                ):
-                    pulled, scanned = _pull(graph, dist, keep, copies)
-                    stats.relaxations += scanned
-                    if pulled.size:
-                        search.on_improved(pulled)
-                if pool is not None and keep.size >= 2 * threads:
-                    chunks = np.array_split(keep, threads)
-                    parts = list(
-                        pool.map(
-                            lambda ch: _candidates(
-                                graph, dist, ch, copies, search.directional_weights
-                            ),
-                            chunks,
-                        )
-                    )
-                    tgt_cells = np.concatenate([p[0] for p in parts])
-                    cand = np.concatenate([p[1] for p in parts])
-                    scanned = sum(p[2] for p in parts)
-                else:
-                    tgt_cells, cand, scanned = _candidates(
-                        graph, dist, keep, copies, search.directional_weights
-                    )
-                stats.relaxations += scanned
-                if tgt_cells.size:
-                    changed = _scatter_min(dist, tgt_cells, cand)
-                    if changed.size:
-                        search.on_improved(changed)
-                        if search.prune_enabled:
-                            changed = changed[~search.prune(changed)]
-                        frontier.add_many(changed)
-            if collect_best_trace:
-                stats.best_trace.append(getattr(search, "best", INF))
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    while frontier.size > 0:
+        if search.early_out(frontier):
+            break
+        extracted, min_left = frontier.extract(policy.threshold(index), search.keys)
+        if extracted.size == 0:
+            index = max(index + 1, policy.index_covering(min_left))
+            continue
+        index += 1
+        step = stats.steps
+        stats.steps += 1
+        if copies == 2:
+            for parity in np.unique(extracted & 1):
+                stats.dir_last_step[parity] = step
+        keep = extracted[~search.prune(extracted)] if search.prune_enabled else extracted
+        if keep.size:
+            fresh = keep[~settled[keep]]
+            settled[fresh] = True
+            stats.settled_copies += int(fresh.size)
+            tgt_cells, cand, scanned = _candidates(
+                graph, dist, keep, copies, search.directional_weights
+            )
+            stats.relaxations += scanned
+            changed = _scatter_min(dist, tgt_cells, cand)
+            if changed.size:
+                search.on_improved(changed)
+                if search.prune_enabled:
+                    changed = changed[~search.prune(changed)]
+                frontier.add_many(changed)
+        if collect_best_trace:
+            stats.best_trace.append(getattr(search, "best", INF))
     return stats
 
 
@@ -419,16 +316,15 @@ def sssp(
     graph: CsrGraph,
     source: int,
     policy: StepPolicy | None = None,
-    threads: int = 1,
     return_stats: bool = False,
 ):
     """Exact single-source distances via the stepping loop.
 
-    The result is independent of ``policy`` and ``threads``; those only
-    steer how the work is scheduled.
+    The result is independent of ``policy``, which only steers how the
+    work is scheduled.
     """
     search = SsspSearch(graph, source)
-    stats = run_search(graph, search, policy=policy, threads=threads)
+    stats = run_search(graph, search, policy=policy)
     dist = search.state.array().copy()
     if return_stats:
         return dist, stats

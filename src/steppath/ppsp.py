@@ -29,6 +29,7 @@ from .heuristics import (
     MemoTable,
     check_consistent,
     heuristic_for_graph,
+    make_bidirectional_heuristics,
 )
 
 STRATEGIES = ("sssp", "et", "bids", "astar", "bidastar")
@@ -124,10 +125,7 @@ class BidAstarSearch(BidsSearch):
 
     def __init__(self, graph, source, target, h_source, h_target, memoize=True):
         super().__init__(graph, source, target)
-
-        def forward_h(vertices):
-            return 0.5 * (h_target(vertices) - h_source(vertices))
-
+        forward_h, _ = make_bidirectional_heuristics(h_source, h_target)
         self.memo = MemoTable(graph.n, forward_h, enabled=memoize)
         h_f_s = self.memo.get(source)
         h_b_t = -self.memo.get(target)
@@ -160,7 +158,6 @@ def ppsp(
     strategy: str = "bids",
     *,
     policy: StepPolicy | None = None,
-    threads: int = 1,
     heuristic=None,
     radius: float = EARTH_RADIUS_KM,
     memoize: bool = True,
@@ -221,7 +218,7 @@ def ppsp(
     if isinstance(search, BidAstarSearch):
         policy = replace(policy, key_offset=search.key_offset)
 
-    stats = run_search(graph, search, policy=policy, threads=threads, collect_best_trace=collect_best_trace)
+    stats = run_search(graph, search, policy=policy, collect_best_trace=collect_best_trace)
     if strategy == "sssp":
         distance = float(search.state.values[target])
     else:

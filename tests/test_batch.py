@@ -225,16 +225,6 @@ def test_baseline_plain_sssp_run_counts():
     assert sp.baseline_batch(g, chain, "plain-sssp").runs == 3
 
 
-def test_baseline_concurrent_equals_sequential():
-    g = random_graph(150, 3, 13)
-    pairs = random_pairs_same_component(g, 8, 3)
-    qg = sp.build_query_graph(pairs, g.n)
-    seq = sp.baseline_batch(g, qg, "plain-bids")
-    conc = sp.baseline_batch(g, qg, "plain-bids-concurrent")
-    assert np.array_equal(seq.distances, conc.distances)
-    assert seq.runs == conc.runs == len(qg.edges)
-
-
 def test_baseline_unknown_mode():
     g = g1()
     qg = sp.build_query_graph([(0, 1)], g.n)
@@ -251,7 +241,6 @@ def test_all_algos_agree_with_oracle():
         "multi": sp.multi_bids(g, qg).distances,
         "vc": sp.vc_sssp_batch(g, qg).distances,
         "plain-bids": sp.baseline_batch(g, qg, "plain-bids").distances,
-        "plain-bids-concurrent": sp.baseline_batch(g, qg, "plain-bids-concurrent").distances,
         "plain-sssp": sp.baseline_batch(g, qg, "plain-sssp").distances,
     }
     for name, got in results.items():

@@ -100,10 +100,9 @@ def test_run_bench_auto_delta_resolves():
 def test_run_bench_label_and_threads_echoed():
     g = g1()
     cfg = sp.BenchConfig(mode="query", pairs=[(0, 3)], strategy="et", delta=1.0,
-                         warmup=0, rounds=1, threads=2, seed=7, label="smoke")
+                         warmup=0, rounds=1, seed=7, label="smoke")
     (rec,) = sp.run_bench(g, cfg).records
     assert rec["label"] == "smoke"
-    assert rec["threads"] == 2
     assert rec["seed"] == 7
     assert rec["warmup_rounds"] == 0
     assert rec["timed_rounds"] == 1

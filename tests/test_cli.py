@@ -213,11 +213,16 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
+    from pathlib import Path
 
+    # the child imports steppath from the same place as this process
+    src = str(Path(sp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "steppath.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "steppath" in proc.stdout

@@ -2,26 +2,33 @@ import numpy as np
 import pytest
 
 import steppath as sp
-from steppath.engine import Frontier, SsspSearch, run_search
+from steppath.engine import DistanceState, Frontier, SsspSearch, _scatter_min, run_search
 from helpers import g1, random_graph
 
 
-def test_write_min_semantics():
-    vals = np.array([5.0, 3.0, 3.0])
-    assert sp.write_min(vals, 0, 3.0) is True
-    assert vals[0] == 3.0
-    assert sp.write_min(vals, 1, 5.0) is False
-    assert vals[1] == 3.0
-    assert sp.write_min(vals, 2, 3.0) is False  # equality is not an update
+def test_scatter_min_contract():
+    vals = np.array([5.0, 3.0, 3.0, 9.0, 6.0])
+    # unsorted keys with duplicates; key 4 gets no candidate
+    keys = np.array([3, 2, 0, 1, 0, 2, 3, 1])
+    cand = np.array([2.0, 3.0, 4.0, 6.0, 7.0, 8.0, 1.0, 5.0])
+    changed = _scatter_min(vals, keys, cand)
+    # strict decreases 5 -> 4 and 9 -> 1, each key reported once, ascending
+    assert changed.tolist() == [0, 3]
+    # key 1 only saw larger candidates, key 2 tied its current value
+    assert vals.tolist() == [4.0, 3.0, 3.0, 1.0, 6.0]
+    empty = _scatter_min(vals, np.empty(0, dtype=np.int64), np.empty(0))
+    assert empty.size == 0
+    assert vals.tolist() == [4.0, 3.0, 3.0, 1.0, 6.0]
 
 
 def test_distance_state_cells():
-    st = sp.DistanceState(3, copies=2)
+    st = DistanceState(3, copies=2)
     assert st.values.size == 6
-    assert st.cell(2, 1) == 5
-    assert st.write_min(st.cell(2, 1), 4.0)
-    assert st[5] == 4.0
+    st.values[2 * 2 + 1] = 4.0  # cell v * copies + i: vertex 2, copy 1
     assert st.array(1).tolist() == [np.inf, np.inf, 4.0]
+    assert st.array(0).tolist() == [np.inf] * 3
+    with pytest.raises(ValueError):
+        st.array(2)
 
 
 def test_step_policy_thresholds():
@@ -40,19 +47,19 @@ def test_step_policy_thresholds():
 
 def test_frontier_add_dedup():
     f = Frontier(10)
-    assert f.add(2) is True
+    assert f.add_many(np.array([2])) == 1
     assert f.size == 1
-    assert f.add(2) is False
+    assert f.add_many(np.array([2])) == 0
     assert f.size == 1
-    assert f.add(3) is True
+    assert f.add_many(np.array([2, 3])) == 1
     assert f.size == 2
 
 
 def test_frontier_distinct_copies_of_same_vertex():
     # cells 4 and 5 are the two search copies of vertex 2
     f = Frontier(12, track_directions=True)
-    assert f.add(4) is True
-    assert f.add(5) is True
+    assert f.add_many(np.array([4])) == 1
+    assert f.add_many(np.array([5])) == 1
     assert f.size == 2
     assert not f.single_direction()
 
@@ -64,7 +71,7 @@ def test_frontier_extract_inclusive():
     out, left = f.extract(5.0, lambda cells: keys[cells])
     assert out.tolist() == [0]
     assert left == 7.0
-    f.add(0)
+    f.add_many(np.array([0]))
     out, left = f.extract(7.0, lambda cells: keys[cells])
     assert sorted(out.tolist()) == [0, 1]
     assert left == np.inf
@@ -72,32 +79,11 @@ def test_frontier_extract_inclusive():
     assert out.size == 0 and left == np.inf
 
 
-def test_frontier_mode_hysteresis():
-    f = Frontier(200)
-    assert f.mode == "sparse"
-    f.add_many(np.arange(10))  # 10 >= 200/20
-    assert f.mode == "dense"
-    out, _ = f.extract(np.inf, lambda c: np.zeros(c.size))
-    assert out.size == 10
-    assert f.mode == "sparse"
-    f.add_many(np.arange(9))  # stays sparse below the enter bound
-    assert f.mode == "sparse"
-    f.add_many(np.arange(9, 14))
-    assert f.mode == "dense"
-    f.extract(5.0, lambda c: np.where(c < 8, 0.0, 9.0))
-    # 6 pending is between the two bounds: no flip back yet
-    assert f.size == 6
-    assert f.mode == "dense"
-    f.extract(5.0, lambda c: np.where(c < 10, 0.0, 9.0))
-    assert f.size == 4
-    assert f.mode == "sparse"
-
-
 def test_frontier_single_direction():
     f = Frontier(10, track_directions=True)
     f.add_many(np.array([0, 2, 4]))
     assert f.single_direction()
-    f.add(1)
+    f.add_many(np.array([1]))
     assert not f.single_direction()
 
 
@@ -129,13 +115,6 @@ def test_sssp_matches_oracle_across_deltas():
         for delta in (1.0, 2.0**9, 2.0**18, 1e30):
             got = sp.sssp(g, 0, policy=sp.StepPolicy(delta))
             assert np.array_equal(got, want), (seed, delta)
-
-
-def test_sssp_thread_counts_bit_identical():
-    g = random_graph(200, 4, 21)
-    base = sp.sssp(g, 5, threads=1)
-    for threads in (4, 8):
-        assert np.array_equal(sp.sssp(g, 5, threads=threads), base)
 
 
 def test_step_counting_on_g1():
@@ -170,17 +149,3 @@ def test_improvements_are_strictly_decreasing():
     probe = Probe(g, 0)
     run_search(g, probe, policy=sp.StepPolicy(64.0))
     assert np.array_equal(probe.state.array(), sp.dijkstra(g, 0))
-
-
-def test_threads_validation():
-    with pytest.raises(ValueError):
-        sp.sssp(g1(), 0, threads=0)
-
-
-def test_default_threads_env(monkeypatch):
-    monkeypatch.delenv(sp.THREADS_ENV_VAR, raising=False)
-    assert sp.default_threads() == 1
-    monkeypatch.setenv(sp.THREADS_ENV_VAR, "6")
-    assert sp.default_threads() == 6
-    monkeypatch.setenv(sp.THREADS_ENV_VAR, "garbage")
-    assert sp.default_threads() == 1

@@ -163,9 +163,10 @@ def test_bids_prune_boundary():
     g = g1()
     search = BidsSearch(g, 0, 3)
     search.best = 10.0
-    search.state.values[search.state.cell(1, 0)] = 4.9
-    search.state.values[search.state.cell(2, 0)] = 5.0
-    out = search.prune(np.array([search.state.cell(1, 0), search.state.cell(2, 0)]))
+    # cell v * 2 + 0 is the forward copy of vertex v
+    search.state.values[2] = 4.9
+    search.state.values[4] = 5.0
+    out = search.prune(np.array([2, 4]))
     assert out.tolist() == [False, True]
 
 
@@ -175,7 +176,7 @@ def test_bidastar_prune_uses_keys():
     fours = lambda v: 4.0 * np.ones(np.shape(v))
     search = BidAstarSearch(g, 0, 3, zeros, fours)  # forward estimate is +2
     search.best = 10.0
-    cell = search.state.cell(1, 0)  # forward copy with estimate +2
+    cell = 2  # forward copy of vertex 1, with estimate +2
     search.state.values[cell] = 3.0
     assert search.prune(np.array([cell])).tolist() == [True]
     search.state.values[cell] = 2.9
@@ -185,8 +186,7 @@ def test_bidastar_prune_uses_keys():
 def test_bids_update_sum_rule():
     g = g1()
     search = BidsSearch(g, 0, 3)
-    fwd = search.state.cell(1, 0)
-    bwd = search.state.cell(1, 1)
+    fwd, bwd = 2, 3  # the two copies of vertex 1
     search.state.values[fwd] = 3.0
     search.on_improved(np.array([fwd]))
     assert search.best == np.inf  # opposite side unreached
