@@ -11,12 +11,14 @@ into the frontier.
 Relaxations within a step are applied as one grouped scatter-min, which
 is value-equivalent to a sequence of atomic write-min updates: each cell
 ends the step at the minimum of its prior value and every candidate, and
-counts as improved only on a strict decrease.  Copies improved mid-step
-are simply re-extracted at a later threshold, which keeps any schedule
-correct: thresholds never decrease and extraction is inclusive.  A
-minimum does not depend on the order of its inputs and every schedule
-ends at the same fixpoint, so final distances are bit-identical for
-every step width.
+counts as improved only on a strict decrease.  Candidates that cannot
+improve their cell are dropped before the grouped minimum, so its sort
+only sees the survivors.  Copies improved mid-step are simply
+re-extracted at a later threshold, which keeps any schedule correct:
+thresholds never decrease and extraction is inclusive.  A minimum does
+not depend on the order of its inputs and every schedule ends at the
+same fixpoint, so final distances are bit-identical for every step
+width.
 """
 
 from __future__ import annotations
@@ -238,18 +240,20 @@ def _scatter_min(values: np.ndarray, keys: np.ndarray, cand: np.ndarray) -> np.n
     Each distinct key takes the minimum of its current value and all of
     its candidates; returns the distinct keys (ascending) that strictly
     decreased.  A tie with the current value is not an improvement.
+    Candidates that cannot improve (``cand >= values[keys]``) are dropped
+    before the grouped minimum, so only the survivors are sorted, and
+    every surviving group strictly improves its cell.
     """
+    live = cand < values[keys]
+    keys = keys[live]
     if keys.size == 0:
         return keys
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)  # a minimum does not depend on input order
     sk = keys[order]
     starts = np.flatnonzero(np.concatenate(([True], sk[1:] != sk[:-1])))
     uniq = sk[starts]
-    low = np.minimum.reduceat(cand[order], starts)
-    better = low < values[uniq]
-    changed = uniq[better]
-    values[changed] = low[better]
-    return changed
+    values[uniq] = np.minimum.reduceat(cand[live][order], starts)
+    return uniq
 
 
 def run_search(

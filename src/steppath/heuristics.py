@@ -101,10 +101,11 @@ def make_bidirectional_heuristics(h_source, h_target):
 class MemoTable:
     """Per-vertex cache of a deterministic vertex function.
 
-    Unset entries hold NaN, a bit pattern no real estimate uses.  With
-    caching enabled each vertex is computed at most once; ``computations``
-    counts evaluated vertices and ``requests`` counts lookups, which makes
-    the memoization win measurable.
+    Unset entries hold NaN.  Computed values must be finite, so none is
+    mistaken for unset: a non-finite value raises ``ValueError`` naming
+    the function.  With caching enabled each vertex is computed at most
+    once; ``computations`` counts evaluated vertices and ``requests``
+    counts lookups, which makes the memoization win measurable.
     """
 
     def __init__(self, n: int, fn, enabled: bool = True):
@@ -117,14 +118,21 @@ class MemoTable:
     def get_many(self, vertices: np.ndarray) -> np.ndarray:
         self.requests += int(np.size(vertices))
         if not self.enabled:
-            self.computations += int(np.size(vertices))
-            return np.asarray(self._fn(vertices), dtype=np.float64)
+            return self._compute(vertices)
         missing = np.isnan(self.values[vertices])
         if np.any(missing):
             fresh = np.unique(vertices[missing])
-            self.values[fresh] = self._fn(fresh)
-            self.computations += int(fresh.size)
+            self.values[fresh] = self._compute(fresh)
         return self.values[vertices]
+
+    def _compute(self, vertices: np.ndarray) -> np.ndarray:
+        """Evaluate the function; only finite values are accepted."""
+        out = np.asarray(self._fn(vertices), dtype=np.float64)
+        self.computations += int(np.size(vertices))
+        if not np.all(np.isfinite(out)):
+            name = getattr(self._fn, "__qualname__", repr(self._fn))
+            raise ValueError(f"heuristic {name} returned a non-finite value")
+        return out
 
     def get(self, v: int) -> float:
         return float(self.get_many(np.asarray([v]))[0])

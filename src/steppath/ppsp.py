@@ -140,6 +140,16 @@ class BidAstarSearch(BidsSearch):
         return self.keys(cells) >= 0.5 * self.best
 
 
+def _check_directional(graph, directional_weights):
+    fwd, bwd = (np.asarray(w, dtype=np.float64) for w in directional_weights)
+    for name, w in (("forward", fwd), ("backward", bwd)):
+        if w.shape != (graph.m,):
+            raise ValueError(f"{name} directional weights need shape ({graph.m},), got {w.shape}")
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise ValueError(f"{name} directional weights must be finite and nonnegative")
+    return fwd, bwd
+
+
 def _heuristic_pair(graph, source, target, heuristic, radius):
     if heuristic is None:
         return (
@@ -174,7 +184,9 @@ def ppsp(
     heuristics come from the graph's coordinates.  ``pruning=False`` is a
     validation knob that runs the same bookkeeping without dropping any
     copies; ``directional_weights`` substitutes per-direction arc weight
-    arrays under ``bids`` (how a potential-reweighted graph is searched).
+    arrays under ``bids`` (how a potential-reweighted graph is searched):
+    a (forward, backward) pair, each of shape ``(graph.m,)``, finite and
+    nonnegative.
     """
     for name, v in (("source", source), ("target", target)):
         if not 0 <= v < graph.n:
@@ -198,11 +210,7 @@ def ppsp(
     elif strategy == "bids":
         search = BidsSearch(graph, source, target)
         if directional_weights is not None:
-            fwd, bwd = directional_weights
-            search.directional_weights = (
-                np.asarray(fwd, dtype=np.float64),
-                np.asarray(bwd, dtype=np.float64),
-            )
+            search.directional_weights = _check_directional(graph, directional_weights)
     else:
         h_source, h_target = _heuristic_pair(graph, source, target, heuristic, radius)
         if h_source is None or h_target is None:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import steppath as sp
 from steppath.engine import DistanceState, Frontier, SsspSearch, _scatter_min, run_search
@@ -19,6 +20,39 @@ def test_scatter_min_contract():
     empty = _scatter_min(vals, np.empty(0, dtype=np.int64), np.empty(0))
     assert empty.size == 0
     assert vals.tolist() == [4.0, 3.0, 3.0, 1.0, 6.0]
+    # every candidate ties or exceeds its cell: nothing to group
+    none = _scatter_min(vals, np.array([2, 0, 2, 4]), np.array([3.0, 4.0, 7.0, 6.0]))
+    assert none.dtype == np.int64 and none.size == 0
+    assert vals.tolist() == [4.0, 3.0, 3.0, 1.0, 6.0]
+    # an unreached cell offered an unreachable candidate does not improve
+    unreached = np.array([np.inf, 2.0])
+    assert _scatter_min(unreached, np.array([0, 0]), np.array([np.inf, np.inf])).size == 0
+    assert unreached.tolist() == [np.inf, 2.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(0, 8).map(float), st.just(np.inf)), min_size=1, max_size=6),
+    st.lists(
+        st.tuples(st.integers(0, 5), st.one_of(st.integers(0, 9).map(float), st.just(np.inf))),
+        max_size=40,
+    ),
+)
+def test_scatter_min_matches_write_min_loop(cells, offers):
+    vals = np.array(cells)
+    pairs = [(k % len(cells), c) for k, c in offers]
+    keys = np.array([k for k, _ in pairs], dtype=np.int64)
+    cand = np.array([c for _, c in pairs], dtype=np.float64)
+    # reference: one write-min per candidate, in input order
+    want = list(cells)
+    improved = set()
+    for k, c in pairs:
+        if c < want[k]:
+            want[k] = c
+            improved.add(k)
+    changed = _scatter_min(vals, keys, cand)
+    assert changed.tolist() == sorted(improved)
+    assert vals.tolist() == want
 
 
 def test_distance_state_cells():

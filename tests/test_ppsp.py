@@ -226,3 +226,31 @@ def test_answer_counters_present():
     assert a.steps >= 1
     assert a.relaxations >= 1
     assert a.settled_copies >= 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda m: (np.ones(3), np.ones(3)),
+        lambda m: (np.full(m, np.nan), np.full(m, np.nan)),
+        lambda m: (np.full(m, -1.0), np.full(m, -1.0)),
+    ],
+    ids=["wrong-shape", "nan", "negative"],
+)
+def test_directional_weights_validated(make):
+    g = g1()
+    with pytest.raises(ValueError, match="directional weights"):
+        sp.ppsp(g, 0, 3, "bids", directional_weights=make(g.m))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("memoize", [True, False])
+@pytest.mark.parametrize("strategy", ["astar", "bidastar"])
+def test_non_finite_heuristic_rejected(strategy, memoize, bad):
+    def broken(vertices):
+        return np.where(vertices == 2, bad, 0.0)
+
+    zero = sp.zero_heuristic()
+    heuristic = broken if strategy == "astar" else (zero, broken)
+    with pytest.raises(ValueError, match="heuristic .* non-finite"):
+        sp.ppsp(g1(), 0, 3, strategy, heuristic=heuristic, memoize=memoize)
