@@ -1,9 +1,8 @@
-"""Walk through the timing protocol: calibration, warmup, timed rounds.
+"""Walk through the timing protocol: warmup, then timed rounds.
 
-The step width is calibrated by doubling it until a deterministic work
-measure stops improving, so the calibration itself is reproducible.
-Timed results then come from fixed warmup and round counts, and every
-record echoes its whole configuration so a line can be replayed.
+Timed results come from fixed warmup and round counts, and every record
+echoes its whole configuration so a line can be replayed.  The step
+width ``auto`` resolves to the graph's default width, max arc weight / 16.
 """
 
 import numpy as np
@@ -26,21 +25,8 @@ def main():
     pairs = sp.percentile_pairs(g, 3, 90.0, seed=8)
     print(f"graph: {g.n} vertices, {g.m} arcs; {len(pairs)} query pairs\n")
 
-    def sample_cost(delta):
-        total = 0.0
-        for s, t in pairs.tolist():
-            a = sp.ppsp(g, s, t, "bids", policy=sp.StepPolicy(delta))
-            total += sp.work_cost(a.steps, a.relaxations, a.settled_copies)
-        return total
-
-    best, trail = sp.auto_delta(g, sample_cost)
-    print("calibration trail (delta doubles until the cost stops improving):")
-    for delta, cost in trail:
-        marker = "  <- best" if delta == best else ""
-        print(f"  delta {delta:>10.1f}: work {cost:>12.0f}{marker}")
-
-    print("\ntimed records (1 warmup + 5 rounds each, mean of the timed rounds):")
-    cfg = sp.BenchConfig(mode="query", pairs=pairs, strategy="bids", delta=best)
+    print("timed records (1 warmup + 5 rounds each, mean of the timed rounds):")
+    cfg = sp.BenchConfig(mode="query", pairs=pairs, strategy="bids", delta="auto")
     for record in sp.run_bench(g, cfg).records:
         emit(record)
 

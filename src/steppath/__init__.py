@@ -21,7 +21,7 @@ from .batch import (
     multi_bids,
     vc_sssp_batch,
 )
-from .bench import BenchConfig, BenchError, BenchReport, auto_delta, run_bench, work_cost
+from .bench import BenchConfig, BenchError, BenchReport, run_bench
 from .engine import INF, Frontier, StepPolicy, default_policy, run_search, sssp
 from .graph import (
     ComponentInfo,
@@ -79,7 +79,6 @@ __all__ = [
     "QueryGraph",
     "STRATEGIES",
     "StepPolicy",
-    "auto_delta",
     "baseline_batch",
     "build_csr",
     "build_query_graph",
@@ -116,6 +115,5 @@ __all__ = [
     "spherical_heuristic",
     "sssp",
     "vc_sssp_batch",
-    "work_cost",
     "zero_heuristic",
 ]

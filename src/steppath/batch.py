@@ -254,6 +254,12 @@ def vc_sssp_batch(
         cover = exact_vertex_cover(qg, exact_cover_limit)
     else:
         cover = greedy_vertex_cover(qg)
+    return _cover_sssp(graph, qg, cover, policy)
+
+
+def _cover_sssp(graph: CsrGraph, qg: QueryGraph, cover: np.ndarray, policy: StepPolicy | None) -> BatchAnswer:
+    """One full SSSP per cover index; each edge is read from the row of its
+    smaller covered endpoint index."""
     in_cover = np.zeros(qg.order, dtype=bool)
     in_cover[cover] = True
     dist_rows = {}
@@ -266,9 +272,8 @@ def vc_sssp_batch(
         settled += stats.settled_copies
     edge_dist = np.empty(len(qg.edges))
     for e, (a, b) in enumerate(qg.edges):
-        anchor = int(a) if in_cover[a] else int(b)
-        other = int(b) if anchor == a else int(a)
-        edge_dist[e] = dist_rows[anchor][qg.endpoints[other]]
+        anchor, other = (a, b) if in_cover[a] else (b, a)
+        edge_dist[e] = dist_rows[int(anchor)][qg.endpoints[other]]
     return BatchAnswer(
         _fan_out(qg, edge_dist), len(cover), steps, relax, settled, cover=cover
     )
@@ -286,32 +291,20 @@ def baseline_batch(
     _validate_batch(graph, qg)
     if mode not in ("plain-bids", "plain-sssp"):
         raise ValueError(f"unknown baseline mode {mode!r}")
-    edge_dist = np.empty(len(qg.edges))
-    steps = relax = settled = runs = 0
     if len(qg.edges) == 0:
         return BatchAnswer(np.zeros(qg.n_pairs), 0, 0, 0, 0)
-
     if mode == "plain-sssp":
-        sources = np.unique(qg.edges[:, 0])
-        rows = {}
-        for k in sources:
-            dist, stats = sssp(graph, int(qg.endpoints[k]), policy=policy, return_stats=True)
-            rows[int(k)] = dist
-            steps += stats.steps
-            relax += stats.relaxations
-            settled += stats.settled_copies
-            runs += 1
-        for e, (a, b) in enumerate(qg.edges):
-            edge_dist[e] = rows[int(a)][qg.endpoints[b]]
-    else:
-        for e, (a, b) in enumerate(qg.edges):
-            ans = ppsp(graph, int(qg.endpoints[a]), int(qg.endpoints[b]), "bids", policy=policy)
-            edge_dist[e] = ans.distance
-            steps += ans.steps
-            relax += ans.relaxations
-            settled += ans.settled_copies
-            runs += 1
-    return BatchAnswer(_fan_out(qg, edge_dist), runs, steps, relax, settled)
+        # covering every edge's smaller endpoint makes each edge read that row
+        return _cover_sssp(graph, qg, np.unique(qg.edges[:, 0]), policy)
+    edge_dist = np.empty(len(qg.edges))
+    steps = relax = settled = 0
+    for e, (a, b) in enumerate(qg.edges):
+        ans = ppsp(graph, int(qg.endpoints[a]), int(qg.endpoints[b]), "bids", policy=policy)
+        edge_dist[e] = ans.distance
+        steps += ans.steps
+        relax += ans.relaxations
+        settled += ans.settled_copies
+    return BatchAnswer(_fan_out(qg, edge_dist), len(qg.edges), steps, relax, settled)
 
 
 def _validate_batch(graph: CsrGraph, qg: QueryGraph) -> None:

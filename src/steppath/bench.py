@@ -1,11 +1,13 @@
-"""Benchmark protocol: delta calibration, warmup plus timed rounds, reports.
+"""Benchmark protocol: warmup plus timed rounds, reports.
 
 A bench run executes each workload item ``warmup`` times untimed, then
 ``rounds`` timed repetitions, reports the arithmetic mean of the timed
 rounds only, and fails loudly if any round disagrees on the distances
 (the runs are supposed to be value-deterministic).  Records are plain
 dicts that echo every configuration field so a report line can be
-replayed.
+replayed.  A step width of ``"auto"`` resolves to the graph's
+:func:`~steppath.engine.default_policy` width; the distances are the
+same for every width, so the choice only moves the timings.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batch import BATCH_ALGOS, baseline_batch, build_query_graph, multi_bids, vc_sssp_batch
-from .engine import StepPolicy
+from .engine import StepPolicy, default_policy
 from .graph import CsrGraph
 from .ppsp import STRATEGIES, ppsp
 
@@ -26,49 +28,6 @@ DEFAULT_ROUNDS = 5
 
 class BenchError(RuntimeError):
     """Internal inconsistency: rounds of one workload disagreed."""
-
-
-def work_cost(steps: int, relaxations: int, settled: int) -> float:
-    """Deterministic stand-in for wall time when calibrating delta.
-
-    Counts scanned arcs plus a per-step and per-expansion overhead term.
-    Being schedule-independent, it makes the calibration reproducible,
-    unlike wall-clock timing.
-    """
-    return float(relaxations + 16 * steps + settled)
-
-
-def auto_delta(
-    graph: CsrGraph,
-    cost_fn,
-    initial: float | None = None,
-    patience: int = 2,
-    max_doublings: int = 40,
-) -> tuple[float, list[tuple[float, float]]]:
-    """Pick a step width by doubling from max_weight/1024.
-
-    ``cost_fn(delta)`` runs the workload sample once and returns its
-    cost.  Doubling stops after ``patience`` consecutive values fail to
-    improve on the best seen.  Returns the best delta and the
-    (delta, cost) trail.
-    """
-    if initial is None:
-        initial = max(1.0, graph.max_weight() / 1024.0)
-    best_delta, best_cost = initial, float("inf")
-    trail: list[tuple[float, float]] = []
-    delta, stale = initial, 0
-    for _ in range(max_doublings):
-        cost = float(cost_fn(delta))
-        trail.append((delta, cost))
-        if cost < best_cost:
-            best_delta, best_cost = delta, cost
-            stale = 0
-        else:
-            stale += 1
-            if stale >= patience:
-                break
-        delta *= 2.0
-    return best_delta, trail
 
 
 @dataclass
@@ -137,13 +96,7 @@ def run_bench(graph: CsrGraph, cfg: BenchConfig) -> BenchReport:
         qg = build_query_graph(pairs, graph.n)
         runners = [(cfg.algo, _batch_runner(graph, cfg, qg), {"n_pairs": int(pairs.shape[0])})]
 
-    if cfg.delta == "auto":
-        def sample_cost(delta):
-            return sum(work_cost(*run(delta)[1:]) for _, run, _ in runners)
-
-        delta, _ = auto_delta(graph, sample_cost)
-    else:
-        delta = float(cfg.delta)
+    delta = default_policy(graph).delta if cfg.delta == "auto" else float(cfg.delta)
 
     report = BenchReport(resolved_delta=delta)
     for name, run, meta in runners:

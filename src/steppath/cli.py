@@ -15,8 +15,8 @@ import numpy as np
 
 from . import io as gio
 from .batch import BATCH_ALGOS, baseline_batch, build_query_graph, multi_bids, vc_sssp_batch
-from .bench import DEFAULT_ROUNDS, DEFAULT_WARMUP, BenchConfig, auto_delta, run_bench, work_cost
-from .engine import StepPolicy
+from .bench import DEFAULT_ROUNDS, DEFAULT_WARMUP, BenchConfig, run_bench
+from .engine import StepPolicy, default_policy
 from .graph import generate_uniform_weights, largest_component
 from .heuristics import EARTH_RADIUS_KM
 from .ppsp import STRATEGIES, ppsp
@@ -59,6 +59,10 @@ def _load(args):
 
 def _delta_arg(raw: str):
     return "auto" if raw == "auto" else float(raw)
+
+
+def _policy(graph, delta) -> StepPolicy:
+    return default_policy(graph) if delta == "auto" else StepPolicy(delta)
 
 
 def _out_pairs(pairs, args):
@@ -123,27 +127,15 @@ def cmd_gen_batch(args):
 
 def cmd_query(args):
     graph = _load(args)
-
-    def run(d):
-        return ppsp(graph, args.source, args.target, args.strategy, policy=StepPolicy(d), radius=args.radius)
-
-    if args.delta == "auto":
-
-        def cost(d):
-            a = run(d)
-            return work_cost(a.steps, a.relaxations, a.settled_copies)
-
-        delta, _ = auto_delta(graph, cost)
-    else:
-        delta = args.delta
-    answer = run(delta)
+    policy = _policy(graph, args.delta)
+    answer = ppsp(graph, args.source, args.target, args.strategy, policy=policy, radius=args.radius)
     emit(
         {
             "record": "query",
             "strategy": args.strategy,
             "source": args.source,
             "target": args.target,
-            "delta": delta,
+            "delta": policy.delta,
             "distance": answer.distance,
             "steps": answer.steps,
             "relaxations": answer.relaxations,
@@ -157,9 +149,7 @@ def cmd_batch(args):
     graph = _load(args)
     pairs = gio.load_pairs(args.queries)
     qg = build_query_graph(pairs, graph.n)
-    policy = None
-    if args.delta != "auto":
-        policy = StepPolicy(args.delta)
+    policy = _policy(graph, args.delta)
     if args.algo == "multi":
         ans = multi_bids(graph, qg, policy=policy)
     elif args.algo == "vc":
@@ -274,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=STRATEGIES, default="bids")
     p.add_argument("--source", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--delta", type=_delta_arg, default="auto", help="step width or 'auto'")
+    p.add_argument("--delta", type=_delta_arg, default="auto", help="step width, or 'auto' for max arc weight / 16")
     p.add_argument("--coords", help="coordinates file (for the A* strategies)")
     p.add_argument("--radius", type=float, default=EARTH_RADIUS_KM)
     p.set_defaults(fn=cmd_query)

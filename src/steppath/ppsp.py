@@ -186,13 +186,17 @@ def ppsp(
     copies; ``directional_weights`` substitutes per-direction arc weight
     arrays under ``bids`` (how a potential-reweighted graph is searched):
     a (forward, backward) pair, each of shape ``(graph.m,)``, finite and
-    nonnegative.
+    nonnegative.  Any other strategy rejects them.
     """
     for name, v in (("source", source), ("target", target)):
         if not 0 <= v < graph.n:
             raise ValueError(f"{name} {v} out of range for n={graph.n}")
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if directional_weights is not None:
+        if strategy != "bids":
+            raise ValueError(f"directional weights apply only to 'bids', not {strategy!r}")
+        directional_weights = _check_directional(graph, directional_weights)
     if source == target:
         return PpspAnswer(0.0, 0, 0, 0)
 
@@ -210,7 +214,7 @@ def ppsp(
     elif strategy == "bids":
         search = BidsSearch(graph, source, target)
         if directional_weights is not None:
-            search.directional_weights = _check_directional(graph, directional_weights)
+            search.directional_weights = directional_weights
     else:
         h_source, h_target = _heuristic_pair(graph, source, target, heuristic, radius)
         if h_source is None or h_target is None:

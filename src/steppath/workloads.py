@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .engine import sssp
 from .graph import CsrGraph, largest_component
 from .oracle import percentile_target
 
@@ -26,7 +27,11 @@ def _component_sample(graph: CsrGraph, count: int, rng) -> np.ndarray:
 
 
 def percentile_pairs(graph: CsrGraph, count: int, percentile: float, seed: int) -> np.ndarray:
-    """``count`` pairs whose targets sit at the given distance percentile."""
+    """``count`` pairs whose targets sit at the given distance percentile.
+
+    The distances come from the engine's :func:`~steppath.engine.sssp`,
+    which are exactly the oracle's.
+    """
     if count < 1:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(seed)
@@ -37,7 +42,7 @@ def percentile_pairs(graph: CsrGraph, count: int, percentile: float, seed: int) 
     sources = rng.choice(members, size=count, replace=count > members.size)
     pairs = np.empty((count, 2), dtype=np.int64)
     for k, s in enumerate(sources):
-        pairs[k] = (s, percentile_target(graph, int(s), percentile))
+        pairs[k] = (s, percentile_target(graph, int(s), percentile, distances=sssp(graph, int(s))))
     return pairs
 
 

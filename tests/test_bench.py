@@ -5,52 +5,6 @@ import steppath as sp
 from helpers import g1, random_graph, random_pairs_same_component
 
 
-def test_work_cost_formula():
-    assert sp.work_cost(0, 0, 0) == 0.0
-    assert sp.work_cost(3, 100, 40) == 100 + 16 * 3 + 40
-    assert isinstance(sp.work_cost(1, 1, 1), float)
-
-
-def test_auto_delta_stops_after_patience():
-    costs = {1.0: 50.0, 2.0: 30.0, 4.0: 20.0, 8.0: 25.0, 16.0: 27.0}
-
-    def cost_fn(delta):
-        return costs[delta]
-
-    best, trail = sp.auto_delta(g1(), cost_fn, initial=1.0)
-    assert best == 4.0
-    assert [d for d, _ in trail] == [1.0, 2.0, 4.0, 8.0, 16.0]
-
-
-def test_auto_delta_initial_from_max_weight():
-    g = random_graph(50, 3, 1, lo=4096, hi=8192)
-    seen = []
-
-    def cost_fn(delta):
-        seen.append(delta)
-        return 1.0  # flat cost: first value wins, patience stops after 2 more
-
-    best, trail = sp.auto_delta(g, cost_fn)
-    assert seen[0] == max(1.0, g.max_weight() / 1024.0)
-    assert best == seen[0]
-    assert len(trail) == 3
-
-
-def test_auto_delta_deterministic_on_real_workload():
-    g = random_graph(200, 4, 6)
-    s = int(sp.largest_component(g).members(sp.largest_component(g).largest)[0])
-
-    def cost_fn(delta):
-        a = sp.ppsp(g, s, (s + 1) % g.n, "et", policy=sp.StepPolicy(delta))
-        return sp.work_cost(a.steps, a.relaxations, a.settled_copies)
-
-    b1, t1 = sp.auto_delta(g, cost_fn)
-    b2, t2 = sp.auto_delta(g, cost_fn)
-    assert b1 == b2 and t1 == t2
-    costs = [c for _, c in t1]
-    assert costs[[d for d, _ in t1].index(b1)] == min(costs)
-
-
 def test_run_bench_query_mode():
     g = g1()
     cfg = sp.BenchConfig(mode="query", pairs=[(0, 3)], strategy="et", delta=1.0, warmup=1, rounds=5)
@@ -91,7 +45,7 @@ def test_run_bench_auto_delta_resolves():
     pairs = random_pairs_same_component(g, 2, 4)
     cfg = sp.BenchConfig(mode="query", pairs=pairs, strategy="bids", delta="auto", warmup=0, rounds=1)
     report = sp.run_bench(g, cfg)
-    assert report.resolved_delta > 0
+    assert report.resolved_delta == sp.default_policy(g).delta
     for rec in report.records:
         assert rec["requested_delta"] == "auto"
         assert rec["delta"] == report.resolved_delta

@@ -126,7 +126,7 @@ def test_query_auto_delta(g1_file, capsys):
     main(["query", "-g", g1_file, "--source", "0", "--target", "3"])
     (rec,) = _records(capsys)
     assert rec["distance"] == "4.0"
-    assert float(rec["delta"]) > 0
+    assert float(rec["delta"]) == sp.default_policy(gio.load_graph(g1_file)).delta
 
 
 def test_query_astar_with_coords(tmp_path, g1_file, capsys):
@@ -181,6 +181,20 @@ def test_bench_single_pair(tmp_path, g1_file, capsys):
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["workload"] == "0->3"
+
+
+def test_bench_auto_is_default_policy(tmp_path, capsys):
+    g = random_graph(80, 3, 6)
+    path = tmp_path / "g.txt"
+    gio.save_edge_list(g, path)
+    main(["bench", "-g", str(path), "--percentile", "90", "--count", "2", "--seed", "1",
+          "--delta", "auto", "--warmup", "0", "--rounds", "1"])
+    recs = _records(capsys)
+    assert len(recs) == 2
+    want = sp.default_policy(gio.load_graph(path)).delta
+    for rec in recs:
+        assert rec["requested_delta"] == "auto"
+        assert float(rec["delta"]) == want
 
 
 def test_bench_pattern_batch_mode(tmp_path, capsys):

@@ -229,18 +229,21 @@ def test_answer_counters_present():
 
 
 @pytest.mark.parametrize(
-    "make",
+    "strategy, make",
     [
-        lambda m: (np.ones(3), np.ones(3)),
-        lambda m: (np.full(m, np.nan), np.full(m, np.nan)),
-        lambda m: (np.full(m, -1.0), np.full(m, -1.0)),
+        ("bids", lambda m: (np.ones(3), np.ones(3))),
+        ("bids", lambda m: (np.full(m, np.nan), np.full(m, np.nan))),
+        ("bids", lambda m: (np.full(m, -1.0), np.full(m, -1.0))),
+        # valid arrays, but only bids applies them
+        *((s, lambda m: (np.ones(m), np.ones(m))) for s in ("sssp", "et", "astar", "bidastar")),
     ],
-    ids=["wrong-shape", "nan", "negative"],
+    ids=["wrong-shape", "nan", "negative", "sssp", "et", "astar", "bidastar"],
 )
-def test_directional_weights_validated(make):
+def test_directional_weights_validated(strategy, make):
     g = g1()
-    with pytest.raises(ValueError, match="directional weights"):
-        sp.ppsp(g, 0, 3, "bids", directional_weights=make(g.m))
+    for source, target in ((0, 3), (2, 2)):  # s == t is checked too
+        with pytest.raises(ValueError, match="directional weights"):
+            sp.ppsp(g, source, target, strategy, directional_weights=make(g.m))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
