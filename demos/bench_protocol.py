@@ -2,7 +2,8 @@
 
 Timed results come from fixed warmup and round counts, and every record
 echoes its whole configuration so a line can be replayed.  The step
-width ``auto`` resolves to the graph's default width, max arc weight / 16.
+width ``auto`` runs the graph's default policy: width max arc weight / 16,
+with each step floored at 128 copies.
 """
 
 import numpy as np

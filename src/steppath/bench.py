@@ -5,9 +5,11 @@ A bench run executes each workload item ``warmup`` times untimed, then
 rounds only, and fails loudly if any round disagrees on the distances
 (the runs are supposed to be value-deterministic).  Records are plain
 dicts that echo every configuration field so a report line can be
-replayed.  A step width of ``"auto"`` resolves to the graph's
-:func:`~steppath.engine.default_policy` width; the distances are the
-same for every width, so the choice only moves the timings.
+replayed.  A step width of ``"auto"`` runs the graph's
+:func:`~steppath.engine.default_policy` itself (its Δ and its per-step
+copy floor), the same schedule ``query``, ``batch`` and the library use;
+a number runs ``StepPolicy(delta)``.  The distances are the same for
+every schedule, so the choice only moves the timings.
 """
 
 from __future__ import annotations
@@ -52,20 +54,24 @@ class BenchReport:
     records: list[dict] = field(default_factory=list)
 
 
+def step_policy(graph: CsrGraph, delta: float | str) -> StepPolicy:
+    """``"auto"`` is the graph's default policy; a number is ``StepPolicy(delta)``."""
+    return default_policy(graph) if delta == "auto" else StepPolicy(float(delta))
+
+
 def _query_runner(graph, cfg, s, t):
     kwargs = {}
     if cfg.radius is not None:
         kwargs["radius"] = cfg.radius
 
-    def run(delta):
-        ans = ppsp(graph, s, t, cfg.strategy, policy=StepPolicy(delta), **kwargs)
+    def run(policy):
+        ans = ppsp(graph, s, t, cfg.strategy, policy=policy, **kwargs)
         return np.asarray([ans.distance]), ans.steps, ans.relaxations, ans.settled_copies
 
     return run
 
 def _batch_runner(graph, cfg, qg):
-    def run(delta):
-        policy = StepPolicy(delta)
+    def run(policy):
         if cfg.algo == "multi":
             ans = multi_bids(graph, qg, policy=policy)
         elif cfg.algo == "vc":
@@ -96,17 +102,17 @@ def run_bench(graph: CsrGraph, cfg: BenchConfig) -> BenchReport:
         qg = build_query_graph(pairs, graph.n)
         runners = [(cfg.algo, _batch_runner(graph, cfg, qg), {"n_pairs": int(pairs.shape[0])})]
 
-    delta = default_policy(graph).delta if cfg.delta == "auto" else float(cfg.delta)
+    policy = step_policy(graph, cfg.delta)
 
-    report = BenchReport(resolved_delta=delta)
+    report = BenchReport(resolved_delta=policy.delta)
     for name, run, meta in runners:
         for _ in range(cfg.warmup):
-            baseline = run(delta)[0]
+            baseline = run(policy)[0]
         times = []
         last = None
         for _ in range(cfg.rounds):
             t0 = time.perf_counter()
-            out = run(delta)
+            out = run(policy)
             times.append(time.perf_counter() - t0)
             if last is not None and not np.array_equal(last[0], out[0]):
                 raise BenchError(f"{name}: distances changed between timed rounds")
@@ -118,7 +124,8 @@ def run_bench(graph: CsrGraph, cfg: BenchConfig) -> BenchReport:
             "kind": cfg.mode,
             "workload": name,
             "strategy": cfg.strategy if cfg.mode == "query" else cfg.algo,
-            "delta": delta,
+            "delta": policy.delta,
+            "min_copies": policy.min_copies,
             "requested_delta": cfg.delta,
             "seed": cfg.seed,
             "warmup_rounds": cfg.warmup,

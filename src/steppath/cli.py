@@ -15,8 +15,7 @@ import numpy as np
 
 from . import io as gio
 from .batch import BATCH_ALGOS, baseline_batch, build_query_graph, multi_bids, vc_sssp_batch
-from .bench import DEFAULT_ROUNDS, DEFAULT_WARMUP, BenchConfig, run_bench
-from .engine import StepPolicy, default_policy
+from .bench import DEFAULT_ROUNDS, DEFAULT_WARMUP, BenchConfig, run_bench, step_policy
 from .graph import generate_uniform_weights, largest_component
 from .heuristics import EARTH_RADIUS_KM
 from .ppsp import STRATEGIES, ppsp
@@ -59,10 +58,6 @@ def _load(args):
 
 def _delta_arg(raw: str):
     return "auto" if raw == "auto" else float(raw)
-
-
-def _policy(graph, delta) -> StepPolicy:
-    return default_policy(graph) if delta == "auto" else StepPolicy(delta)
 
 
 def _out_pairs(pairs, args):
@@ -127,7 +122,7 @@ def cmd_gen_batch(args):
 
 def cmd_query(args):
     graph = _load(args)
-    policy = _policy(graph, args.delta)
+    policy = step_policy(graph, args.delta)
     answer = ppsp(graph, args.source, args.target, args.strategy, policy=policy, radius=args.radius)
     emit(
         {
@@ -136,6 +131,7 @@ def cmd_query(args):
             "source": args.source,
             "target": args.target,
             "delta": policy.delta,
+            "min_copies": policy.min_copies,
             "distance": answer.distance,
             "steps": answer.steps,
             "relaxations": answer.relaxations,
@@ -149,7 +145,7 @@ def cmd_batch(args):
     graph = _load(args)
     pairs = gio.load_pairs(args.queries)
     qg = build_query_graph(pairs, graph.n)
-    policy = _policy(graph, args.delta)
+    policy = step_policy(graph, args.delta)
     if args.algo == "multi":
         ans = multi_bids(graph, qg, policy=policy)
     elif args.algo == "vc":
@@ -172,6 +168,8 @@ def cmd_batch(args):
             "record": "batch",
             "algo": args.algo,
             "pairs": len(pairs),
+            "delta": policy.delta,
+            "min_copies": policy.min_copies,
             "runs": ans.runs,
             "steps": ans.steps,
             "relaxations": ans.relaxations,
@@ -264,7 +262,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=STRATEGIES, default="bids")
     p.add_argument("--source", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--delta", type=_delta_arg, default="auto", help="step width, or 'auto' for max arc weight / 16")
+    p.add_argument(
+        "--delta",
+        type=_delta_arg,
+        default="auto",
+        help="step width (no copy floor), or 'auto' for the default policy: max arc weight / 16, at least 128 copies per step",
+    )
     p.add_argument("--coords", help="coordinates file (for the A* strategies)")
     p.add_argument("--radius", type=float, default=EARTH_RADIUS_KM)
     p.set_defaults(fn=cmd_query)

@@ -8,17 +8,30 @@ is at most the threshold, drop the ones the active strategy prunes, relax
 the outgoing arcs of the rest, and feed every strictly improved cell back
 into the frontier.
 
+The step rule combines Δ-stepping and ρ-stepping (Dong, Gu, Sun & Zhang,
+SPAA 2021).  The i-th step's Δ window covers keys up to
+``key_offset + i * delta``.  When that window holds fewer than
+``min_copies`` pending copies, the step widens to the ``min_copies``
+smallest keys (ties included), or to every pending copy if there are no
+more than that.  So a step is never thinner than ``min_copies`` copies
+while that many are pending, and a narrow frontier pays the fixed cost of
+a step less often.  The default policy floors each step at
+:data:`DEFAULT_MIN_COPIES`; ``min_copies=1`` is pure Δ-stepping.
+
 Relaxations within a step are applied as one grouped scatter-min, which
 is value-equivalent to a sequence of atomic write-min updates: each cell
 ends the step at the minimum of its prior value and every candidate, and
 counts as improved only on a strict decrease.  Candidates that cannot
 improve their cell are dropped before the grouped minimum, so its sort
 only sees the survivors.  Copies improved mid-step are simply
-re-extracted at a later threshold, which keeps any schedule correct:
-thresholds never decrease and extraction is inclusive.  A minimum does
-not depend on the order of its inputs and every schedule ends at the
-same fixpoint, so final distances are bit-identical for every step
-width.
+re-extracted at a later step, which keeps any schedule correct: a copy
+stays pending until it is extracted, and the loop runs until nothing is
+pending.  A minimum does not depend on the order of its inputs and every
+schedule ends at the same fixpoint, so distances are bit-identical for
+every step rule.  Answers assembled from sums at meeting points (the
+bidirectional strategies and batches on float weights) may differ in the
+last bit between schedules, because a schedule decides which meeting
+points get offered.
 """
 
 from __future__ import annotations
@@ -31,6 +44,8 @@ import numpy as np
 from .graph import CsrGraph
 
 INF = math.inf
+# floor on the copies one step of the default policy extracts
+DEFAULT_MIN_COPIES = 128
 
 
 class DistanceState:
@@ -52,16 +67,25 @@ class DistanceState:
 
 @dataclass
 class StepPolicy:
-    """Threshold schedule: the i-th step covers keys <= key_offset + i*delta."""
+    """Threshold schedule: the i-th step covers keys <= key_offset + i*delta.
+
+    A step whose window holds fewer than ``min_copies`` pending copies
+    takes the ``min_copies`` smallest keys instead (see
+    :meth:`Frontier.extract`).
+    """
 
     delta: float
     key_offset: float = 0.0
+    min_copies: int = 1
 
     def __post_init__(self):
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be finite and positive")
         if not np.isfinite(self.key_offset):
             raise ValueError("key_offset must be finite")
+        m = self.min_copies
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"min_copies must be an integer >= 1, got {m!r}")
 
     def threshold(self, index: int) -> float:
         return self.key_offset + index * self.delta
@@ -75,8 +99,9 @@ class StepPolicy:
 
 
 def default_policy(graph: CsrGraph) -> StepPolicy:
+    """Δ = max arc weight / 16, each step floored at DEFAULT_MIN_COPIES."""
     top = graph.max_weight()
-    return StepPolicy(delta=top / 16.0 if top > 0 else 1.0)
+    return StepPolicy(delta=top / 16.0 if top > 0 else 1.0, min_copies=DEFAULT_MIN_COPIES)
 
 
 class Frontier:
@@ -113,18 +138,27 @@ class Frontier:
             self.dir_counts += np.bincount(fresh & 1, minlength=2)
         return int(fresh.size)
 
-    def extract(self, threshold: float, key_fn) -> tuple[np.ndarray, float]:
+    def extract(self, threshold: float, key_fn, min_copies: int = 1) -> tuple[np.ndarray, float]:
         """Remove and return all pending cells with current key <= threshold.
 
-        Keys are re-read at extraction time, so a copy improved since it
-        was added is classified by its current value.  Also returns the
-        smallest key left pending (inf if none), which lets the caller
-        fast-forward over empty thresholds.
+        When fewer than ``min_copies`` keys lie within the threshold, the
+        threshold is raised to the ``min_copies``-th smallest pending key
+        (every copy tied with it is taken too), or every pending copy is
+        taken if there are at most ``min_copies``.  Keys are re-read at
+        extraction time, so a copy improved since it was added is
+        classified by its current value.  Also returns the smallest key
+        left pending (inf if none), which lets the caller fast-forward
+        over empty thresholds.
         """
         if self.size == 0:
             return np.empty(0, dtype=np.int64), INF
         keys = key_fn(self._ids)
         take = keys <= threshold
+        if min_copies > 1 and np.count_nonzero(take) < min_copies:
+            if self.size <= min_copies:
+                take = np.ones(self.size, dtype=bool)
+            else:
+                take = keys <= np.partition(keys, min_copies - 1)[min_copies - 1]
         out = self._ids[take]
         if out.size:
             self._mask[out] = False
@@ -264,11 +298,15 @@ def run_search(
 ) -> SearchStats:
     """Drive ``search`` to completion; returns instrumentation counters.
 
-    Each step extracts the pending copies under the threshold, drops the
-    pruned ones, pushes the arcs of the rest as one scatter-min, reports
-    the improved cells to ``search.on_improved`` and re-adds the unpruned
-    ones.  ``steps`` counts rounds that extracted at least one copy
-    (thresholds that cover nothing are skipped in one jump).
+    Step ``i`` extracts the pending copies with keys up to
+    ``policy.threshold(i)``, widened to the ``policy.min_copies``
+    smallest keys when that window holds fewer copies, drops the pruned
+    ones, pushes the arcs of the rest as one scatter-min, reports the
+    improved cells to ``search.on_improved`` and re-adds the unpruned
+    ones.  The index advances by one per step, whether or not the step
+    was widened.  ``steps`` counts rounds that extracted at least one
+    copy; with ``min_copies == 1`` thresholds that cover nothing are
+    skipped in one jump (a wider floor never leaves a step empty).
     ``relaxations`` counts scanned arcs and ``settled_copies`` counts
     distinct copies expanded at least once.
     """
@@ -286,7 +324,9 @@ def run_search(
     while frontier.size > 0:
         if search.early_out(frontier):
             break
-        extracted, min_left = frontier.extract(policy.threshold(index), search.keys)
+        extracted, min_left = frontier.extract(
+            policy.threshold(index), search.keys, policy.min_copies
+        )
         if extracted.size == 0:
             index = max(index + 1, policy.index_covering(min_left))
             continue

@@ -17,6 +17,7 @@ def test_run_bench_query_mode():
     assert rec["mean_time"] == pytest.approx(sum(rec["round_times"]) / 5)
     assert rec["strategy"] == "et"
     assert rec["requested_delta"] == 1.0
+    assert rec["min_copies"] == 1
     assert rec["workload"] == "0->3"
 
 
@@ -45,10 +46,14 @@ def test_run_bench_auto_delta_resolves():
     pairs = random_pairs_same_component(g, 2, 4)
     cfg = sp.BenchConfig(mode="query", pairs=pairs, strategy="bids", delta="auto", warmup=0, rounds=1)
     report = sp.run_bench(g, cfg)
-    assert report.resolved_delta == sp.default_policy(g).delta
-    for rec in report.records:
+    policy = sp.default_policy(g)
+    assert report.resolved_delta == policy.delta
+    for rec, (s, t) in zip(report.records, pairs.tolist()):
         assert rec["requested_delta"] == "auto"
         assert rec["delta"] == report.resolved_delta
+        # the default policy itself runs, floor included
+        assert rec["min_copies"] == policy.min_copies
+        assert rec["steps"] == sp.ppsp(g, s, t, "bids").steps
 
 
 def test_run_bench_label_and_threads_echoed():

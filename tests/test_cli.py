@@ -119,6 +119,7 @@ def test_query_fixed_delta(g1_file, capsys):
     assert rec["distance"] == "4.0"
     assert rec["strategy"] == "et"
     assert rec["delta"] == "1.0"
+    assert rec["min_copies"] == "1"
     assert int(rec["steps"]) >= 1
 
 
@@ -126,7 +127,9 @@ def test_query_auto_delta(g1_file, capsys):
     main(["query", "-g", g1_file, "--source", "0", "--target", "3"])
     (rec,) = _records(capsys)
     assert rec["distance"] == "4.0"
-    assert float(rec["delta"]) == sp.default_policy(gio.load_graph(g1_file)).delta
+    policy = sp.default_policy(gio.load_graph(g1_file))
+    assert float(rec["delta"]) == policy.delta
+    assert int(rec["min_copies"]) == policy.min_copies
 
 
 def test_query_astar_with_coords(tmp_path, g1_file, capsys):
@@ -152,6 +155,7 @@ def test_batch_all_algos(tmp_path, g1_file, capsys):
         assert [r["distance"] for r in pair_recs] == ["1.0", "2.0", "1.0"]
         assert summary["algo"] == algo
         assert summary["pairs"] == "3"
+        assert summary["delta"] == "1.0" and summary["min_copies"] == "1"
         with open(csv_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4  # three pairs plus the summary row

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import steppath as sp
 from steppath.engine import DistanceState, Frontier, SsspSearch, _scatter_min, run_search
-from helpers import g1, random_graph
+from helpers import g1, geometric_graph, random_graph
 
 
 def test_scatter_min_contract():
@@ -77,6 +77,11 @@ def test_step_policy_thresholds():
         sp.StepPolicy(-1.0)
     with pytest.raises(ValueError):
         sp.StepPolicy(np.inf)
+    assert sp.StepPolicy(2.0).min_copies == 1
+    assert sp.StepPolicy(2.0, min_copies=np.int64(64)).min_copies == 64
+    for bad in (0, -3, 2.5, True):
+        with pytest.raises(ValueError):
+            sp.StepPolicy(2.0, min_copies=bad)
 
 
 def test_frontier_add_dedup():
@@ -111,6 +116,45 @@ def test_frontier_extract_inclusive():
     assert left == np.inf
     out, left = f.extract(100.0, lambda cells: keys[cells])
     assert out.size == 0 and left == np.inf
+
+
+def test_frontier_extract_min_copies():
+    keys = np.array([5.0, 1.0, 3.0, 3.0, 9.0, 3.0, 7.0])
+
+    def key_fn(cells):
+        return keys[cells]
+
+    def full():
+        f = Frontier(keys.size)
+        f.add_many(np.arange(keys.size))
+        return f
+
+    # the window <= 1 holds one copy; the 3rd smallest key is 3.0 and all
+    # three copies tied with it come along
+    f = full()
+    out, left = f.extract(1.0, key_fn, min_copies=3)
+    assert sorted(out.tolist()) == [1, 2, 3, 5]
+    assert left == 5.0 and f.size == 3
+    # three copies pending, none in the window: all of them are taken
+    out, left = f.extract(0.0, key_fn, min_copies=3)
+    assert sorted(out.tolist()) == [0, 4, 6]
+    assert left == np.inf and f.size == 0
+    f = full()
+    out, left = f.extract(0.0, key_fn, min_copies=100)
+    assert sorted(out.tolist()) == list(range(keys.size))
+    # a window that already holds min_copies copies is taken unchanged
+    f = full()
+    out, left = f.extract(5.0, key_fn, min_copies=5)
+    assert sorted(out.tolist()) == [0, 1, 2, 3, 5]
+    assert left == 7.0
+    # min_copies=1 is the plain window, empty or not
+    for threshold in (0.0, 1.0, 3.0, 8.0, 100.0):
+        f = full()
+        out, left = f.extract(threshold, key_fn, min_copies=1)
+        assert sorted(out.tolist()) == np.flatnonzero(keys <= threshold).tolist()
+        rest = keys[keys > threshold]
+        assert left == (rest.min() if rest.size else np.inf)
+        assert f.size == rest.size
 
 
 def test_frontier_single_direction():
@@ -183,3 +227,76 @@ def test_improvements_are_strictly_decreasing():
     probe = Probe(g, 0)
     run_search(g, probe, policy=sp.StepPolicy(64.0))
     assert np.array_equal(probe.state.array(), sp.dijkstra(g, 0))
+
+
+@st.composite
+def _integer_graphs(draw):
+    """Small integer-weight multigraphs: zero weights, parallel arcs,
+    self-loops and several components are all allowed."""
+    n = draw(st.integers(2, 24))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 6)), max_size=3 * n))
+    return sp.build_csr(n, [(u, v, float(w)) for u, v, w in edges], symmetrize=True)
+
+
+def _half_distance_heuristic(graph, target):
+    """Consistent integer heuristic: floor(d(v, target) / 2), 0 off the target's component."""
+    d = sp.dijkstra(graph, target)
+    h = np.where(np.isfinite(d), np.floor(d / 2.0), 0.0)
+    return lambda v: h[v]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _integer_graphs(),
+    st.floats(0.25, 16.0),
+    st.integers(1, 40),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=6),
+)
+def test_step_rule_keeps_integer_answers_exact(g, delta, min_copies, raw_pairs):
+    policy = sp.StepPolicy(delta, min_copies=min_copies)
+    pairs = [(s % g.n, t % g.n) for s, t in raw_pairs]
+    rows = {s: sp.dijkstra(g, s) for s, _ in pairs}
+    for s, t in pairs:
+        assert np.array_equal(sp.sssp(g, s, policy=policy), rows[s])
+        heuristics = {
+            "astar": _half_distance_heuristic(g, t),
+            "bidastar": (_half_distance_heuristic(g, s), _half_distance_heuristic(g, t)),
+        }
+        for strategy in sp.STRATEGIES:
+            got = sp.ppsp(g, s, t, strategy, policy=policy, heuristic=heuristics.get(strategy))
+            assert got.distance == rows[s][t], (strategy, s, t)
+    qg = sp.build_query_graph(pairs, g.n)
+    want = [rows[s][t] for s, t in pairs]
+    for algo in sp.BATCH_ALGOS:
+        if algo == "multi":
+            ans = sp.multi_bids(g, qg, policy=policy)
+        elif algo == "vc":
+            ans = sp.vc_sssp_batch(g, qg, policy=policy)
+        else:
+            ans = sp.baseline_batch(g, qg, algo, policy=policy)
+        assert ans.distances.tolist() == want, algo
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(20, 120),
+    st.integers(2, 5),
+    st.integers(0, 2**31),
+    st.floats(0.01, 4.0),
+    st.integers(1, 200),
+    st.integers(0, 2**31),
+)
+def test_step_rule_on_float_weights(n, k, graph_seed, delta_share, min_copies, pair_seed):
+    g = geometric_graph(n, k, graph_seed)
+    policy = sp.StepPolicy(delta_share * g.max_weight(), min_copies=min_copies)
+    rng = np.random.default_rng(pair_seed)
+    for s, t in rng.integers(0, n, (3, 2)).tolist():
+        want = sp.dijkstra(g, s)
+        assert np.array_equal(sp.sssp(g, s, policy=policy), want)
+        for strategy in ("et", "astar"):
+            assert sp.ppsp(g, s, t, strategy, policy=policy).distance == want[t], strategy
+        # the meeting-point sum is exact only up to rounding
+        for strategy in ("bids", "bidastar"):
+            got = sp.ppsp(g, s, t, strategy, policy=policy).distance
+            assert got == want[t] or abs(got - want[t]) <= 1e-15 * want[t], strategy
