@@ -25,7 +25,9 @@ from .ppsp import ppsp
 
 BATCH_ALGOS = ("multi", "vc", "plain-bids", "plain-sssp")
 
-DEFAULT_CELL_CAP = 2**31
+# a cell costs 10 B in a joint search (8 B distance, 1 B frontier mask,
+# 1 B settled mask), so the default cap comes to 2.5 GiB
+DEFAULT_CELL_CAP = 2**28
 
 
 class BatchTooLarge(ValueError):
@@ -305,6 +307,15 @@ def baseline_batch(
         relax += ans.relaxations
         settled += ans.settled_copies
     return BatchAnswer(_fan_out(qg, edge_dist), len(qg.edges), steps, relax, settled)
+
+
+def _run_batch(graph: CsrGraph, qg: QueryGraph, algo: str, policy: StepPolicy | None) -> BatchAnswer:
+    """Answer ``qg`` with the batch algorithm named ``algo`` (one of BATCH_ALGOS)."""
+    if algo == "multi":
+        return multi_bids(graph, qg, policy=policy)
+    if algo == "vc":
+        return vc_sssp_batch(graph, qg, policy=policy)
+    return baseline_batch(graph, qg, algo, policy=policy)
 
 
 def _validate_batch(graph: CsrGraph, qg: QueryGraph) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch import BATCH_ALGOS, baseline_batch, build_query_graph, multi_bids, vc_sssp_batch
+from .batch import BATCH_ALGOS, _run_batch, build_query_graph
 from .engine import StepPolicy, default_policy
 from .graph import CsrGraph
 from .ppsp import STRATEGIES, ppsp
@@ -70,14 +70,10 @@ def _query_runner(graph, cfg, s, t):
 
     return run
 
+
 def _batch_runner(graph, cfg, qg):
     def run(policy):
-        if cfg.algo == "multi":
-            ans = multi_bids(graph, qg, policy=policy)
-        elif cfg.algo == "vc":
-            ans = vc_sssp_batch(graph, qg, policy=policy)
-        else:
-            ans = baseline_batch(graph, qg, cfg.algo, policy=policy)
+        ans = _run_batch(graph, qg, cfg.algo, policy)
         return ans.distances, ans.steps, ans.relaxations, ans.settled_copies
 
     return run

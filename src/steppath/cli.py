@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import io as gio
-from .batch import BATCH_ALGOS, baseline_batch, build_query_graph, multi_bids, vc_sssp_batch
+from .batch import BATCH_ALGOS, _run_batch, build_query_graph
 from .bench import DEFAULT_ROUNDS, DEFAULT_WARMUP, BenchConfig, run_bench, step_policy
 from .graph import generate_uniform_weights, largest_component
 from .heuristics import EARTH_RADIUS_KM
@@ -146,12 +146,7 @@ def cmd_batch(args):
     pairs = gio.load_pairs(args.queries)
     qg = build_query_graph(pairs, graph.n)
     policy = step_policy(graph, args.delta)
-    if args.algo == "multi":
-        ans = multi_bids(graph, qg, policy=policy)
-    elif args.algo == "vc":
-        ans = vc_sssp_batch(graph, qg, policy=policy)
-    else:
-        ans = baseline_batch(graph, qg, args.algo, policy=policy)
+    ans = _run_batch(graph, qg, args.algo, policy)
     records = []
     for (s, t), d in zip(pairs, ans.distances):
         records.append(

@@ -9,8 +9,8 @@ the outgoing arcs of the rest, and feed every strictly improved cell back
 into the frontier.
 
 The step rule combines Δ-stepping and ρ-stepping (Dong, Gu, Sun & Zhang,
-SPAA 2021).  The i-th step's Δ window covers keys up to
-``key_offset + i * delta``.  When that window holds fewer than
+SPAA 2021).  The i-th step's Δ window covers keys up to ``i * delta``,
+for every search alike.  When that window holds fewer than
 ``min_copies`` pending copies, the step widens to the ``min_copies``
 smallest keys (ties included), or to every pending copy if there are no
 more than that.  So a step is never thinner than ``min_copies`` copies
@@ -37,7 +37,7 @@ points get offered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,10 @@ class DistanceState:
 
 @dataclass
 class StepPolicy:
-    """Threshold schedule: the i-th step covers keys <= key_offset + i*delta.
+    """Threshold schedule: the i-th step covers keys <= i * delta.
+
+    The schedule starts at 0 for every search, including those whose
+    keys carry a heuristic offset.
 
     A step whose window holds fewer than ``min_copies`` pending copies
     takes the ``min_copies`` smallest keys instead (see
@@ -75,24 +78,21 @@ class StepPolicy:
     """
 
     delta: float
-    key_offset: float = 0.0
     min_copies: int = 1
 
     def __post_init__(self):
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be finite and positive")
-        if not np.isfinite(self.key_offset):
-            raise ValueError("key_offset must be finite")
         m = self.min_copies
         if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
             raise ValueError(f"min_copies must be an integer >= 1, got {m!r}")
 
     def threshold(self, index: int) -> float:
-        return self.key_offset + index * self.delta
+        return index * self.delta
 
     def index_covering(self, key: float) -> int:
         """Smallest step index whose threshold reaches ``key``."""
-        i = max(0, math.ceil((key - self.key_offset) / self.delta))
+        i = max(0, math.ceil(key / self.delta))
         while self.threshold(i) < key:  # float-rounding guard
             i += 1
         return i
@@ -112,17 +112,17 @@ class Frontier:
     in the number of pending cells, not in the capacity.
     """
 
-    def __init__(self, capacity: int, track_directions: bool = False):
+    def __init__(self, capacity: int):
         self._mask = np.zeros(capacity, dtype=bool)
         self._ids = np.empty(0, dtype=np.int64)
         self.size = 0
-        self.dir_counts = np.zeros(2, dtype=np.int64) if track_directions else None
 
-    def single_direction(self) -> bool:
-        """True while every pending copy belongs to one search direction."""
-        if self.dir_counts is None or self.size == 0:
-            return False
-        return bool((self.dir_counts == 0).any())
+    @property
+    def pending(self) -> np.ndarray:
+        """The pending cell ids, in no particular order (a read-only view)."""
+        view = self._ids.view()
+        view.flags.writeable = False
+        return view
 
     def add_many(self, cells: np.ndarray) -> int:
         """Insert cells (unique ids); returns how many were newly pending."""
@@ -134,8 +134,6 @@ class Frontier:
         self._mask[fresh] = True
         self.size += fresh.size
         self._ids = np.concatenate([self._ids, fresh])
-        if self.dir_counts is not None:
-            self.dir_counts += np.bincount(fresh & 1, minlength=2)
         return int(fresh.size)
 
     def extract(self, threshold: float, key_fn, min_copies: int = 1) -> tuple[np.ndarray, float]:
@@ -164,8 +162,6 @@ class Frontier:
             self._mask[out] = False
             self.size -= int(out.size)
             self._ids = self._ids[~take]
-            if self.dir_counts is not None:
-                self.dir_counts -= np.bincount(out & 1, minlength=2)
         rest = keys[~take]
         return out, float(rest.min()) if rest.size else INF
 
@@ -183,8 +179,6 @@ class Search:
         self.graph = graph
         self.copies = copies
         self.state = DistanceState(graph.n, copies)
-        self.prune_enabled = True
-        self.directional_weights: tuple[np.ndarray, np.ndarray] | None = None
 
     def seeds(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -220,10 +214,6 @@ class SearchStats:
     steps: int = 0
     relaxations: int = 0
     settled_copies: int = 0
-    best_trace: list = field(default_factory=list)
-    # last step index (0-based) at which each direction was extracted;
-    # meaningful only for two-copy searches
-    dir_last_step: np.ndarray = field(default_factory=lambda: np.full(2, -1, dtype=np.int64))
 
 
 def _exclusive_cumsum(a: np.ndarray) -> np.ndarray:
@@ -244,7 +234,7 @@ def _arc_ranges(offsets: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.
     return np.arange(total, dtype=np.int64) + shift, deg
 
 
-def _candidates(graph, dist, cells, copies, directional):
+def _candidates(graph, dist, cells, copies):
     """Push-phase relaxation candidates (target cell, candidate value)."""
     if copies == 1:
         verts = cells
@@ -254,13 +244,7 @@ def _candidates(graph, dist, cells, copies, directional):
     if arc_idx.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0), 0
     tgt_v = graph.targets[arc_idx].astype(np.int64)
-    if directional is None:
-        w = graph.weights[arc_idx]
-    else:
-        fwd, bwd = directional
-        backward = np.repeat(cells & 1, deg).astype(bool)
-        w = np.where(backward, bwd[arc_idx], fwd[arc_idx])
-    cand = np.repeat(dist[cells], deg) + w
+    cand = np.repeat(dist[cells], deg) + graph.weights[arc_idx]
     if copies == 1:
         tgt_cells = tgt_v
     else:
@@ -294,27 +278,26 @@ def run_search(
     graph: CsrGraph,
     search: Search,
     policy: StepPolicy | None = None,
-    collect_best_trace: bool = False,
 ) -> SearchStats:
     """Drive ``search`` to completion; returns instrumentation counters.
 
     Step ``i`` extracts the pending copies with keys up to
-    ``policy.threshold(i)``, widened to the ``policy.min_copies``
-    smallest keys when that window holds fewer copies, drops the pruned
-    ones, pushes the arcs of the rest as one scatter-min, reports the
-    improved cells to ``search.on_improved`` and re-adds the unpruned
-    ones.  The index advances by one per step, whether or not the step
-    was widened.  ``steps`` counts rounds that extracted at least one
-    copy; with ``min_copies == 1`` thresholds that cover nothing are
-    skipped in one jump (a wider floor never leaves a step empty).
-    ``relaxations`` counts scanned arcs and ``settled_copies`` counts
-    distinct copies expanded at least once.
+    ``policy.threshold(i)`` (``i * delta``, whatever the search), widened
+    to the ``policy.min_copies`` smallest keys when that window holds
+    fewer copies, drops the pruned ones, pushes the arcs of the rest as
+    one scatter-min, reports the improved cells to ``search.on_improved``
+    and re-adds the unpruned ones.  The index advances by one per step,
+    whether or not the step was widened.  ``steps`` counts rounds that
+    extracted at least one copy; with ``min_copies == 1`` thresholds that
+    cover nothing are skipped in one jump (a wider floor never leaves a
+    step empty).  ``relaxations`` counts scanned arcs and
+    ``settled_copies`` counts distinct copies expanded at least once.
     """
     if policy is None:
         policy = default_policy(graph)
     copies = search.copies
     dist = search.state.values
-    frontier = Frontier(graph.n * copies, track_directions=(copies == 2))
+    frontier = Frontier(graph.n * copies)
     cells, values = search.seeds()
     dist[cells] = values
     frontier.add_many(cells)
@@ -331,28 +314,18 @@ def run_search(
             index = max(index + 1, policy.index_covering(min_left))
             continue
         index += 1
-        step = stats.steps
         stats.steps += 1
-        if copies == 2:
-            for parity in np.unique(extracted & 1):
-                stats.dir_last_step[parity] = step
-        keep = extracted[~search.prune(extracted)] if search.prune_enabled else extracted
+        keep = extracted[~search.prune(extracted)]
         if keep.size:
             fresh = keep[~settled[keep]]
             settled[fresh] = True
             stats.settled_copies += int(fresh.size)
-            tgt_cells, cand, scanned = _candidates(
-                graph, dist, keep, copies, search.directional_weights
-            )
+            tgt_cells, cand, scanned = _candidates(graph, dist, keep, copies)
             stats.relaxations += scanned
             changed = _scatter_min(dist, tgt_cells, cand)
             if changed.size:
                 search.on_improved(changed)
-                if search.prune_enabled:
-                    changed = changed[~search.prune(changed)]
-                frontier.add_many(changed)
-        if collect_best_trace:
-            stats.best_trace.append(getattr(search, "best", INF))
+                frontier.add_many(changed[~search.prune(changed)])
     return stats
 
 

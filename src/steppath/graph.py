@@ -124,12 +124,12 @@ def mirror_closed(graph: CsrGraph) -> bool:
     """True iff the arc multiset is closed under (u, v, w) -> (v, u, w)."""
     src = graph.arc_sources()
     tgt = graph.targets.astype(np.int64)
-    fwd = np.lexsort((graph.weights, tgt, src))
-    bwd = np.lexsort((graph.weights, src, tgt))
-    return (
-        np.array_equal(src[fwd], tgt[bwd])
-        and np.array_equal(tgt[fwd], src[bwd])
-        and np.array_equal(graph.weights[fwd], graph.weights[bwd])
+    key_f = src * graph.n + tgt  # (u, v) as one int64: ids are int32, so n * n < 2**62
+    key_b = tgt * graph.n + src
+    fwd = np.lexsort((graph.weights, key_f))
+    bwd = np.lexsort((graph.weights, key_b))
+    return np.array_equal(key_f[fwd], key_b[bwd]) and np.array_equal(
+        graph.weights[fwd], graph.weights[bwd]
     )
 
 

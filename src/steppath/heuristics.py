@@ -134,9 +134,6 @@ class MemoTable:
             raise ValueError(f"heuristic {name} returned a non-finite value")
         return out
 
-    def get(self, v: int) -> float:
-        return float(self.get_many(np.asarray([v]))[0])
-
 
 def consistency_violation(graph: CsrGraph, h_values: np.ndarray) -> float:
     """Worst violation of h(u) <= w(u, v) + h(v) over all arcs.

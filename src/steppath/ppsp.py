@@ -18,11 +18,11 @@ pruning only shrinks how much of the graph gets expanded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import INF, Search, SsspSearch, StepPolicy, default_policy, run_search
+from .engine import INF, Search, SsspSearch, StepPolicy, run_search
 from .graph import CsrGraph
 from .heuristics import (
     EARTH_RADIUS_KM,
@@ -117,7 +117,10 @@ class BidsSearch(Search):
     def early_out(self, frontier):
         # with the two sides disconnected no meeting point exists; once
         # one side exhausts, no later step can change the answer
-        return self.best == INF and frontier.single_direction()
+        if self.best < INF:
+            return False
+        backward = np.count_nonzero(frontier.pending & 1)
+        return backward == 0 or backward == frontier.size
 
 
 class BidAstarSearch(BidsSearch):
@@ -127,9 +130,6 @@ class BidAstarSearch(BidsSearch):
         super().__init__(graph, source, target)
         forward_h, _ = make_bidirectional_heuristics(h_source, h_target)
         self.memo = MemoTable(graph.n, forward_h, enabled=memoize)
-        h_f_s = self.memo.get(source)
-        h_b_t = -self.memo.get(target)
-        self.key_offset = min(h_f_s, h_b_t)
 
     def keys(self, cells):
         h = self.memo.get_many(cells >> 1)
@@ -138,16 +138,6 @@ class BidAstarSearch(BidsSearch):
 
     def prune(self, cells):
         return self.keys(cells) >= 0.5 * self.best
-
-
-def _check_directional(graph, directional_weights):
-    fwd, bwd = (np.asarray(w, dtype=np.float64) for w in directional_weights)
-    for name, w in (("forward", fwd), ("backward", bwd)):
-        if w.shape != (graph.m,):
-            raise ValueError(f"{name} directional weights need shape ({graph.m},), got {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError(f"{name} directional weights must be finite and nonnegative")
-    return fwd, bwd
 
 
 def _heuristic_pair(graph, source, target, heuristic, radius):
@@ -171,32 +161,25 @@ def ppsp(
     heuristic=None,
     radius: float = EARTH_RADIUS_KM,
     memoize: bool = True,
-    pruning: bool = True,
     validate_heuristic: bool = False,
-    collect_best_trace: bool = False,
-    directional_weights=None,
 ) -> PpspAnswer:
     """One point-to-point query; returns the exact distance and counters.
 
     ``heuristic`` feeds the A* strategies: a single vectorized callable
     estimating distance *to the target* for ``astar``, or a
     ``(h_source, h_target)`` pair for ``bidastar``.  When omitted the
-    heuristics come from the graph's coordinates.  ``pruning=False`` is a
-    validation knob that runs the same bookkeeping without dropping any
-    copies; ``directional_weights`` substitutes per-direction arc weight
-    arrays under ``bids`` (how a potential-reweighted graph is searched):
-    a (forward, backward) pair, each of shape ``(graph.m,)``, finite and
-    nonnegative.  Any other strategy rejects them.
+    heuristics come from the graph's coordinates.  ``policy`` (default:
+    :func:`~steppath.engine.default_policy`) is handed to
+    :func:`~steppath.engine.run_search` unchanged, so every strategy's
+    thresholds are ``i * delta`` from 0 and the counters are those of
+    the engine run.  To search a potential-reweighted graph, build it
+    from :func:`~steppath.heuristics.induced_arc_weights` and query that.
     """
     for name, v in (("source", source), ("target", target)):
         if not 0 <= v < graph.n:
             raise ValueError(f"{name} {v} out of range for n={graph.n}")
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if directional_weights is not None:
-        if strategy != "bids":
-            raise ValueError(f"directional weights apply only to 'bids', not {strategy!r}")
-        directional_weights = _check_directional(graph, directional_weights)
     if source == target:
         return PpspAnswer(0.0, 0, 0, 0)
 
@@ -213,8 +196,6 @@ def ppsp(
         search = AstarSearch(graph, source, target, h_target, memoize=memoize)
     elif strategy == "bids":
         search = BidsSearch(graph, source, target)
-        if directional_weights is not None:
-            search.directional_weights = directional_weights
     else:
         h_source, h_target = _heuristic_pair(graph, source, target, heuristic, radius)
         if h_source is None or h_target is None:
@@ -224,22 +205,12 @@ def ppsp(
             check_consistent(graph, h_target)
         search = BidAstarSearch(graph, source, target, h_source, h_target, memoize=memoize)
 
-    search.prune_enabled = pruning
-    if policy is None:
-        policy = default_policy(graph)
-    if isinstance(search, BidAstarSearch):
-        policy = replace(policy, key_offset=search.key_offset)
-
-    stats = run_search(graph, search, policy=policy, collect_best_trace=collect_best_trace)
+    stats = run_search(graph, search, policy=policy)
     if strategy == "sssp":
         distance = float(search.state.values[target])
     else:
         distance = float(search.best)
     answer = PpspAnswer(distance, stats.steps, stats.relaxations, stats.settled_copies)
-    if collect_best_trace:
-        answer.extras["best_trace"] = stats.best_trace
-    if search.copies == 2:
-        answer.extras["dir_last_step"] = stats.dir_last_step.copy()
     memo = getattr(search, "memo", None)
     if memo is not None:
         answer.extras["heuristic_computations"] = memo.computations

@@ -120,3 +120,19 @@ def random_pairs_same_component(graph, count, seed):
     bump = members[(np.searchsorted(members, t) + 1) % members.size]
     t = np.where(s == t, bump, t)
     return np.column_stack([s, t]).astype(np.int64)
+
+
+def watch_hook(search, hook, see):
+    """Make ``see(cells)`` run right after each call of one ``Search`` hook.
+
+    ``keys`` is what ``Frontier.extract`` calls on every pending cell, so
+    watching it sees the whole pending set at each extraction.
+    """
+    inner = getattr(search, hook)
+
+    def watched(cells):
+        out = inner(cells)
+        see(cells)
+        return out
+
+    setattr(search, hook, watched)

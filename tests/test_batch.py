@@ -73,6 +73,16 @@ def test_multi_bids_cell_budget():
         sp.multi_bids(g, sp.build_query_graph([(0, 1), (1, 2), (2, 3)], g.n), cell_cap=8)
 
 
+def test_multi_bids_default_cap_fires_before_allocating():
+    # 257 endpoints on 2**20 vertices is just over 2**28 cells (about
+    # 2.7 GB of search state); the default cap refuses it up front
+    g = sp.build_csr(2**20, [])
+    qg = sp.build_query_graph([(0, v) for v in range(1, 257)], g.n)
+    assert qg.order * g.n > 2**28
+    with pytest.raises(sp.BatchTooLarge):
+        sp.multi_bids(g, qg)
+
+
 def test_multi_bids_allocates_one_cell_per_vertex_copy():
     g = g1()
     qg = sp.build_query_graph([(0, 1), (2, 3)], g.n)

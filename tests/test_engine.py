@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import steppath as sp
 from steppath.engine import DistanceState, Frontier, SsspSearch, _scatter_min, run_search
-from helpers import g1, geometric_graph, random_graph
+from steppath.ppsp import BidsSearch
+from helpers import g1, geometric_graph, random_graph, two_triangles
 
 
 def test_scatter_min_contract():
@@ -66,11 +67,11 @@ def test_distance_state_cells():
 
 
 def test_step_policy_thresholds():
-    pol = sp.StepPolicy(2.0, key_offset=1.0)
-    assert [pol.threshold(i) for i in range(3)] == [1.0, 3.0, 5.0]
-    assert pol.index_covering(1.0) == 0
-    assert pol.index_covering(3.0) == 1
-    assert pol.index_covering(3.1) == 2
+    pol = sp.StepPolicy(2.0)
+    assert [pol.threshold(i) for i in range(3)] == [0.0, 2.0, 4.0]
+    assert pol.index_covering(0.0) == 0
+    assert pol.index_covering(2.0) == 1
+    assert pol.index_covering(2.1) == 2
     with pytest.raises(ValueError):
         sp.StepPolicy(0.0)
     with pytest.raises(ValueError):
@@ -96,11 +97,11 @@ def test_frontier_add_dedup():
 
 def test_frontier_distinct_copies_of_same_vertex():
     # cells 4 and 5 are the two search copies of vertex 2
-    f = Frontier(12, track_directions=True)
+    f = Frontier(12)
     assert f.add_many(np.array([4])) == 1
     assert f.add_many(np.array([5])) == 1
     assert f.size == 2
-    assert not f.single_direction()
+    assert sorted(f.pending.tolist()) == [4, 5]
 
 
 def test_frontier_extract_inclusive():
@@ -158,11 +159,21 @@ def test_frontier_extract_min_copies():
 
 
 def test_frontier_single_direction():
-    f = Frontier(10, track_directions=True)
+    # a bidirectional search gives up while it has no answer and only one
+    # side (even cells forward, odd cells backward) is still pending
+    search = BidsSearch(two_triangles(), 0, 4)
+    f = Frontier(12)
     f.add_many(np.array([0, 2, 4]))
-    assert f.single_direction()
+    assert search.early_out(f)
     f.add_many(np.array([1]))
-    assert not f.single_direction()
+    assert not search.early_out(f)
+    f.extract(np.inf, search.keys)
+    f.add_many(np.array([3, 7]))
+    assert search.early_out(f)
+    search.best = 5.0  # with an answer the search runs on
+    assert not search.early_out(f)
+    with pytest.raises(ValueError):
+        f.pending[0] = 9  # the accessor is read-only
 
 
 def test_sssp_g1():

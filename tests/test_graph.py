@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steppath import build_csr, generate_uniform_weights, largest_component, mirror_closed
+from steppath import CsrGraph, build_csr, generate_uniform_weights, largest_component, mirror_closed
 from helpers import g1, random_graph, reachable_mask, two_triangles
 
 
@@ -44,6 +44,23 @@ def test_self_loop_is_its_own_mirror():
     # one loop arc plus the mirrored pair
     assert g.m == 3
     assert mirror_closed(g)
+
+
+def _two_sided(weights):
+    # vertex 0 holds two parallel arcs to 1, vertex 1 two arcs back to 0
+    offsets = np.array([0, 2, 4], dtype=np.int64)
+    targets = np.array([1, 1, 0, 0], dtype=np.int32)
+    return CsrGraph(2, offsets, targets, np.asarray(weights, dtype=np.float64))
+
+
+def test_mirror_closed_pairs_parallel_arcs_by_weight():
+    # weights 3 and 7 stored in opposite orders on the two sides
+    assert mirror_closed(_two_sided([3.0, 7.0, 7.0, 3.0]))
+
+
+def test_mirror_closed_rejects_weight_mismatch():
+    # the same arcs both ways, but one mirror weighs 4 instead of 3
+    assert not mirror_closed(_two_sided([3.0, 7.0, 7.0, 4.0]))
 
 
 def test_parallel_edges_kept():

@@ -88,8 +88,8 @@ def test_memo_computes_once():
         return v.astype(np.float64) * 2
 
     memo = sp.MemoTable(10, h)
-    assert memo.get(3) == 6.0
-    assert memo.get(3) == 6.0
+    assert memo.get_many(np.array([3])).tolist() == [6.0]
+    assert memo.get_many(np.array([3])).tolist() == [6.0]
     assert memo.computations == 1
     assert memo.requests == 2
     got = memo.get_many(np.array([3, 4, 4, 5]))
@@ -101,8 +101,8 @@ def test_memo_computes_once():
 
 def test_memo_disabled_recomputes():
     memo = sp.MemoTable(4, lambda v: v.astype(np.float64), enabled=False)
-    memo.get(1)
-    memo.get(1)
+    memo.get_many(np.array([1]))
+    memo.get_many(np.array([1]))
     assert memo.computations == 2
 
 

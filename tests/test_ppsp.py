@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 import steppath as sp
+from steppath.engine import SsspSearch, run_search
 from steppath.ppsp import AstarSearch, BidAstarSearch, BidsSearch, EtSearch
-from helpers import g1, geometric_graph, random_graph, random_pairs_same_component, two_triangles
+from helpers import (
+    g1,
+    geometric_graph,
+    random_graph,
+    random_pairs_same_component,
+    two_triangles,
+    watch_hook,
+)
 
 
 def test_et_on_g1():
@@ -61,11 +69,20 @@ def test_astar_requires_coordinates_or_heuristic():
 
 
 def test_disconnected_bids_early_out():
-    g = two_triangles()
-    a = sp.ppsp(g, 0, 4, "bids")
-    assert a.distance == np.inf
-    last_fwd = a.extras["dir_last_step"][0]
-    assert a.steps <= last_fwd + 2
+    # a triangle around the source and a 9-vertex path ending at the
+    # target: at Δ = 1 the forward side is done after two steps, while
+    # the backward side would need eight more
+    path = [(v, v + 1, 1.0) for v in range(3, 11)]
+    g = sp.build_csr(12, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), *path], symmetrize=True)
+    search = BidsSearch(g, 0, 11)
+    forward_pending = []  # per extraction: is an even (forward) cell pending?
+    watch_hook(search, "keys", lambda cells: forward_pending.append(bool(np.any(cells % 2 == 0))))
+    stats = run_search(g, search, sp.StepPolicy(1.0))
+    assert search.best == np.inf
+    # the loop stops as soon as the forward side is exhausted
+    assert forward_pending and all(forward_pending)
+    assert stats.steps == 2
+    assert sp.ppsp(g, 0, 11, "bids").distance == np.inf
 
 
 def test_disconnected_et_returns_inf():
@@ -90,20 +107,6 @@ def test_astar_geometric_matches_oracle():
         assert sp.ppsp(g, s, t, "astar").distance == pytest.approx(want, rel=1e-9)
 
 
-def test_pruning_off_same_answer():
-    g = random_graph(120, 3, 6)
-    zero = sp.zero_heuristic()
-    pairs = random_pairs_same_component(g, 10, 2)
-    for s, t in pairs.tolist():
-        for strat in ("et", "bids"):
-            a = sp.ppsp(g, s, t, strat)
-            b = sp.ppsp(g, s, t, strat, pruning=False)
-            assert a.distance == b.distance
-        a = sp.ppsp(g, s, t, "astar", heuristic=zero)
-        b = sp.ppsp(g, s, t, "astar", heuristic=zero, pruning=False)
-        assert a.distance == b.distance
-
-
 def test_symmetry_of_endpoints():
     g = geometric_graph(300, 4, 17)
     pairs = random_pairs_same_component(g, 8, 5)
@@ -118,10 +121,13 @@ def test_best_trace_nonincreasing():
     g = random_graph(150, 4, 9)
     pairs = random_pairs_same_component(g, 5, 7)
     for s, t in pairs.tolist():
-        for strat in ("et", "bids"):
-            trace = sp.ppsp(g, s, t, strat, collect_best_trace=True).extras["best_trace"]
+        for search in (EtSearch(g, s, t), BidsSearch(g, s, t)):
+            trace = []  # the best answer after each on_improved call
+            watch_hook(search, "on_improved", lambda cells, search=search: trace.append(search.best))
+            run_search(g, search)
             finite = [x for x in trace if np.isfinite(x)]
-            assert all(a >= b for a, b in zip(finite, finite[1:]))
+            assert finite and all(a >= b for a, b in zip(finite, finite[1:]))
+            assert trace[-1] == sp.dijkstra(g, s)[t]
 
 
 def test_validate_heuristic_rejects_inconsistent():
@@ -207,20 +213,6 @@ def test_et_update_on_target():
     assert search.best == 6.0
 
 
-def test_directional_weights_follow_potential():
-    # reweighting by a vertex potential keeps both travel directions
-    # consistent while making forward and backward arc costs differ
-    g = g1()
-    potential = np.array([0.0, 0.3, 0.1, 0.5])
-    fwd, bwd = sp.induced_arc_weights(g, potential)
-    assert not np.array_equal(fwd, bwd)
-    a = sp.ppsp(g, 0, 3, "bids", directional_weights=(fwd, bwd))
-    shifted = sp.build_csr(4, np.column_stack([g.arc_sources(), g.targets, fwd]))
-    want = sp.sssp(shifted, 0)[3]
-    assert a.distance == pytest.approx(want, rel=1e-12)
-    assert a.distance == pytest.approx(4.0 - potential[0] + potential[3], rel=1e-12)
-
-
 def test_answer_counters_present():
     a = sp.ppsp(g1(), 0, 3, "bids")
     assert a.steps >= 1
@@ -228,22 +220,28 @@ def test_answer_counters_present():
     assert a.settled_copies >= 2
 
 
-@pytest.mark.parametrize(
-    "strategy, make",
-    [
-        ("bids", lambda m: (np.ones(3), np.ones(3))),
-        ("bids", lambda m: (np.full(m, np.nan), np.full(m, np.nan))),
-        ("bids", lambda m: (np.full(m, -1.0), np.full(m, -1.0))),
-        # valid arrays, but only bids applies them
-        *((s, lambda m: (np.ones(m), np.ones(m))) for s in ("sssp", "et", "astar", "bidastar")),
-    ],
-    ids=["wrong-shape", "nan", "negative", "sssp", "et", "astar", "bidastar"],
-)
-def test_directional_weights_validated(strategy, make):
-    g = g1()
-    for source, target in ((0, 3), (2, 2)):  # s == t is checked too
-        with pytest.raises(ValueError, match="directional weights"):
-            sp.ppsp(g, source, target, strategy, directional_weights=make(g.m))
+def test_ppsp_adds_nothing_to_the_schedule():
+    # ppsp hands its policy to run_search unchanged: same counters as
+    # driving the same Search directly
+    g = geometric_graph(800, 5, 31)
+    h = lambda anchor: sp.heuristic_for_graph(g, anchor)
+    makers = {
+        "sssp": lambda s, t: SsspSearch(g, s),
+        "et": lambda s, t: EtSearch(g, s, t),
+        "bids": lambda s, t: BidsSearch(g, s, t),
+        "astar": lambda s, t: AstarSearch(g, s, t, h(t)),
+        "bidastar": lambda s, t: BidAstarSearch(g, s, t, h(s), h(t)),
+    }
+    assert set(makers) == set(sp.STRATEGIES)
+    top = g.max_weight()
+    policies = [sp.default_policy(g), sp.StepPolicy(top / 4), sp.StepPolicy(top / 16, min_copies=16)]
+    for s, t in random_pairs_same_component(g, 4, 8).tolist():
+        for strategy, make in makers.items():
+            for policy in policies:
+                a = sp.ppsp(g, s, t, strategy, policy=policy)
+                stats = run_search(g, make(s, t), policy)
+                got = (a.steps, a.relaxations, a.settled_copies)
+                assert got == (stats.steps, stats.relaxations, stats.settled_copies), (strategy, policy)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
