@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -24,7 +24,8 @@ class CsrGraph:
     ``"spherical"`` rows are (latitude, longitude) in degrees.
 
     Instances are treated as immutable; derive changed graphs with
-    :func:`dataclasses.replace` or the helpers in this module.
+    :func:`dataclasses.replace` or the helpers in this module.  A derived
+    graph starts without the component labels cached on its parent.
     """
 
     n: int
@@ -34,6 +35,7 @@ class CsrGraph:
     symmetric: bool = False
     coords: np.ndarray | None = None
     coord_kind: str | None = None
+    _components: ComponentInfo | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -81,23 +83,20 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    edges = list(edges)
-    if edges:
-        arr = np.asarray(edges, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError("edges must be (u, v, w) triples")
-        src = arr[:, 0].astype(np.int64)
-        tgt = arr[:, 1].astype(np.int64)
-        w = np.ascontiguousarray(arr[:, 2])
-        if np.any((arr[:, 0] != src) | (arr[:, 1] != tgt)):
-            raise ValueError("endpoints must be integers")
-        if np.any((src < 0) | (src >= n) | (tgt < 0) | (tgt >= n)):
-            raise ValueError("edge endpoint out of range")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("weights must be finite and nonnegative")
-    else:
-        src = tgt = np.empty(0, dtype=np.int64)
-        w = np.empty(0, dtype=np.float64)
+    arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.float64)
+    if arr.shape == (0,):  # no edges given as an empty list or generator
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError("edges must be (u, v, w) triples")
+    src = arr[:, 0].astype(np.int64)
+    tgt = arr[:, 1].astype(np.int64)
+    w = np.ascontiguousarray(arr[:, 2])
+    if np.any((arr[:, 0] != src) | (arr[:, 1] != tgt)):
+        raise ValueError("endpoints must be integers")
+    if np.any((src < 0) | (src >= n) | (tgt < 0) | (tgt >= n)):
+        raise ValueError("edge endpoint out of range")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError("weights must be finite and nonnegative")
 
     if symmetrize and src.size:
         keep = src != tgt  # a self-loop is its own mirror
@@ -120,26 +119,42 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     )
 
 
+def _mirror_orders(src: np.ndarray, tgt: np.ndarray, n: int):
+    """Stable orders of the arcs by (u, v) and of their mirrors by (v, u).
+
+    Returns the sorted (u, v) keys of both sides and the two orders; the
+    keys are equal iff the arcs, ignoring weights, are closed under
+    mirroring.  Parallel arcs keep their storage order within a key.
+    """
+    key_f = src * n + tgt  # (u, v) as one int64: ids are int32, so n * n < 2**62
+    key_b = tgt * n + src
+    order_f = np.argsort(key_f, kind="stable")
+    order_b = np.argsort(key_b, kind="stable")
+    return key_f[order_f], key_b[order_b], order_f, order_b
+
+
 def mirror_closed(graph: CsrGraph) -> bool:
     """True iff the arc multiset is closed under (u, v, w) -> (v, u, w)."""
-    src = graph.arc_sources()
     tgt = graph.targets.astype(np.int64)
-    key_f = src * graph.n + tgt  # (u, v) as one int64: ids are int32, so n * n < 2**62
-    key_b = tgt * graph.n + src
-    fwd = np.lexsort((graph.weights, key_f))
-    bwd = np.lexsort((graph.weights, key_b))
-    return np.array_equal(key_f[fwd], key_b[bwd]) and np.array_equal(
-        graph.weights[fwd], graph.weights[bwd]
-    )
+    keys, mirror_keys, fwd, bwd = _mirror_orders(graph.arc_sources(), tgt, graph.n)
+    if not np.array_equal(keys, mirror_keys):
+        return False
+    w_f, w_b = graph.weights[fwd], graph.weights[bwd]
+    differ = w_f != w_b
+    if not differ.any():
+        return True
+    # parallel arcs may store their weights in another order on the two
+    # sides: compare the sorted weights of every key group with a mismatch
+    group = np.cumsum(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sel = np.isin(group, group[differ])
+    group, w_f, w_b = group[sel], w_f[sel], w_b[sel]
+    return np.array_equal(w_f[np.lexsort((w_f, group))], w_b[np.lexsort((w_b, group))])
 
 
 def _mirror_permutation(src: np.ndarray, tgt: np.ndarray, n: int) -> np.ndarray:
     """Map each arc to its mirror, pairing parallel arcs by occurrence rank."""
-    key_f = src * n + tgt
-    key_b = tgt * n + src
-    order_f = np.argsort(key_f, kind="stable")
-    order_b = np.argsort(key_b, kind="stable")
-    if not np.array_equal(key_f[order_f], key_b[order_b]):
+    keys, mirror_keys, order_f, order_b = _mirror_orders(src, tgt, n)
+    if not np.array_equal(keys, mirror_keys):
         raise ValueError("graph is not symmetrized: arc multiset is not mirror-closed")
     mirror = np.empty(src.size, dtype=np.int64)
     mirror[order_f] = order_b
@@ -170,14 +185,23 @@ def generate_uniform_weights(graph: CsrGraph, seed: int, lo: float, hi: float) -
     return replace(graph, weights=weights, symmetric=True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComponentInfo:
-    """Connected-component labeling plus the largest component's id and size."""
+    """Connected-component labeling plus the largest component's id and size.
 
-    labels: np.ndarray  # int64, length n
+    Shared by every caller that labels the same graph, so it is frozen and
+    ``labels`` is read-only.
+    """
+
+    labels: np.ndarray  # int64, length n, read-only
     count: int
     largest: int
     largest_size: int
+
+    def __post_init__(self):
+        labels = self.labels.view()  # read-only without touching the caller's array
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.count)
@@ -190,8 +214,16 @@ def largest_component(graph: CsrGraph) -> ComponentInfo:
     """Label connected components (ties for largest go to the smaller label).
 
     Labels are canonical: components are numbered by the smallest vertex
-    id they contain, so vertex 0 is always in component 0.
+    id they contain, so vertex 0 is always in component 0.  They are
+    computed once per graph object; later calls return the same
+    :class:`ComponentInfo`.
     """
+    if graph._components is None:
+        graph._components = _label_components(graph)
+    return graph._components
+
+
+def _label_components(graph: CsrGraph) -> ComponentInfo:
     if graph.n == 0:
         return ComponentInfo(np.empty(0, dtype=np.int64), 0, 0, 0)
     mat = csr_matrix(

@@ -13,6 +13,7 @@ Three on-disk formats are supported:
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -74,6 +75,12 @@ def load_binary(path) -> CsrGraph:
         version, n, m = struct.unpack("<IQQ", head[4:])
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
+        # check the header against the file before allocating what it claims
+        size, expected = os.fstat(fh.fileno()).st_size, 24 + 8 * (n + 1) + 12 * m
+        if size < expected:
+            raise ValueError(f"{path}: truncated binary CSR graph ({size} bytes, header needs {expected})")
+        if size > expected:
+            raise ValueError(f"{path}: size mismatch ({size} bytes, header needs {expected})")
         offsets = np.fromfile(fh, dtype="<u8", count=n + 1).astype(np.int64)
         targets = np.fromfile(fh, dtype="<u4", count=m).astype(np.int32)
         weights = np.fromfile(fh, dtype="<f8", count=m)

@@ -1,7 +1,21 @@
+from collections import Counter
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from steppath import CsrGraph, build_csr, generate_uniform_weights, largest_component, mirror_closed
+import steppath.graph
+from steppath import (
+    PATTERNS,
+    CsrGraph,
+    build_csr,
+    generate_uniform_weights,
+    largest_component,
+    mirror_closed,
+    pattern_pairs,
+    percentile_pairs,
+)
 from helpers import g1, random_graph, reachable_mask, two_triangles
 
 
@@ -61,6 +75,55 @@ def test_mirror_closed_pairs_parallel_arcs_by_weight():
 def test_mirror_closed_rejects_weight_mismatch():
     # the same arcs both ways, but one mirror weighs 4 instead of 3
     assert not mirror_closed(_two_sided([3.0, 7.0, 7.0, 4.0]))
+
+
+_ARC = st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from([0.0, -0.0, 1.0, 2.5, 3.0]))
+
+
+@st.composite
+def _arc_lists(draw):
+    """Small multigraph arcs: arbitrary, or mirror-closed with at most one arc perturbed."""
+    arcs = draw(st.lists(_ARC, max_size=12))
+    if draw(st.booleans()):
+        arcs += [(v, u, w) for u, v, w in arcs]
+        change = draw(st.sampled_from(["none", "reweigh", "replace", "drop", "add"]))
+        if change == "add":
+            arcs.append(draw(_ARC))
+        elif change != "none" and arcs:
+            k = draw(st.integers(0, len(arcs) - 1))
+            if change == "reweigh":
+                arcs[k] = (*arcs[k][:2], draw(_ARC)[2])
+            elif change == "replace":
+                arcs[k] = draw(_ARC)
+            else:
+                del arcs[k]
+    # shuffled, so parallel arcs may sit in another order on the two sides
+    return draw(st.permutations(arcs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_arc_lists())
+def test_mirror_closed_matches_arc_counter(arcs):
+    g = build_csr(5, arcs)
+    want = Counter(arcs) == Counter((v, u, w) for u, v, w in arcs)
+    assert mirror_closed(g) == want
+
+
+def test_build_csr_input_forms():
+    rows = [(0, 1, 1.5), (2, 0, 0.0), (1, 1, 2.0), (0, 1, 1.5), (3, 2, 4.0), (0, 3, 7.0)]
+    for symmetrize in (False, True):
+        want = build_csr(4, np.array(rows), symmetrize=symmetrize)
+        for edges in (rows, (row for row in rows)):
+            got = build_csr(4, edges, symmetrize=symmetrize)
+            for name in ("offsets", "targets", "weights"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert got.symmetric == want.symmetric == symmetrize
+    empty = build_csr(3, np.empty((0, 3)))
+    assert empty.m == 0 and empty.offsets.tolist() == [0, 0, 0, 0]
+    for bad in (np.array([0.0, 1.0, 1.0]), np.array([[0, 1], [1, 2]]), np.array(5.0)):
+        with pytest.raises(ValueError):
+            build_csr(3, bad)
 
 
 def test_parallel_edges_kept():
@@ -137,3 +200,42 @@ def test_component_labels_match_reachability():
 def test_max_weight():
     assert g1().max_weight() == 5.0
     assert build_csr(2, []).max_weight() == 0.0
+
+
+def test_components_labelled_once_per_graph(monkeypatch):
+    calls = []
+
+    def counting_cc(*args, **kwargs):
+        calls.append(1)
+        return label(*args, **kwargs)
+
+    label = steppath.graph._cc
+    monkeypatch.setattr(steppath.graph, "_cc", counting_cc)
+    g = random_graph(200, 3, 4)
+    info = largest_component(g)
+    for seed, pattern in enumerate(PATTERNS):
+        pattern_pairs(g, pattern, 6, seed)
+    percentile_pairs(g, 3, 90, 1)
+    assert largest_component(g) is info
+    assert len(calls) == 1
+
+
+def test_component_info_is_frozen_and_read_only():
+    info = largest_component(two_triangles())
+    with pytest.raises(FrozenInstanceError):
+        info.largest = 1
+    with pytest.raises(ValueError):
+        info.labels[3] = 0
+    assert info.labels.tolist() == [0, 0, 0, 1, 1, 1]
+
+
+def test_derived_graph_gets_fresh_labels():
+    g = two_triangles()
+    assert largest_component(g).count == 2
+    bridged = build_csr(6, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0)], symmetrize=True)
+    h = replace(g, targets=bridged.targets, offsets=bridged.offsets, weights=bridged.weights)
+    assert largest_component(h).count == 1
+    assert largest_component(g).count == 2
+    placed = g.with_coords(np.zeros((6, 2)), "euclidean")
+    assert largest_component(placed) is not largest_component(g)
+    assert np.array_equal(largest_component(placed).labels, largest_component(g).labels)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,24 @@ def test_binary_truncation_rejected(tmp_path):
     data = p.read_bytes()
     p.write_bytes(data[:-8])
     with pytest.raises(ValueError):
+        sp.load_binary(p)
+
+
+@pytest.mark.parametrize("n, m", [(2**40, 0), (0, 2**40), (2**64 - 1, 0)])
+def test_binary_forged_header_rejected_before_allocating(tmp_path, n, m):
+    # the header claims TiBs of arrays, or n + 1 offsets past u64, that
+    # the file does not hold
+    p = tmp_path / "forged.bin"
+    p.write_bytes(sp.io.MAGIC + struct.pack("<IQQ", sp.io.FORMAT_VERSION, n, m) + b"\x00" * 8)
+    with pytest.raises(ValueError, match="truncated|size mismatch"):
+        sp.load_binary(p)
+
+
+def test_binary_trailing_bytes_rejected(tmp_path):
+    p = tmp_path / "g.bin"
+    sp.save_binary(g1(), p)
+    p.write_bytes(p.read_bytes() + b"\x00" * 12)
+    with pytest.raises(ValueError, match="size mismatch"):
         sp.load_binary(p)
 
 
