@@ -21,6 +21,7 @@ import numpy as np
 
 from .engine import INF, Search, StepPolicy, _arc_ranges, _scatter_min, run_search, sssp
 from .graph import CsrGraph
+from .io import as_pairs
 from .ppsp import ppsp
 
 BATCH_ALGOS = ("multi", "vc", "plain-bids", "plain-sssp")
@@ -28,6 +29,8 @@ BATCH_ALGOS = ("multi", "vc", "plain-bids", "plain-sssp")
 # a cell costs 10 B in a joint search (8 B distance, 1 B frontier mask,
 # 1 B settled mask), so the default cap comes to 2.5 GiB
 DEFAULT_CELL_CAP = 2**28
+# largest query graph (in endpoints) whose vertex cover is found exactly
+EXACT_COVER_LIMIT = 20
 
 
 class BatchTooLarge(ValueError):
@@ -42,9 +45,9 @@ class QueryGraph:
     edges: np.ndarray  # (E, 2) endpoint-index pairs, i < j, sorted
     pair_edge: np.ndarray  # per input pair: edge index, or -1 for s == t
     # flat CSR adjacency over endpoint indices
-    q_offsets: np.ndarray = field(repr=False, default=None)
-    q_neighbors: np.ndarray = field(repr=False, default=None)
-    q_edges: np.ndarray = field(repr=False, default=None)
+    q_offsets: np.ndarray = field(repr=False)
+    q_neighbors: np.ndarray = field(repr=False)
+    q_edges: np.ndarray = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -54,44 +57,33 @@ class QueryGraph:
     def n_pairs(self) -> int:
         return int(self.pair_edge.size)
 
-    def incident_edges(self, index: int) -> np.ndarray:
-        lo, hi = self.q_offsets[index], self.q_offsets[index + 1]
-        return self.q_edges[lo:hi]
-
 
 def build_query_graph(pairs, n_vertices: int | None = None) -> QueryGraph:
     """Deduplicate (s, t) pairs into a query graph.
 
+    ``pairs`` is empty or a ``(k, 2)`` array of integral vertex ids.
     Duplicate and mirrored pairs map to one edge; self-pairs produce no
     edge (they are answered 0 directly) but their endpoint still joins
-    the vertex set.
+    the vertex set.  In :class:`MultiBidsSearch` an endpoint's radius is
+    its largest edge answer, -inf with no edge: a self-pair alone is never
+    searched.
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if pairs.size and n_vertices is not None:
-        if pairs.min() < 0 or pairs.max() >= n_vertices:
-            raise ValueError("query endpoint out of range")
-    elif pairs.size and pairs.min() < 0:
+    pairs = as_pairs(pairs)
+    if pairs.size and (pairs.min() < 0 or (n_vertices is not None and pairs.max() >= n_vertices)):
         raise ValueError("query endpoint out of range")
     endpoints = np.unique(pairs)
-    idx = np.searchsorted(endpoints, pairs) if pairs.size else pairs.copy()
-    lo = idx.min(axis=1) if pairs.size else np.empty(0, np.int64)
-    hi = idx.max(axis=1) if pairs.size else np.empty(0, np.int64)
+    idx = np.searchsorted(endpoints, pairs)
+    lo, hi = idx.min(axis=1), idx.max(axis=1)
     proper = lo < hi
-    edges = np.unique(np.column_stack([lo[proper], hi[proper]]), axis=0) if proper.any() else np.empty((0, 2), np.int64)
-    edge_of = {(int(a), int(b)): k for k, (a, b) in enumerate(edges)}
-    pair_edge = np.asarray(
-        [edge_of[(int(a), int(b))] if a < b else -1 for a, b in zip(lo, hi)],
-        dtype=np.int64,
-    ).reshape(-1)
+    edges, inverse = np.unique(np.column_stack([lo, hi])[proper], axis=0, return_inverse=True)
+    pair_edge = np.full(lo.size, -1, dtype=np.int64)
+    pair_edge[proper] = inverse.reshape(-1)
 
-    order = endpoints.size
-    ends = np.concatenate([edges[:, 0], edges[:, 1]]) if edges.size else np.empty(0, np.int64)
-    mates = np.concatenate([edges[:, 1], edges[:, 0]]) if edges.size else np.empty(0, np.int64)
+    ends = np.concatenate([edges[:, 0], edges[:, 1]])
+    mates = np.concatenate([edges[:, 1], edges[:, 0]])
     eids = np.tile(np.arange(len(edges), dtype=np.int64), 2)
     srt = np.argsort(ends, kind="stable")
-    q_offsets = np.zeros(order + 1, dtype=np.int64)
-    if ends.size:
-        np.cumsum(np.bincount(ends, minlength=order), out=q_offsets[1:])
+    q_offsets = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=endpoints.size))])
     return QueryGraph(
         endpoints=endpoints,
         edges=edges,
@@ -122,13 +114,23 @@ def _fan_out(qg: QueryGraph, edge_dist: np.ndarray) -> np.ndarray:
     return out
 
 
+def _radius(qg: QueryGraph, edge_best: np.ndarray) -> np.ndarray:
+    """Per endpoint, the largest answer over its edges; -inf without edges."""
+    radius = np.full(qg.order, -INF)
+    np.maximum.at(radius, qg.edges.ravel(), np.repeat(edge_best, 2))
+    return radius
+
+
 class MultiBidsSearch(Search):
     """Joint search over all endpoints with per-endpoint pruning radii.
 
     Copy i explores from endpoint q_i.  When copy i of vertex v improves,
     every incident query edge (i, j) is offered the candidate sum
-    dist(v, i) + dist(v, j); each improved edge then tightens the pruning
-    radius of both its endpoints to half their largest pending answer.
+    dist(v, i) + dist(v, j).  An endpoint's radius is the largest pending
+    answer over its edges (+inf while one of them has none) and its
+    copies are pruned at half of it; it is recomputed whenever an edge
+    improves.  An endpoint with no edge (it only appears in self-pairs)
+    has radius -inf, so its seed is pruned at the first step.
     """
 
     def __init__(self, graph: CsrGraph, qg: QueryGraph):
@@ -137,7 +139,7 @@ class MultiBidsSearch(Search):
         super().__init__(graph, copies=qg.order)
         self.qg = qg
         self.edge_best = np.full(len(qg.edges), INF)
-        self.radius = np.full(qg.order, INF)
+        self.radius = _radius(qg, self.edge_best)
 
     def seeds(self):
         c = self.copies
@@ -146,23 +148,17 @@ class MultiBidsSearch(Search):
 
     def prune(self, cells):
         idx = cells % self.copies
-        return self.state.values[cells] >= 0.5 * self.radius[idx]
+        return self.dist[cells] >= 0.5 * self.radius[idx]
 
     def on_improved(self, cells):
         qg, c = self.qg, self.copies
         verts = cells // c
         slots, deg = _arc_ranges(qg.q_offsets, cells - verts * c)
         mates = qg.q_neighbors[slots]
-        own = np.repeat(self.state.values[cells], deg)
-        sums = own + self.state.values[np.repeat(verts, deg) * c + mates]
-        hit = _scatter_min(self.edge_best, qg.q_edges[slots], sums)
-        if hit.size == 0:
-            return
-        for endpoint in np.unique(self.qg.edges[hit].ravel()):
-            incident = self.edge_best[qg.incident_edges(endpoint)]
-            top = float(incident.max())
-            if top < self.radius[endpoint]:
-                self.radius[endpoint] = top
+        own = np.repeat(self.dist[cells], deg)
+        sums = own + self.dist[np.repeat(verts, deg) * c + mates]
+        if _scatter_min(self.edge_best, qg.q_edges[slots], sums).size:
+            self.radius = _radius(qg, self.edge_best)
 
 
 def multi_bids(
@@ -193,14 +189,15 @@ def multi_bids(
     )
 
 
-def exact_vertex_cover(qg: QueryGraph, max_order: int = 20) -> np.ndarray:
+def exact_vertex_cover(qg: QueryGraph) -> np.ndarray:
     """Minimum vertex cover of the query edges by exhaustive enumeration.
 
     Ties on size resolve to the lexicographically smallest index set.
-    Guarded to small query graphs; larger ones use the greedy cover.
+    Guarded to query graphs of at most EXACT_COVER_LIMIT endpoints;
+    larger ones use the greedy cover.
     """
-    if qg.order > max_order:
-        raise ValueError(f"exact cover is limited to {max_order} endpoints, got {qg.order}")
+    if qg.order > EXACT_COVER_LIMIT:
+        raise ValueError(f"exact cover is limited to {EXACT_COVER_LIMIT} endpoints, got {qg.order}")
     if len(qg.edges) == 0:
         return np.empty(0, dtype=np.int64)
     full = (1 << len(qg.edges)) - 1
@@ -227,13 +224,9 @@ def greedy_vertex_cover(qg: QueryGraph) -> np.ndarray:
     uncovered = np.ones(len(qg.edges), dtype=bool)
     cover = []
     while uncovered.any():
-        degrees = np.zeros(qg.order, dtype=np.int64)
-        live = qg.edges[uncovered]
-        np.add.at(degrees, live[:, 0], 1)
-        np.add.at(degrees, live[:, 1], 1)
-        pick = int(degrees.argmax())
+        pick = int(np.bincount(qg.edges[uncovered].ravel(), minlength=qg.order).argmax())
         cover.append(pick)
-        uncovered &= (qg.edges[:, 0] != pick) & (qg.edges[:, 1] != pick)
+        uncovered &= (qg.edges != pick).all(axis=1)
     return np.asarray(sorted(cover), dtype=np.int64)
 
 
@@ -241,44 +234,39 @@ def vc_sssp_batch(
     graph: CsrGraph,
     qg: QueryGraph,
     policy: StepPolicy | None = None,
-    exact_cover_limit: int = 20,
 ) -> BatchAnswer:
     """Answer the batch from one full SSSP per cover endpoint.
 
-    The cover is exact for up to ``exact_cover_limit`` endpoints and
-    greedy beyond.  An edge with both endpoints covered is answered from
-    the smaller index.
+    The cover is exact for up to EXACT_COVER_LIMIT endpoints and greedy
+    beyond.  An edge with both endpoints covered is answered from the
+    smaller index.
     """
     _validate_batch(graph, qg)
     if len(qg.edges) == 0:
         return BatchAnswer(np.zeros(qg.n_pairs), 0, 0, 0, 0, cover=np.empty(0, np.int64))
-    if qg.order <= exact_cover_limit:
-        cover = exact_vertex_cover(qg, exact_cover_limit)
-    else:
-        cover = greedy_vertex_cover(qg)
+    cover = exact_vertex_cover(qg) if qg.order <= EXACT_COVER_LIMIT else greedy_vertex_cover(qg)
     return _cover_sssp(graph, qg, cover, policy)
 
 
 def _cover_sssp(graph: CsrGraph, qg: QueryGraph, cover: np.ndarray, policy: StepPolicy | None) -> BatchAnswer:
     """One full SSSP per cover index; each edge is read from the row of its
-    smaller covered endpoint index."""
+    smaller covered endpoint index (its anchor)."""
+    a, b = qg.edges[:, 0], qg.edges[:, 1]
     in_cover = np.zeros(qg.order, dtype=bool)
     in_cover[cover] = True
-    dist_rows = {}
+    anchor = np.where(in_cover[a], a, b)
+    other = qg.endpoints[np.where(in_cover[a], b, a)]
+    edge_dist = np.empty(len(qg.edges))
     steps = relax = settled = 0
     for k in cover:
         dist, stats = sssp(graph, int(qg.endpoints[k]), policy=policy, return_stats=True)
-        dist_rows[int(k)] = dist
+        mine = anchor == k
+        edge_dist[mine] = dist[other[mine]]
+        del dist  # one row alive at a time
         steps += stats.steps
         relax += stats.relaxations
         settled += stats.settled_copies
-    edge_dist = np.empty(len(qg.edges))
-    for e, (a, b) in enumerate(qg.edges):
-        anchor, other = (a, b) if in_cover[a] else (b, a)
-        edge_dist[e] = dist_rows[int(anchor)][qg.endpoints[other]]
-    return BatchAnswer(
-        _fan_out(qg, edge_dist), len(cover), steps, relax, settled, cover=cover
-    )
+    return BatchAnswer(_fan_out(qg, edge_dist), len(cover), steps, relax, settled, cover=cover)
 
 
 def baseline_batch(

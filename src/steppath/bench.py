@@ -22,6 +22,7 @@ import numpy as np
 from .batch import BATCH_ALGOS, _run_batch, build_query_graph
 from .engine import StepPolicy, default_policy
 from .graph import CsrGraph
+from .io import as_pairs
 from .ppsp import STRATEGIES, ppsp
 
 DEFAULT_WARMUP = 1
@@ -89,7 +90,7 @@ def run_bench(graph: CsrGraph, cfg: BenchConfig) -> BenchReport:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     if cfg.mode == "batch" and cfg.algo not in BATCH_ALGOS:
         raise ValueError(f"algo must be one of {BATCH_ALGOS}")
-    pairs = np.asarray(cfg.pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = as_pairs(cfg.pairs)
 
     if cfg.mode == "query":
         runners = [(f"{s}->{t}", _query_runner(graph, cfg, int(s), int(t)), {"source": int(s), "target": int(t)})

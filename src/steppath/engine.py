@@ -48,23 +48,6 @@ INF = math.inf
 DEFAULT_MIN_COPIES = 128
 
 
-class DistanceState:
-    """Tentative distances for ``n`` vertices times ``copies`` searches."""
-
-    def __init__(self, n: int, copies: int = 1):
-        if n < 0 or copies < 1:
-            raise ValueError("need n >= 0 and copies >= 1")
-        self.n = n
-        self.copies = copies
-        self.values = np.full(n * copies, INF)
-
-    def array(self, copy: int = 0) -> np.ndarray:
-        """Per-vertex distances of one search copy (a view)."""
-        if not 0 <= copy < self.copies:
-            raise ValueError(f"copy {copy} out of range")
-        return self.values[copy :: self.copies] if self.copies > 1 else self.values
-
-
 @dataclass
 class StepPolicy:
     """Threshold schedule: the i-th step covers keys <= i * delta.
@@ -178,13 +161,13 @@ class Search:
     def __init__(self, graph: CsrGraph, copies: int = 1):
         self.graph = graph
         self.copies = copies
-        self.state = DistanceState(graph.n, copies)
+        self.dist = np.full(graph.n * copies, INF)  # cell v * copies + i
 
     def seeds(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def keys(self, cells: np.ndarray) -> np.ndarray:
-        return self.state.values[cells]
+        return self.dist[cells]
 
     def prune(self, cells: np.ndarray) -> np.ndarray:
         return np.zeros(cells.shape, dtype=bool)
@@ -296,7 +279,7 @@ def run_search(
     if policy is None:
         policy = default_policy(graph)
     copies = search.copies
-    dist = search.state.values
+    dist = search.dist
     frontier = Frontier(graph.n * copies)
     cells, values = search.seeds()
     dist[cells] = values
@@ -342,7 +325,7 @@ def sssp(
     """
     search = SsspSearch(graph, source)
     stats = run_search(graph, search, policy=policy)
-    dist = search.state.array().copy()
+    dist = search.dist.copy()
     if return_stats:
         return dist, stats
     return dist

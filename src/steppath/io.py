@@ -152,6 +152,25 @@ def save_coords(coords: np.ndarray, kind: str, path) -> None:
             fh.write(f"{i} {float(a)!r} {float(b)!r}\n")
 
 
+def as_pairs(pairs) -> np.ndarray:
+    """Empty input, or a (k, 2) array of integral vertex ids, as int64 (k, 2).
+
+    Any other shape, dtype or a non-integral value raises ValueError.
+    """
+    arr = np.asarray(pairs)
+    if arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"query pairs must form a (k, 2) array, got shape {arr.shape}")
+    if arr.dtype.kind == "f":
+        bad = arr[~np.isfinite(arr) | (arr != np.trunc(arr))]
+        if bad.size:
+            raise ValueError(f"query pairs must hold integer vertex ids, got {bad[0]}")
+    elif arr.dtype.kind not in "iu":
+        raise ValueError(f"query pairs must hold integer vertex ids, got dtype {arr.dtype}")
+    return arr.astype(np.int64)
+
+
 def load_pairs(path) -> np.ndarray:
     """Read a batch query file: one 's t' pair per line."""
     pairs = []
@@ -160,11 +179,11 @@ def load_pairs(path) -> np.ndarray:
         if len(fields) != 2:
             raise ValueError(f"{path}: query line must be 's t', got {line!r}")
         pairs.append((int(fields[0]), int(fields[1])))
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return as_pairs(pairs)
 
 
 def save_pairs(pairs, path) -> None:
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = as_pairs(pairs)
     with open(path, "w", encoding="utf-8") as fh:
         for s, t in pairs:
             fh.write(f"{s} {t}\n")

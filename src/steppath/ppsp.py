@@ -59,11 +59,11 @@ class EtSearch(Search):
         return np.asarray([self.source], dtype=np.int64), np.zeros(1)
 
     def prune(self, cells):
-        return self.state.values[cells] >= self.best
+        return self.dist[cells] >= self.best
 
     def on_improved(self, cells):
         if np.any(cells == self.target):
-            d = float(self.state.values[self.target])
+            d = float(self.dist[self.target])
             if d < self.best:
                 self.best = d
 
@@ -76,7 +76,7 @@ class AstarSearch(EtSearch):
         self.memo = MemoTable(graph.n, heuristic, enabled=memoize)
 
     def keys(self, cells):
-        return self.state.values[cells] + self.memo.get_many(cells)
+        return self.dist[cells] + self.memo.get_many(cells)
 
     def prune(self, cells):
         return self.keys(cells) >= self.best
@@ -105,10 +105,10 @@ class BidsSearch(Search):
         return cells, np.zeros(2)
 
     def prune(self, cells):
-        return self.state.values[cells] >= 0.5 * self.best
+        return self.dist[cells] >= 0.5 * self.best
 
     def on_improved(self, cells):
-        sums = self.state.values[cells] + self.state.values[cells ^ 1]
+        sums = self.dist[cells] + self.dist[cells ^ 1]
         if sums.size:
             low = float(sums.min())
             if low < self.best:
@@ -134,7 +134,7 @@ class BidAstarSearch(BidsSearch):
     def keys(self, cells):
         h = self.memo.get_many(cells >> 1)
         sign = 1.0 - 2.0 * (cells & 1)  # +h forward, -h backward
-        return self.state.values[cells] + h * sign
+        return self.dist[cells] + h * sign
 
     def prune(self, cells):
         return self.keys(cells) >= 0.5 * self.best
@@ -207,7 +207,7 @@ def ppsp(
 
     stats = run_search(graph, search, policy=policy)
     if strategy == "sssp":
-        distance = float(search.state.values[target])
+        distance = float(search.dist[target])
     else:
         distance = float(search.best)
     answer = PpspAnswer(distance, stats.steps, stats.relaxations, stats.settled_copies)

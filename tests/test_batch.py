@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import steppath as sp
-from steppath.batch import MultiBidsSearch
+from steppath.batch import EXACT_COVER_LIMIT, MultiBidsSearch
 from helpers import g1, random_graph, random_pairs_same_component, two_triangles
 
 
@@ -35,6 +36,60 @@ def test_query_graph_endpoint_validation():
         sp.build_query_graph([(0, 9)], 4)
 
 
+def test_query_graph_rejects_malformed_pairs():
+    # six numbers are not three pairs, and 2.7 is not a vertex id
+    with pytest.raises(ValueError, match=r"\(2, 3\)"):
+        sp.build_query_graph([(0, 1, 2), (3, 0, 1)], 4)
+    with pytest.raises(ValueError, match="2.7"):
+        sp.build_query_graph([(0.0, 2.7)], 4)
+    with pytest.raises(ValueError, match="nan"):
+        sp.build_query_graph([(0.0, np.nan)], 4)
+    with pytest.raises(ValueError, match="shape"):
+        sp.build_query_graph([0, 1], 4)
+    with pytest.raises(ValueError, match="dtype"):
+        sp.build_query_graph([("0", "1")], 4)
+    # integral floats and empty input are fine
+    assert sp.build_query_graph([(0.0, 2.0)], 4).endpoints.tolist() == [0, 2]
+    assert sp.build_query_graph([], 4).edges.shape == (0, 2)
+
+
+def _reference_query_graph(pairs):
+    """Plain-Python query graph: a dict of sorted endpoint-index pairs."""
+    endpoints = sorted({v for pair in pairs for v in pair})
+    index = {v: i for i, v in enumerate(endpoints)}
+    keys = sorted({tuple(sorted((index[s], index[t]))) for s, t in pairs if s != t})
+    edge_of = {key: e for e, key in enumerate(keys)}
+    pair_edge = [edge_of[tuple(sorted((index[s], index[t])))] if s != t else -1 for s, t in pairs]
+    # each endpoint lists the edges where it is the smaller index, then the others
+    incident = [
+        [(b, e) for e, (a, b) in enumerate(keys) if a == i] + [(a, e) for e, (a, b) in enumerate(keys) if b == i]
+        for i in range(len(endpoints))
+    ]
+    offsets = np.cumsum([0] + [len(row) for row in incident])
+    flat = [item for row in incident for item in row]
+    return endpoints, keys, pair_edge, offsets, [m for m, _ in flat], [e for _, e in flat]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16),
+    n_vertices=st.sampled_from([None, 8]),
+)
+@example(pairs=[], n_vertices=None)
+@example(pairs=[(3, 3)], n_vertices=8)
+@example(pairs=[(1, 2), (2, 1), (1, 2), (4, 4)], n_vertices=None)
+def test_query_graph_matches_reference(pairs, n_vertices):
+    qg = sp.build_query_graph(pairs, n_vertices)
+    endpoints, keys, pair_edge, offsets, neighbors, edge_ids = _reference_query_graph(pairs)
+    assert qg.endpoints.tolist() == endpoints
+    assert qg.edges.shape == (len(keys), 2)
+    assert [tuple(e) for e in qg.edges.tolist()] == keys
+    assert qg.pair_edge.tolist() == pair_edge
+    assert qg.q_offsets.tolist() == offsets.tolist()
+    assert qg.q_neighbors.tolist() == neighbors
+    assert qg.q_edges.tolist() == edge_ids
+
+
 def test_multi_bids_star_on_g1():
     g = g1()
     ans = sp.multi_bids(g, sp.build_query_graph([(0, 3), (0, 2)], g.n))
@@ -59,6 +114,24 @@ def test_multi_bids_disconnected_pair():
     g = two_triangles()
     ans = sp.multi_bids(g, sp.build_query_graph([(0, 4), (0, 2)], g.n))
     assert ans.distances.tolist() == [np.inf, 1.0]
+
+
+def test_multi_bids_self_pair_costs_nothing():
+    # an endpoint that only appears in (v, v) has no edge, so radius -inf:
+    # its copy is pruned at the first step instead of running a full SSSP
+    g = random_graph(400, 4, 3)
+    pairs = random_pairs_same_component(g, 2, 5).tolist()
+    info = sp.largest_component(g)
+    used = {x for pair in pairs for x in pair}
+    v = next(int(u) for u in np.flatnonzero(info.labels == info.largest) if u not in used)
+    alone = sp.multi_bids(g, sp.build_query_graph(pairs, g.n))
+    both = sp.multi_bids(g, sp.build_query_graph(pairs + [(v, v)], g.n))
+    assert both.distances.tolist() == alone.distances.tolist() + [0.0]
+    assert (both.steps, both.relaxations, both.settled_copies) == (
+        alone.steps,
+        alone.relaxations,
+        alone.settled_copies,
+    )
 
 
 def test_multi_bids_duplicate_pairs_share_edge():
@@ -87,7 +160,7 @@ def test_multi_bids_allocates_one_cell_per_vertex_copy():
     g = g1()
     qg = sp.build_query_graph([(0, 1), (2, 3)], g.n)
     search = MultiBidsSearch(g, qg)
-    assert search.state.values.size == g.n * qg.order
+    assert search.dist.size == g.n * qg.order
 
 
 def test_search_radius_stays_above_true_distances():
@@ -98,9 +171,11 @@ def test_search_radius_stays_above_true_distances():
     radius = ans.extras["radius"]
     edge_d = ans.extras["edge_distances"]
     for i in range(qg.order):
-        incident = qg.incident_edges(i)
+        incident = np.flatnonzero((qg.edges == i).any(axis=1))
         if incident.size:
             assert radius[i] >= edge_d[incident].max()
+        else:
+            assert radius[i] == -np.inf
 
 
 def test_exact_cover_star():
@@ -211,10 +286,12 @@ def test_vc_sssp_empty_edge_set():
 
 
 def test_vc_sssp_greedy_above_limit():
-    g = random_graph(60, 3, 3)
-    pairs = random_pairs_same_component(g, 12, 1)
+    g = random_graph(200, 3, 3)
+    pairs = random_pairs_same_component(g, EXACT_COVER_LIMIT, 1)
     qg = sp.build_query_graph(pairs, g.n)
-    ans = sp.vc_sssp_batch(g, qg, exact_cover_limit=4)
+    assert qg.order > EXACT_COVER_LIMIT
+    ans = sp.vc_sssp_batch(g, qg)
+    assert np.array_equal(ans.cover, sp.greedy_vertex_cover(qg))
     for (s, t), d in zip(np.asarray(pairs).tolist(), ans.distances.tolist()):
         assert d == sp.dijkstra(g, s)[t]
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import steppath as sp
-from steppath.engine import DistanceState, Frontier, SsspSearch, _scatter_min, run_search
+from steppath.engine import Frontier, SsspSearch, _scatter_min, run_search
 from steppath.ppsp import BidsSearch
 from helpers import g1, geometric_graph, random_graph, two_triangles
 
@@ -54,16 +54,6 @@ def test_scatter_min_matches_write_min_loop(cells, offers):
     changed = _scatter_min(vals, keys, cand)
     assert changed.tolist() == sorted(improved)
     assert vals.tolist() == want
-
-
-def test_distance_state_cells():
-    st = DistanceState(3, copies=2)
-    assert st.values.size == 6
-    st.values[2 * 2 + 1] = 4.0  # cell v * copies + i: vertex 2, copy 1
-    assert st.array(1).tolist() == [np.inf, np.inf, 4.0]
-    assert st.array(0).tolist() == [np.inf] * 3
-    with pytest.raises(ValueError):
-        st.array(2)
 
 
 def test_step_policy_thresholds():
@@ -230,14 +220,14 @@ def test_improvements_are_strictly_decreasing():
     class Probe(SsspSearch):
         def on_improved(self, cells):
             for c in cells.tolist():
-                now = float(self.state.values[c])
+                now = float(self.dist[c])
                 assert now < seen.get(c, np.inf)
                 seen[c] = now
 
     g = random_graph(100, 3, 2)
     probe = Probe(g, 0)
     run_search(g, probe, policy=sp.StepPolicy(64.0))
-    assert np.array_equal(probe.state.array(), sp.dijkstra(g, 0))
+    assert np.array_equal(probe.dist, sp.dijkstra(g, 0))
 
 
 @st.composite

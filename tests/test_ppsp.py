@@ -159,8 +159,8 @@ def test_et_prune_boundary():
     g = g1()
     search = EtSearch(g, 0, 3)
     search.best = 10.0
-    search.state.values[1] = 10.0
-    search.state.values[2] = 9.9
+    search.dist[1] = 10.0
+    search.dist[2] = 9.9
     keep_or_prune = search.prune(np.array([1, 2]))
     assert keep_or_prune.tolist() == [True, False]
 
@@ -170,8 +170,8 @@ def test_bids_prune_boundary():
     search = BidsSearch(g, 0, 3)
     search.best = 10.0
     # cell v * 2 + 0 is the forward copy of vertex v
-    search.state.values[2] = 4.9
-    search.state.values[4] = 5.0
+    search.dist[2] = 4.9
+    search.dist[4] = 5.0
     out = search.prune(np.array([2, 4]))
     assert out.tolist() == [False, True]
 
@@ -183,9 +183,9 @@ def test_bidastar_prune_uses_keys():
     search = BidAstarSearch(g, 0, 3, zeros, fours)  # forward estimate is +2
     search.best = 10.0
     cell = 2  # forward copy of vertex 1, with estimate +2
-    search.state.values[cell] = 3.0
+    search.dist[cell] = 3.0
     assert search.prune(np.array([cell])).tolist() == [True]
-    search.state.values[cell] = 2.9
+    search.dist[cell] = 2.9
     assert search.prune(np.array([cell])).tolist() == [False]
 
 
@@ -193,10 +193,10 @@ def test_bids_update_sum_rule():
     g = g1()
     search = BidsSearch(g, 0, 3)
     fwd, bwd = 2, 3  # the two copies of vertex 1
-    search.state.values[fwd] = 3.0
+    search.dist[fwd] = 3.0
     search.on_improved(np.array([fwd]))
     assert search.best == np.inf  # opposite side unreached
-    search.state.values[bwd] = 4.0
+    search.dist[bwd] = 4.0
     search.on_improved(np.array([bwd]))
     assert search.best == 7.0
 
@@ -205,10 +205,10 @@ def test_et_update_on_target():
     g = g1()
     search = EtSearch(g, 0, 3)
     search.best = 9.0
-    search.state.values[3] = 6.0
+    search.dist[3] = 6.0
     search.on_improved(np.array([3]))
     assert search.best == 6.0
-    search.state.values[1] = 1.0
+    search.dist[1] = 1.0
     search.on_improved(np.array([1]))
     assert search.best == 6.0
 
