@@ -114,10 +114,10 @@ def _fan_out(qg: QueryGraph, edge_dist: np.ndarray) -> np.ndarray:
     return out
 
 
-def _radius(qg: QueryGraph, edge_best: np.ndarray) -> np.ndarray:
-    """Per endpoint, the largest answer over its edges; -inf without edges."""
+def _radius(qg: QueryGraph, edge_best: np.ndarray, closed: np.ndarray) -> np.ndarray:
+    """Per endpoint, the largest answer over its open edges; -inf without any."""
     radius = np.full(qg.order, -INF)
-    np.maximum.at(radius, qg.edges.ravel(), np.repeat(edge_best, 2))
+    np.maximum.at(radius, qg.edges.ravel(), np.repeat(np.where(closed, -INF, edge_best), 2))
     return radius
 
 
@@ -127,10 +127,16 @@ class MultiBidsSearch(Search):
     Copy i explores from endpoint q_i.  When copy i of vertex v improves,
     every incident query edge (i, j) is offered the candidate sum
     dist(v, i) + dist(v, j).  An endpoint's radius is the largest pending
-    answer over its edges (+inf while one of them has none) and its
+    answer over its open edges (+inf while one of them has none) and its
     copies are pruned at half of it; it is recomputed whenever an edge
-    improves.  An endpoint with no edge (it only appears in self-pairs)
-    has radius -inf, so its seed is pruned at the first step.
+    improves.  An endpoint with no open edge (it only appears in
+    self-pairs, or all its pairs are disconnected) has radius -inf, so
+    none of its copies is ever extracted.
+
+    An unanswered edge (i, j) whose copy i has nothing pending is closed:
+    with radius +inf, copy i explored its whole component unpruned and
+    never reached q_j, so the pair is disconnected.  Its answer stays
+    +inf and it no longer holds either radius open.
     """
 
     def __init__(self, graph: CsrGraph, qg: QueryGraph):
@@ -139,7 +145,8 @@ class MultiBidsSearch(Search):
         super().__init__(graph, copies=qg.order)
         self.qg = qg
         self.edge_best = np.full(len(qg.edges), INF)
-        self.radius = _radius(qg, self.edge_best)
+        self.closed = np.zeros(len(qg.edges), dtype=bool)
+        self.radius = _radius(qg, self.edge_best, self.closed)
 
     def seeds(self):
         c = self.copies
@@ -157,8 +164,28 @@ class MultiBidsSearch(Search):
         mates = qg.q_neighbors[slots]
         own = np.repeat(self.dist[cells], deg)
         sums = own + self.dist[np.repeat(verts, deg) * c + mates]
-        if _scatter_min(self.edge_best, qg.q_edges[slots], sums).size:
-            self.radius = _radius(qg, self.edge_best)
+        if not _scatter_min(self.edge_best, qg.q_edges[slots], sums).size:
+            return False
+        return self._update_radius()
+
+    def early_out(self, frontier):
+        unanswered = (self.edge_best == INF) & ~self.closed
+        if not unanswered.any():
+            return False
+        dry = np.bincount(frontier.pending % self.copies, minlength=self.copies) == 0
+        cut = unanswered & dry[self.qg.edges].any(axis=1)
+        if cut.any():
+            self.closed |= cut
+            if self._update_radius():
+                frontier.discard(self.prune)
+        return False
+
+    def _update_radius(self) -> bool:
+        """Recompute the radii; True iff one fell."""
+        radius = _radius(self.qg, self.edge_best, self.closed)
+        tighter = bool(np.any(radius < self.radius))
+        self.radius = radius
+        return tighter
 
 
 def multi_bids(

@@ -4,9 +4,15 @@ A search runs over *copies*: cell ``v * copies + i`` holds the tentative
 distance of vertex ``v`` in the i-th concurrent search (one copy for
 plain SSSP, two for bidirectional searches, |V_q| for batches).  The loop
 repeats: pick a threshold, extract every pending copy whose ordering key
-is at most the threshold, drop the ones the active strategy prunes, relax
-the outgoing arcs of the rest, and feed every strictly improved cell back
-into the frontier.
+is at most the threshold, relax their outgoing arcs, and feed every
+strictly improved cell back into the frontier.
+
+The frontier never holds a copy that the active strategy prunes, so
+extraction does not check.  A copy is checked when it enters (as a seed
+or an improved cell), and the whole pending set is checked whenever a
+prune bound tightens.  That is exact: every prune rule has the form
+"key >= bound", bounds only fall, and a pending copy's key only falls,
+so a pending copy can only become prunable at a tightening.
 
 The step rule combines Δ-stepping and ρ-stepping (Dong, Gu, Sun & Zhang,
 SPAA 2021).  The i-th step's Δ window covers keys up to ``i * delta``,
@@ -25,8 +31,8 @@ counts as improved only on a strict decrease.  Candidates that cannot
 improve their cell are dropped before the grouped minimum, so its sort
 only sees the survivors.  Copies improved mid-step are simply
 re-extracted at a later step, which keeps any schedule correct: a copy
-stays pending until it is extracted, and the loop runs until nothing is
-pending.  A minimum does not depend on the order of its inputs and every
+stays pending until it is extracted or pruned, and the loop runs until
+nothing is pending.  A minimum does not depend on the order of its inputs and every
 schedule ends at the same fixpoint, so distances are bit-identical for
 every step rule.  Answers assembled from sums at meeting points (the
 bidirectional strategies and batches on float weights) may differ in the
@@ -148,6 +154,23 @@ class Frontier:
         rest = keys[~take]
         return out, float(rest.min()) if rest.size else INF
 
+    def discard(self, doomed) -> int:
+        """Drop every pending cell for which ``doomed(cells)`` is true.
+
+        ``doomed`` maps an id array to a boolean mask of the same shape;
+        returns how many cells were dropped.  A dropped cell can be added
+        again later.
+        """
+        if self.size == 0:
+            return 0
+        drop = doomed(self._ids)
+        dropped = int(np.count_nonzero(drop))
+        if dropped:
+            self._mask[self._ids[drop]] = False
+            self._ids = self._ids[~drop]
+            self.size -= dropped
+        return dropped
+
 
 class Search:
     """Hook bundle consumed by :func:`run_search`.
@@ -156,6 +179,15 @@ class Search:
     the ordering key, the prune predicate, and the reaction to improved
     cells (answer bookkeeping).  The base class is a full SSSP: nothing
     is ever pruned.
+
+    ``prune`` must read "key >= bound" against bounds that only fall.
+    ``on_improved`` returns True when it made a prune bound tighter; the
+    loop then drops every pending copy that ``prune`` now rejects.  A hook
+    that under-reports a tightening only costs work: the copies it leaves
+    pending get expanded, and those expansions offer real path lengths.
+    ``early_out`` runs before each extraction; a strategy that lowers a
+    bound there drops the newly pruned copies itself with
+    :meth:`Frontier.discard`.
     """
 
     def __init__(self, graph: CsrGraph, copies: int = 1):
@@ -172,8 +204,8 @@ class Search:
     def prune(self, cells: np.ndarray) -> np.ndarray:
         return np.zeros(cells.shape, dtype=bool)
 
-    def on_improved(self, cells: np.ndarray) -> None:
-        pass
+    def on_improved(self, cells: np.ndarray) -> bool:
+        return False
 
     def early_out(self, frontier: Frontier) -> bool:
         return False
@@ -264,17 +296,21 @@ def run_search(
 ) -> SearchStats:
     """Drive ``search`` to completion; returns instrumentation counters.
 
-    Step ``i`` extracts the pending copies with keys up to
+    Seeds enter the frontier unless ``search.prune`` rejects them.  Step
+    ``i`` extracts the pending copies with keys up to
     ``policy.threshold(i)`` (``i * delta``, whatever the search), widened
     to the ``policy.min_copies`` smallest keys when that window holds
-    fewer copies, drops the pruned ones, pushes the arcs of the rest as
-    one scatter-min, reports the improved cells to ``search.on_improved``
-    and re-adds the unpruned ones.  The index advances by one per step,
-    whether or not the step was widened.  ``steps`` counts rounds that
-    extracted at least one copy; with ``min_copies == 1`` thresholds that
-    cover nothing are skipped in one jump (a wider floor never leaves a
-    step empty).  ``relaxations`` counts scanned arcs and
-    ``settled_copies`` counts distinct copies expanded at least once.
+    fewer copies, and pushes their arcs as one scatter-min.  It reports
+    the improved cells to ``search.on_improved``; when that tightens a
+    prune bound, every pending copy ``search.prune`` now rejects is
+    dropped.  Then the improved cells that ``prune`` accepts are re-added.
+    Extraction itself never prunes: the frontier holds no prunable copy.
+    The index advances by one per step, whether or not the step was
+    widened.  ``steps`` counts rounds that extracted at least one copy;
+    with ``min_copies == 1`` thresholds that cover nothing are skipped in
+    one jump (a wider floor never leaves a step empty).  ``relaxations``
+    counts scanned arcs and ``settled_copies`` counts distinct copies
+    expanded at least once.
     """
     if policy is None:
         policy = default_policy(graph)
@@ -283,12 +319,13 @@ def run_search(
     frontier = Frontier(graph.n * copies)
     cells, values = search.seeds()
     dist[cells] = values
-    frontier.add_many(cells)
+    frontier.add_many(cells[~search.prune(cells)])
     stats = SearchStats()
     settled = np.zeros(graph.n * copies, dtype=bool)
     index = 0
     while frontier.size > 0:
-        if search.early_out(frontier):
+        # early_out may discard the last pending copies
+        if search.early_out(frontier) or frontier.size == 0:
             break
         extracted, min_left = frontier.extract(
             policy.threshold(index), search.keys, policy.min_copies
@@ -298,17 +335,16 @@ def run_search(
             continue
         index += 1
         stats.steps += 1
-        keep = extracted[~search.prune(extracted)]
-        if keep.size:
-            fresh = keep[~settled[keep]]
-            settled[fresh] = True
-            stats.settled_copies += int(fresh.size)
-            tgt_cells, cand, scanned = _candidates(graph, dist, keep, copies)
-            stats.relaxations += scanned
-            changed = _scatter_min(dist, tgt_cells, cand)
-            if changed.size:
-                search.on_improved(changed)
-                frontier.add_many(changed[~search.prune(changed)])
+        fresh = extracted[~settled[extracted]]
+        settled[fresh] = True
+        stats.settled_copies += int(fresh.size)
+        tgt_cells, cand, scanned = _candidates(graph, dist, extracted, copies)
+        stats.relaxations += scanned
+        changed = _scatter_min(dist, tgt_cells, cand)
+        if changed.size:
+            if search.on_improved(changed):
+                frontier.discard(search.prune)
+            frontier.add_many(changed[~search.prune(changed)])
     return stats
 
 

@@ -25,7 +25,8 @@ class CsrGraph:
 
     Instances are treated as immutable; derive changed graphs with
     :func:`dataclasses.replace` or the helpers in this module.  A derived
-    graph starts without the component labels cached on its parent.
+    graph starts without the component labels and the maximum weight
+    cached on its parent.
     """
 
     n: int
@@ -36,6 +37,7 @@ class CsrGraph:
     coords: np.ndarray | None = None
     coord_kind: str | None = None
     _components: ComponentInfo | None = field(default=None, init=False, repr=False, compare=False)
+    _max_weight: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -55,7 +57,10 @@ class CsrGraph:
         return self.targets[lo:hi], self.weights[lo:hi]
 
     def max_weight(self) -> float:
-        return float(self.weights.max()) if self.m else 0.0
+        """Largest arc weight (0 without arcs), computed once per graph object."""
+        if self._max_weight is None:
+            self._max_weight = float(self.weights.max()) if self.m else 0.0
+        return self._max_weight
 
     def with_coords(self, coords, kind: str) -> "CsrGraph":
         coords = np.asarray(coords, dtype=np.float64)
@@ -83,6 +88,8 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
+    if n > 2**31:  # targets are int32
+        raise ValueError(f"vertex count {n} exceeds 2**31")
     arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.float64)
     if arr.shape == (0,):  # no edges given as an empty list or generator
         arr = arr.reshape(0, 3)

@@ -13,6 +13,7 @@ Three on-disk formats are supported:
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -128,7 +129,10 @@ def load_coords(path) -> tuple[np.ndarray, str]:
         fields = line.split()
         if len(fields) != 3:
             raise ValueError(f"{path}: coordinate line must be 'id c1 c2', got {line!r}")
-        rows.append((int(fields[0]), float(fields[1]), float(fields[2])))
+        c1, c2 = float(fields[1]), float(fields[2])
+        if not (math.isfinite(c1) and math.isfinite(c2)):
+            raise ValueError(f"{path}: coordinates must be finite, got {line!r}")
+        rows.append((int(fields[0]), c1, c2))
     if not rows:
         raise ValueError(f"{path}: no coordinate rows")
     n = len(rows)

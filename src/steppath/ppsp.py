@@ -66,6 +66,8 @@ class EtSearch(Search):
             d = float(self.dist[self.target])
             if d < self.best:
                 self.best = d
+                return True
+        return False
 
 
 class AstarSearch(EtSearch):
@@ -113,6 +115,8 @@ class BidsSearch(Search):
             low = float(sums.min())
             if low < self.best:
                 self.best = low
+                return True
+        return False
 
     def early_out(self, frontier):
         # with the two sides disconnected no meeting point exists; once

@@ -134,6 +134,52 @@ def test_multi_bids_self_pair_costs_nothing():
     )
 
 
+def test_multi_bids_reports_a_tighter_radius_only():
+    # chain 0-1-2-3 of endpoints: cell v * 4 + i is copy i of vertex v
+    g = g1()
+    search = MultiBidsSearch(g, sp.build_query_graph([(0, 1), (1, 2), (2, 3)], g.n))
+    search.dist[1 * 4 + 1] = 0.0
+    search.dist[1 * 4 + 2] = 2.0
+    # edge (1, 2) gets an answer, but endpoints 1 and 2 each keep an
+    # unanswered edge, so both radii stay +inf
+    assert search.on_improved(np.array([1 * 4 + 2])) is False
+    assert search.edge_best.tolist() == [np.inf, 2.0, np.inf]
+    assert search.radius.tolist() == [np.inf] * 4
+    search.dist[0 * 4 + 0] = 0.0
+    search.dist[0 * 4 + 1] = 1.0
+    # edge (0, 1) is endpoint 0's only edge: its radius falls to 1
+    assert search.on_improved(np.array([0 * 4 + 1])) is True
+    assert search.radius.tolist() == [1.0, 2.0, np.inf, np.inf]
+
+
+def _isolated_pair(g):
+    """(first vertex of the largest component, first vertex without arcs)."""
+    info = sp.largest_component(g)
+    return int(info.members(info.largest)[0]), int(np.flatnonzero(g.degrees == 0)[0])
+
+
+def test_multi_bids_gives_up_on_a_disconnected_pair():
+    # the isolated side runs dry at once; the big side must not then
+    # explore its whole component (it did: 35 steps, 409,005 relaxations)
+    g = random_graph(50_000, 4, 3)
+    s, t = _isolated_pair(g)
+    lone = sp.multi_bids(g, sp.build_query_graph([(s, t)], g.n))
+    bids = sp.ppsp(g, s, t, "bids")
+    assert lone.distances.tolist() == [np.inf] and bids.distance == np.inf
+    assert lone.steps <= bids.steps and lone.relaxations <= bids.relaxations
+    assert lone.extras["radius"].tolist() == [-np.inf, -np.inf]
+
+
+def test_multi_bids_disconnected_pair_costs_little_in_a_batch():
+    g = random_graph(50_000, 4, 3)
+    s, t = _isolated_pair(g)
+    pairs = sp.percentile_pairs(g, 2, 10, 1)
+    alone = sp.multi_bids(g, sp.build_query_graph(pairs, g.n))
+    mixed = sp.multi_bids(g, sp.build_query_graph(np.concatenate([pairs, [[s, t]]]), g.n))
+    assert mixed.distances.tolist() == alone.distances.tolist() + [np.inf]
+    assert mixed.relaxations <= 1.01 * alone.relaxations
+
+
 def test_multi_bids_duplicate_pairs_share_edge():
     g = g1()
     ans = sp.multi_bids(g, sp.build_query_graph([(0, 3), (3, 0), (0, 3)], g.n))

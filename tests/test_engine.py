@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import steppath as sp
+from steppath.batch import MultiBidsSearch
 from steppath.engine import Frontier, SsspSearch, _scatter_min, run_search
-from steppath.ppsp import BidsSearch
-from helpers import g1, geometric_graph, random_graph, two_triangles
+from steppath.ppsp import AstarSearch, BidAstarSearch, BidsSearch, EtSearch
+from helpers import g1, geometric_graph, random_graph, random_pairs_same_component, two_triangles, watch_hook
 
 
 def test_scatter_min_contract():
@@ -148,6 +149,21 @@ def test_frontier_extract_min_copies():
         assert f.size == rest.size
 
 
+def test_frontier_discard():
+    f = Frontier(10)
+    assert f.discard(lambda cells: np.ones(cells.shape, dtype=bool)) == 0  # empty: no-op
+    assert f.size == 0
+    f.add_many(np.array([1, 4, 6, 9]))
+    assert f.discard(lambda cells: cells % 2 == 0) == 2
+    assert sorted(f.pending.tolist()) == [1, 9] and f.size == 2
+    assert f.discard(lambda cells: np.zeros(cells.shape, dtype=bool)) == 0
+    assert sorted(f.pending.tolist()) == [1, 9]
+    # a dropped cell is no longer a member, so it can come back
+    assert f.add_many(np.array([4, 9])) == 1
+    out, left = f.extract(np.inf, lambda cells: cells.astype(float))
+    assert sorted(out.tolist()) == [1, 4, 9] and left == np.inf and f.size == 0
+
+
 def test_frontier_single_direction():
     # a bidirectional search gives up while it has no answer and only one
     # side (even cells forward, odd cells backward) is still pending
@@ -277,6 +293,76 @@ def test_step_rule_keeps_integer_answers_exact(g, delta, min_copies, raw_pairs):
         else:
             ans = sp.baseline_batch(g, qg, algo, policy=policy)
         assert ans.distances.tolist() == want, algo
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _integer_graphs(),
+    st.floats(0.25, 16.0),
+    st.integers(1, 40),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=4),
+)
+# the answer 2 arrives while vertex 3 (distance 5) is pending: a tightening
+# must drop it, for every strategy
+@example(sp.build_csr(5, [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 5.0), (3, 4, 1.0)], symmetrize=True), 1.0, 1, [(0, 2)])
+def test_frontier_never_holds_a_prunable_copy(g, delta, min_copies, raw_pairs):
+    # early_out runs right before each extraction and is handed the
+    # frontier, so watching it sees the whole pending set a step takes from
+    policy = sp.StepPolicy(delta, min_copies=min_copies)
+    pairs = [(s % g.n, t % g.n) for s, t in raw_pairs]
+    rows = {s: sp.dijkstra(g, s) for s, _ in pairs}
+
+    def run(search):
+        flagged = []
+        watch_hook(search, "early_out", lambda f: flagged.append(int(search.prune(f.pending).sum())))
+        run_search(g, search, policy)
+        assert flagged and not any(flagged), type(search).__name__
+
+    for s, t in pairs:
+        if s == t:
+            continue
+        h_s, h_t = _half_distance_heuristic(g, s), _half_distance_heuristic(g, t)
+        for search in (
+            EtSearch(g, s, t),
+            AstarSearch(g, s, t, h_t),
+            BidsSearch(g, s, t),
+            BidAstarSearch(g, s, t, h_s, h_t),
+        ):
+            run(search)
+            assert search.best == rows[s][t], type(search).__name__
+    qg = sp.build_query_graph(pairs, g.n)
+    if len(qg.edges):
+        search = MultiBidsSearch(g, qg)
+        run(search)
+        ends = qg.endpoints[qg.edges]
+        assert search.edge_best.tolist() == [rows[s][t] if s in rows else rows[t][s] for s, t in ends]
+
+
+def _under_reporting(cls):
+    class Quiet(cls):
+        def on_improved(self, cells):
+            super().on_improved(cells)
+            return False
+
+    return Quiet
+
+
+def test_under_reported_tightening_stays_exact():
+    # a hook that never reports a tighter bound leaves prunable copies
+    # pending; expanding them costs work but offers only real path lengths
+    g = random_graph(300, 3, 5)
+    pairs = random_pairs_same_component(g, 4, 6).tolist() + [[0, int(np.flatnonzero(g.degrees == 0)[0])]]
+    for s, t in pairs:
+        want = sp.dijkstra(g, s)[t]
+        for cls in (EtSearch, BidsSearch):
+            search = _under_reporting(cls)(g, s, t)
+            run_search(g, search)
+            assert search.best == want, (cls.__name__, s, t)
+    qg = sp.build_query_graph(pairs, g.n)
+    search = _under_reporting(MultiBidsSearch)(g, qg)
+    run_search(g, search)
+    want = [sp.dijkstra(g, int(s))[int(t)] for s, t in qg.endpoints[qg.edges]]
+    assert search.edge_best.tolist() == want
 
 
 @settings(max_examples=80, deadline=None)

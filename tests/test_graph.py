@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import steppath as sp
 import steppath.graph
 from steppath import (
     PATTERNS,
@@ -200,6 +201,36 @@ def test_component_labels_match_reachability():
 def test_max_weight():
     assert g1().max_weight() == 5.0
     assert build_csr(2, []).max_weight() == 0.0
+
+
+def test_max_weight_computed_once_per_graph():
+    calls = []
+
+    class CountingWeights(np.ndarray):
+        def max(self, *args, **kwargs):
+            calls.append(1)
+            return np.asarray(self).max(*args, **kwargs)
+
+    base = random_graph(200, 3, 4)
+    g = replace(base, weights=base.weights.view(CountingWeights))
+    top = g.max_weight()
+    for _ in range(3):
+        assert sp.default_policy(g).delta == top / 16.0
+        sp.sssp(g, 0)
+        sp.ppsp(g, 0, 5, "bids")
+    assert g.max_weight() == top == float(base.weights.max())
+    assert len(calls) == 1
+    heavier = replace(g, weights=2.0 * base.weights)
+    assert heavier.max_weight() == 2.0 * top
+    assert g.max_weight() == top
+
+
+def test_build_csr_rejects_ids_past_int32():
+    # targets are int32; the check comes before the offsets are allocated
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        build_csr(2**31 + 1, [(0, 1, 1.0)])
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        build_csr(3_000_000_000, [])
 
 
 def test_components_labelled_once_per_graph(monkeypatch):

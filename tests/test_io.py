@@ -129,6 +129,22 @@ def test_coords_duplicate_id(tmp_path):
         sp.load_coords(p)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_coords_non_finite_rejected(tmp_path, bad):
+    p = tmp_path / "pts.coords"
+    p.write_text(f"euclidean\n0 0.0 0.0\n1 {bad} 2.0\n2 1.0 1.0\n")
+    with pytest.raises(ValueError, match=f"finite, got '1 {bad} 2.0'"):
+        sp.load_coords(p)
+
+
+def test_edge_list_vertex_count_past_int32(tmp_path):
+    p = tmp_path / "huge.txt"
+    p.write_text("3000000000 1\n0 1 1\n")
+    assert p.stat().st_size == 19
+    with pytest.raises(ValueError, match="exceeds"):
+        sp.load_graph(p)
+
+
 def test_pairs_round_trip(tmp_path):
     pairs = np.array([[0, 3], [2, 1], [4, 4]])
     p = tmp_path / "q.txt"

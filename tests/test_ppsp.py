@@ -194,11 +194,12 @@ def test_bids_update_sum_rule():
     search = BidsSearch(g, 0, 3)
     fwd, bwd = 2, 3  # the two copies of vertex 1
     search.dist[fwd] = 3.0
-    search.on_improved(np.array([fwd]))
+    assert search.on_improved(np.array([fwd])) is False
     assert search.best == np.inf  # opposite side unreached
     search.dist[bwd] = 4.0
-    search.on_improved(np.array([bwd]))
+    assert search.on_improved(np.array([bwd])) is True  # the prune bound tightened
     assert search.best == 7.0
+    assert search.on_improved(np.array([bwd])) is False  # same sum: no tighter bound
 
 
 def test_et_update_on_target():
@@ -206,10 +207,10 @@ def test_et_update_on_target():
     search = EtSearch(g, 0, 3)
     search.best = 9.0
     search.dist[3] = 6.0
-    search.on_improved(np.array([3]))
+    assert search.on_improved(np.array([3])) is True
     assert search.best == 6.0
     search.dist[1] = 1.0
-    search.on_improved(np.array([1]))
+    assert search.on_improved(np.array([1])) is False
     assert search.best == 6.0
 
 
