@@ -22,7 +22,7 @@ from .batch import (
     vc_sssp_batch,
 )
 from .bench import BenchConfig, BenchError, BenchReport, run_bench
-from .engine import INF, Frontier, StepPolicy, default_policy, run_search, sssp
+from .engine import StepPolicy, default_policy, run_search, sssp
 from .graph import (
     ComponentInfo,
     CsrGraph,
@@ -33,11 +33,9 @@ from .graph import (
 )
 from .heuristics import (
     EARTH_RADIUS_KM,
-    MemoTable,
     check_consistent,
     consistency_violation,
     euclidean_heuristic,
-    great_circle,
     heuristic_for_graph,
     induced_arc_weights,
     make_bidirectional_heuristics,
@@ -71,9 +69,6 @@ __all__ = [
     "ComponentInfo",
     "CsrGraph",
     "EARTH_RADIUS_KM",
-    "Frontier",
-    "INF",
-    "MemoTable",
     "PATTERNS",
     "PpspAnswer",
     "QueryGraph",
@@ -89,7 +84,6 @@ __all__ = [
     "euclidean_heuristic",
     "exact_vertex_cover",
     "generate_uniform_weights",
-    "great_circle",
     "greedy_vertex_cover",
     "heuristic_for_graph",
     "induced_arc_weights",

@@ -34,7 +34,7 @@ EXACT_COVER_LIMIT = 20
 
 
 class BatchTooLarge(ValueError):
-    """The joint search would allocate more cells than the configured cap."""
+    """The joint search would allocate more than DEFAULT_CELL_CAP cells."""
 
 
 @dataclass
@@ -104,7 +104,6 @@ class BatchAnswer:
     relaxations: int
     settled_copies: int
     cover: np.ndarray | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def _fan_out(qg: QueryGraph, edge_dist: np.ndarray) -> np.ndarray:
@@ -136,12 +135,11 @@ class MultiBidsSearch(Search):
     An unanswered edge (i, j) whose copy i has nothing pending is closed:
     with radius +inf, copy i explored its whole component unpruned and
     never reached q_j, so the pair is disconnected.  Its answer stays
-    +inf and it no longer holds either radius open.
+    +inf and it no longer holds either radius open.  The graph must be
+    symmetric; :func:`multi_bids` checks it.
     """
 
     def __init__(self, graph: CsrGraph, qg: QueryGraph):
-        if not graph.symmetric:
-            raise ValueError("the joint bidirectional search needs a symmetrized graph")
         super().__init__(graph, copies=qg.order)
         self.qg = qg
         self.edge_best = np.full(len(qg.edges), INF)
@@ -192,14 +190,13 @@ def multi_bids(
     graph: CsrGraph,
     qg: QueryGraph,
     policy: StepPolicy | None = None,
-    cell_cap: int = DEFAULT_CELL_CAP,
 ) -> BatchAnswer:
     """Answer the whole batch with one joint pruned search."""
     _validate_batch(graph, qg)
     cells = qg.order * graph.n
-    if cells > cell_cap:
+    if cells > DEFAULT_CELL_CAP:
         raise BatchTooLarge(
-            f"joint search needs {cells} cells > cap {cell_cap}; "
+            f"joint search needs {cells} cells > cap {DEFAULT_CELL_CAP}; "
             "split the batch into smaller query sets"
         )
     if len(qg.edges) == 0:
@@ -212,7 +209,6 @@ def multi_bids(
         stats.steps,
         stats.relaxations,
         stats.settled_copies,
-        extras={"edge_distances": search.edge_best.copy(), "radius": search.radius.copy()},
     )
 
 
@@ -334,5 +330,8 @@ def _run_batch(graph: CsrGraph, qg: QueryGraph, algo: str, policy: StepPolicy | 
 
 
 def _validate_batch(graph: CsrGraph, qg: QueryGraph) -> None:
+    # every algorithm reads dist(t -> s) as dist(s -> t), true only undirected
+    if not graph.symmetric:
+        raise ValueError("batch queries need a symmetrized graph")
     if qg.endpoints.size and (qg.endpoints.min() < 0 or qg.endpoints.max() >= graph.n):
         raise ValueError("query endpoint out of range for this graph")

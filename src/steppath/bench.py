@@ -46,7 +46,6 @@ class BenchConfig:
     rounds: int = DEFAULT_ROUNDS
     seed: int = 0
     radius: float | None = None
-    label: str = ""
 
 
 @dataclass
@@ -135,7 +134,5 @@ def run_bench(graph: CsrGraph, cfg: BenchConfig) -> BenchReport:
             "settled_copies": settled,
         }
         record.update(meta)
-        if cfg.label:
-            record["label"] = cfg.label
         report.records.append(record)
     return report

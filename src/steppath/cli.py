@@ -50,7 +50,7 @@ def write_csv(records: list[dict], path: str) -> None:
 
 def _load(args):
     graph = gio.load_graph(args.graph)
-    if getattr(args, "coords", None):
+    if args.coords:
         coords, kind = gio.load_coords(args.coords)
         graph = graph.with_coords(coords, kind)
     return graph
@@ -70,21 +70,15 @@ def _out_pairs(pairs, args):
 
 def cmd_convert(args):
     graph = gio.load_graph(args.graph)
-    if args.to == "binary":
-        gio.save_binary(graph, args.out)
-    else:
-        gio.save_edge_list(graph, args.out)
-    emit({"record": "convert", "n": graph.n, "m": graph.m, "out": args.out, "format": args.to})
+    gio.save_graph(graph, args.out)
+    emit({"record": "convert", "n": graph.n, "m": graph.m, "out": args.out})
     return 0
 
 
 def cmd_gen_weights(args):
     graph = gio.load_graph(args.graph)
     fresh = generate_uniform_weights(graph, seed=args.seed, lo=args.lo, hi=args.hi)
-    if args.out.endswith(".txt"):
-        gio.save_edge_list(fresh, args.out)
-    else:
-        gio.save_binary(fresh, args.out)
+    gio.save_graph(fresh, args.out)
     emit({"record": "gen-weights", "seed": args.seed, "lo": args.lo, "hi": args.hi, "out": args.out})
     return 0
 
@@ -142,7 +136,7 @@ def cmd_query(args):
 
 
 def cmd_batch(args):
-    graph = _load(args)
+    graph = gio.load_graph(args.graph)
     pairs = gio.load_pairs(args.queries)
     qg = build_query_graph(pairs, graph.n)
     policy = step_policy(graph, args.delta)
@@ -219,13 +213,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert between the text and binary graph formats")
     graph_arg(p)
-    p.add_argument("--out", "-o", required=True)
-    p.add_argument("--to", choices=("binary", "text"), required=True)
+    p.add_argument("--out", "-o", required=True, help="a .txt path gets a text edge list, any other binary CSR")
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("gen-weights", help="redraw uniform edge weights")
     graph_arg(p)
-    p.add_argument("--out", "-o", required=True)
+    p.add_argument("--out", "-o", required=True, help="a .txt path gets a text edge list, any other binary CSR")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--lo", type=float, default=1.0)
     p.add_argument("--hi", type=float, default=float(2**18))
@@ -272,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=BATCH_ALGOS, default="multi")
     p.add_argument("--queries", required=True, help="file of 's t' lines")
     p.add_argument("--delta", type=_delta_arg, default="auto")
-    p.add_argument("--coords")
     p.add_argument("--csv")
     p.set_defaults(fn=cmd_batch)
 

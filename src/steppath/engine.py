@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import CsrGraph
+from .io import as_vertex
 
 INF = math.inf
 # floor on the copies one step of the default policy extracts
@@ -215,10 +216,8 @@ class SsspSearch(Search):
     """Single-source shortest paths: the degenerate, prune-free strategy."""
 
     def __init__(self, graph: CsrGraph, source: int):
-        if not 0 <= source < graph.n:
-            raise ValueError(f"source {source} out of range for n={graph.n}")
         super().__init__(graph, copies=1)
-        self.source = source
+        self.source = as_vertex(source, graph.n, "source")
 
     def seeds(self):
         return np.asarray([self.source], dtype=np.int64), np.zeros(1)

@@ -51,11 +51,6 @@ class CsrGraph:
         """Source vertex of every arc, aligned with ``targets``."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
 
-    def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the targets and weights of u's outgoing arcs."""
-        lo, hi = self.offsets[u], self.offsets[u + 1]
-        return self.targets[lo:hi], self.weights[lo:hi]
-
     def max_weight(self) -> float:
         """Largest arc weight (0 without arcs), computed once per graph object."""
         if self._max_weight is None:
@@ -209,9 +204,6 @@ class ComponentInfo:
         labels = self.labels.view()  # read-only without touching the caller's array
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
-
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.count)
 
     def members(self, label: int) -> np.ndarray:
         return np.flatnonzero(self.labels == label)

@@ -2,8 +2,7 @@
 
 A heuristic here is a vectorized callable mapping an int array of vertex
 ids to float64 estimates.  Searches only ever evaluate heuristics through
-:class:`MemoTable`, which computes each vertex at most once when caching
-is enabled.
+:class:`MemoTable`, which computes each vertex at most once.
 """
 
 from __future__ import annotations
@@ -13,6 +12,8 @@ import numpy as np
 from .graph import CsrGraph, EUCLIDEAN, SPHERICAL
 
 EARTH_RADIUS_KM = 6371.0088  # mean Earth radius; pick units to match arc weights
+# largest arc violation check_consistent forgives (float rounding)
+CONSISTENCY_TOL = 1e-9
 
 
 def euclidean_heuristic(coords: np.ndarray, anchor: int):
@@ -103,22 +104,20 @@ class MemoTable:
 
     Unset entries hold NaN.  Computed values must be finite, so none is
     mistaken for unset: a non-finite value raises ``ValueError`` naming
-    the function.  With caching enabled each vertex is computed at most
-    once; ``computations`` counts evaluated vertices and ``requests``
-    counts lookups, which makes the memoization win measurable.
+    the function.  Each vertex is computed at most once; ``computations``
+    counts evaluated vertices and ``requests`` counts lookups, which is
+    what a table without the cache would compute, so the two counters
+    measure the memoization win.
     """
 
-    def __init__(self, n: int, fn, enabled: bool = True):
+    def __init__(self, n: int, fn):
         self._fn = fn
-        self.enabled = enabled
         self.values = np.full(n, np.nan)
         self.computations = 0
         self.requests = 0
 
     def get_many(self, vertices: np.ndarray) -> np.ndarray:
         self.requests += int(np.size(vertices))
-        if not self.enabled:
-            return self._compute(vertices)
         missing = np.isnan(self.values[vertices])
         if np.any(missing):
             fresh = np.unique(vertices[missing])
@@ -151,12 +150,12 @@ def consistency_violation(graph: CsrGraph, h_values: np.ndarray) -> float:
     return float(-slack.min())
 
 
-def check_consistent(graph: CsrGraph, h, tol: float = 1e-9) -> None:
-    """Raise if ``h`` is not consistent on ``graph`` within ``tol``."""
+def check_consistent(graph: CsrGraph, h) -> None:
+    """Raise if ``h`` is not consistent on ``graph`` within CONSISTENCY_TOL."""
     values = np.asarray(h(np.arange(graph.n)), dtype=np.float64)
     worst = consistency_violation(graph, values)
-    if worst > tol:
-        raise ValueError(f"heuristic is inconsistent: worst arc violation {worst:.3e} > {tol:.1e}")
+    if worst > CONSISTENCY_TOL:
+        raise ValueError(f"heuristic is inconsistent: worst arc violation {worst:.3e} > {CONSISTENCY_TOL:.1e}")
 
 
 def induced_arc_weights(graph: CsrGraph, potential: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

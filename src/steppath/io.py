@@ -116,6 +116,14 @@ def load_graph(path) -> CsrGraph:
     return load_edge_list(path)
 
 
+def save_graph(graph: CsrGraph, path) -> None:
+    """Write a text edge list to a ``.txt`` path, binary CSR to any other."""
+    if str(path).endswith(".txt"):
+        save_edge_list(graph, path)
+    else:
+        save_binary(graph, path)
+
+
 def load_coords(path) -> tuple[np.ndarray, str]:
     lines = _data_lines(path)
     try:
@@ -173,6 +181,24 @@ def as_pairs(pairs) -> np.ndarray:
     elif arr.dtype.kind not in "iu":
         raise ValueError(f"query pairs must hold integer vertex ids, got dtype {arr.dtype}")
     return arr.astype(np.int64)
+
+
+def as_vertex(value, n: int, name: str) -> int:
+    """One vertex id of an ``n``-vertex graph, as an int.
+
+    The rule of :func:`as_pairs`: an integer, or a float with an integral
+    value.  A bool, any other value, or an id outside ``0..n-1`` raises
+    ValueError naming ``name`` and the value.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        arr = np.asarray(value)
+        kind = arr.dtype.kind
+        if arr.ndim or not (kind in "iu" or kind == "f" and np.isfinite(arr) and arr == np.trunc(arr)):
+            raise ValueError(f"{name} must be an integer vertex id, got {value!r}")
+    v = int(value)
+    if not 0 <= v < n:
+        raise ValueError(f"{name} {v} out of range for n={n}")
+    return v
 
 
 def load_pairs(path) -> np.ndarray:

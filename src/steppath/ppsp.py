@@ -31,6 +31,7 @@ from .heuristics import (
     heuristic_for_graph,
     make_bidirectional_heuristics,
 )
+from .io import as_vertex
 
 STRATEGIES = ("sssp", "et", "bids", "astar", "bidastar")
 
@@ -59,7 +60,7 @@ class EtSearch(Search):
         return np.asarray([self.source], dtype=np.int64), np.zeros(1)
 
     def prune(self, cells):
-        return self.dist[cells] >= self.best
+        return self.keys(cells) >= self.best
 
     def on_improved(self, cells):
         if np.any(cells == self.target):
@@ -73,15 +74,12 @@ class EtSearch(Search):
 class AstarSearch(EtSearch):
     """Early termination with keys ordered by distance plus heuristic."""
 
-    def __init__(self, graph, source, target, heuristic, memoize=True):
+    def __init__(self, graph, source, target, heuristic):
         super().__init__(graph, source, target)
-        self.memo = MemoTable(graph.n, heuristic, enabled=memoize)
+        self.memo = MemoTable(graph.n, heuristic)
 
     def keys(self, cells):
         return self.dist[cells] + self.memo.get_many(cells)
-
-    def prune(self, cells):
-        return self.keys(cells) >= self.best
 
 
 class BidsSearch(Search):
@@ -107,7 +105,7 @@ class BidsSearch(Search):
         return cells, np.zeros(2)
 
     def prune(self, cells):
-        return self.dist[cells] >= 0.5 * self.best
+        return self.keys(cells) >= 0.5 * self.best
 
     def on_improved(self, cells):
         sums = self.dist[cells] + self.dist[cells ^ 1]
@@ -130,18 +128,15 @@ class BidsSearch(Search):
 class BidAstarSearch(BidsSearch):
     """Bidirectional search steered by opposing averaged heuristics."""
 
-    def __init__(self, graph, source, target, h_source, h_target, memoize=True):
+    def __init__(self, graph, source, target, h_source, h_target):
         super().__init__(graph, source, target)
         forward_h, _ = make_bidirectional_heuristics(h_source, h_target)
-        self.memo = MemoTable(graph.n, forward_h, enabled=memoize)
+        self.memo = MemoTable(graph.n, forward_h)
 
     def keys(self, cells):
         h = self.memo.get_many(cells >> 1)
         sign = 1.0 - 2.0 * (cells & 1)  # +h forward, -h backward
         return self.dist[cells] + h * sign
-
-    def prune(self, cells):
-        return self.keys(cells) >= 0.5 * self.best
 
 
 def _heuristic_pair(graph, source, target, heuristic, radius):
@@ -164,7 +159,6 @@ def ppsp(
     policy: StepPolicy | None = None,
     heuristic=None,
     radius: float = EARTH_RADIUS_KM,
-    memoize: bool = True,
     validate_heuristic: bool = False,
 ) -> PpspAnswer:
     """One point-to-point query; returns the exact distance and counters.
@@ -179,9 +173,8 @@ def ppsp(
     the engine run.  To search a potential-reweighted graph, build it
     from :func:`~steppath.heuristics.induced_arc_weights` and query that.
     """
-    for name, v in (("source", source), ("target", target)):
-        if not 0 <= v < graph.n:
-            raise ValueError(f"{name} {v} out of range for n={graph.n}")
+    source = as_vertex(source, graph.n, "source")
+    target = as_vertex(target, graph.n, "target")
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if source == target:
@@ -197,7 +190,7 @@ def ppsp(
             raise ValueError("astar needs a target heuristic")
         if validate_heuristic:
             check_consistent(graph, h_target)
-        search = AstarSearch(graph, source, target, h_target, memoize=memoize)
+        search = AstarSearch(graph, source, target, h_target)
     elif strategy == "bids":
         search = BidsSearch(graph, source, target)
     else:
@@ -207,7 +200,7 @@ def ppsp(
         if validate_heuristic:
             check_consistent(graph, h_source)
             check_consistent(graph, h_target)
-        search = BidAstarSearch(graph, source, target, h_source, h_target, memoize=memoize)
+        search = BidAstarSearch(graph, source, target, h_source, h_target)
 
     stats = run_search(graph, search, policy=policy)
     if strategy == "sssp":

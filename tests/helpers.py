@@ -123,10 +123,11 @@ def random_pairs_same_component(graph, count, seed):
 
 
 def watch_hook(search, hook, see):
-    """Make ``see(cells)`` run right after each call of one ``Search`` hook.
+    """Make ``see(arg)`` run right after each call of one ``Search`` hook.
 
-    ``keys`` is what ``Frontier.extract`` calls on every pending cell, so
-    watching it sees the whole pending set at each extraction.
+    ``early_out`` is handed the frontier right before each extraction, so
+    watching it sees the whole pending set at each extraction, and once
+    more when it ends the loop.
     """
     inner = getattr(search, hook)
 

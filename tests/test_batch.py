@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import steppath as sp
-from steppath.batch import EXACT_COVER_LIMIT, MultiBidsSearch
+import steppath.batch
+from steppath.batch import EXACT_COVER_LIMIT, MultiBidsSearch, _run_batch
+from steppath.engine import run_search
 from helpers import g1, random_graph, random_pairs_same_component, two_triangles
 
 
@@ -167,7 +169,9 @@ def test_multi_bids_gives_up_on_a_disconnected_pair():
     bids = sp.ppsp(g, s, t, "bids")
     assert lone.distances.tolist() == [np.inf] and bids.distance == np.inf
     assert lone.steps <= bids.steps and lone.relaxations <= bids.relaxations
-    assert lone.extras["radius"].tolist() == [-np.inf, -np.inf]
+    search = MultiBidsSearch(g, sp.build_query_graph([(s, t)], g.n))
+    run_search(g, search)
+    assert search.radius.tolist() == [-np.inf, -np.inf]
 
 
 def test_multi_bids_disconnected_pair_costs_little_in_a_batch():
@@ -186,16 +190,20 @@ def test_multi_bids_duplicate_pairs_share_edge():
     assert ans.distances.tolist() == [4.0, 4.0, 4.0]
 
 
-def test_multi_bids_cell_budget():
+def test_multi_bids_cell_budget(monkeypatch):
     g = g1()
+    qg = sp.build_query_graph([(0, 1), (1, 2), (2, 3)], g.n)
+    monkeypatch.setattr(steppath.batch, "DEFAULT_CELL_CAP", qg.order * g.n)
+    assert sp.multi_bids(g, qg).distances.tolist() == [1.0, 2.0, 1.0]
+    monkeypatch.setattr(steppath.batch, "DEFAULT_CELL_CAP", qg.order * g.n - 1)
     with pytest.raises(sp.BatchTooLarge):
-        sp.multi_bids(g, sp.build_query_graph([(0, 1), (1, 2), (2, 3)], g.n), cell_cap=8)
+        sp.multi_bids(g, qg)
 
 
 def test_multi_bids_default_cap_fires_before_allocating():
     # 257 endpoints on 2**20 vertices is just over 2**28 cells (about
     # 2.7 GB of search state); the default cap refuses it up front
-    g = sp.build_csr(2**20, [])
+    g = sp.build_csr(2**20, [], symmetrize=True)
     qg = sp.build_query_graph([(0, v) for v in range(1, 257)], g.n)
     assert qg.order * g.n > 2**28
     with pytest.raises(sp.BatchTooLarge):
@@ -213,9 +221,11 @@ def test_search_radius_stays_above_true_distances():
     g = random_graph(200, 3, 4)
     pairs = random_pairs_same_component(g, 6, 9)
     qg = sp.build_query_graph(pairs, g.n)
-    ans = sp.multi_bids(g, qg)
-    radius = ans.extras["radius"]
-    edge_d = ans.extras["edge_distances"]
+    search = MultiBidsSearch(g, qg)
+    run_search(g, search)
+    radius, edge_d = search.radius, search.edge_best
+    has = qg.pair_edge >= 0
+    assert np.array_equal(sp.multi_bids(g, qg).distances[has], edge_d[qg.pair_edge[has]])
     for i in range(qg.order):
         incident = np.flatnonzero((qg.edges == i).any(axis=1))
         if incident.size:
@@ -356,6 +366,17 @@ def test_baseline_plain_sssp_run_counts():
     assert sp.baseline_batch(g, star, "plain-sssp").runs == 1
     chain = sp.build_query_graph([(0, 1), (1, 2), (2, 3)], g.n)
     assert sp.baseline_batch(g, chain, "plain-sssp").runs == 3
+
+
+@pytest.mark.parametrize("algo", sp.BATCH_ALGOS)
+def test_batch_rejects_a_directed_graph(algo):
+    # dist(2 -> 0) is 10, dist(0 -> 2) is 2; vc and plain-sssp used to
+    # answer 2.0 from the SSSP of the smaller endpoint
+    g = sp.build_csr(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 10.0)])
+    assert sp.dijkstra(g, 2)[0] == 10.0
+    qg = sp.build_query_graph([(2, 0)], g.n)
+    with pytest.raises(ValueError, match="^batch queries need a symmetrized graph$"):
+        _run_batch(g, qg, algo, None)
 
 
 def test_baseline_unknown_mode():

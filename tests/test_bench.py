@@ -56,12 +56,12 @@ def test_run_bench_auto_delta_resolves():
         assert rec["steps"] == sp.ppsp(g, s, t, "bids").steps
 
 
-def test_run_bench_label_and_threads_echoed():
+def test_run_bench_echoes_config():
     g = g1()
     cfg = sp.BenchConfig(mode="query", pairs=[(0, 3)], strategy="et", delta=1.0,
-                         warmup=0, rounds=1, seed=7, label="smoke")
+                         warmup=0, rounds=1, seed=7)
     (rec,) = sp.run_bench(g, cfg).records
-    assert rec["label"] == "smoke"
+    assert rec["strategy"] == "et" and rec["requested_delta"] == 1.0
     assert rec["seed"] == 7
     assert rec["warmup_rounds"] == 0
     assert rec["timed_rounds"] == 1

@@ -37,7 +37,7 @@ def _arc_multiset(g):
 
 def test_convert_text_to_binary_and_back(tmp_path, g1_file, capsys):
     bin_path = str(tmp_path / "g1.bin")
-    assert main(["convert", "-g", g1_file, "--out", bin_path, "--to", "binary"]) == 0
+    assert main(["convert", "-g", g1_file, "--out", bin_path]) == 0
     (rec,) = _records(capsys)
     assert rec["record"] == "convert" and rec["n"] == "4" and rec["m"] == "8"
     round_trip = gio.load_graph(bin_path)
@@ -46,7 +46,8 @@ def test_convert_text_to_binary_and_back(tmp_path, g1_file, capsys):
     assert _arc_multiset(round_trip) == _arc_multiset(want)
 
     txt_path = str(tmp_path / "again.txt")
-    assert main(["convert", "-g", bin_path, "--out", txt_path, "--to", "text"]) == 0
+    assert main(["convert", "-g", bin_path, "--out", txt_path]) == 0
+    assert open(txt_path, encoding="utf-8").readline() == "4 4\n"
     again = gio.load_graph(txt_path)
     assert np.array_equal(again.offsets, want.offsets)
     assert _arc_multiset(again) == _arc_multiset(want)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import steppath as sp
+from steppath.heuristics import MemoTable
 from helpers import g1, geometric_graph
 
 
@@ -87,7 +88,7 @@ def test_memo_computes_once():
         calls.append(np.array(v, copy=True))
         return v.astype(np.float64) * 2
 
-    memo = sp.MemoTable(10, h)
+    memo = MemoTable(10, h)
     assert memo.get_many(np.array([3])).tolist() == [6.0]
     assert memo.get_many(np.array([3])).tolist() == [6.0]
     assert memo.computations == 1
@@ -97,13 +98,6 @@ def test_memo_computes_once():
     assert memo.computations == 3
     seen = np.concatenate(calls)
     assert len(seen) == len(np.unique(seen))
-
-
-def test_memo_disabled_recomputes():
-    memo = sp.MemoTable(4, lambda v: v.astype(np.float64), enabled=False)
-    memo.get_many(np.array([1]))
-    memo.get_many(np.array([1]))
-    assert memo.computations == 2
 
 
 def test_consistency_of_geometric_heuristic():

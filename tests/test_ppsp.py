@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,37 @@ def test_vertex_out_of_range():
         sp.ppsp(g1(), 9, 0, "bids")
 
 
+@pytest.mark.parametrize("bad", [0.5, True, np.nan, "1", np.array([1])], ids=repr)
+def test_vertex_id_must_be_integral(bad):
+    # 0.5 used to answer inf under bids and vertex 0's distance under et,
+    # sssp(g, 1.5) returned vertex 1's row and True passed as vertex 1
+    g, zero = g1(), sp.zero_heuristic()
+    heuristics = {"astar": {"heuristic": zero}, "bidastar": {"heuristic": (zero, zero)}}
+    for strategy in sp.STRATEGIES:
+        kw = heuristics.get(strategy, {})
+        with pytest.raises(ValueError, match=re.escape(f"source must be an integer vertex id, got {bad!r}")):
+            sp.ppsp(g, bad, 3, strategy, **kw)
+        with pytest.raises(ValueError, match=re.escape(f"target must be an integer vertex id, got {bad!r}")):
+            sp.ppsp(g, 0, bad, strategy, **kw)
+    # checked before the source == target shortcut
+    with pytest.raises(ValueError, match="source"):
+        sp.ppsp(g, bad, bad, "et")
+    with pytest.raises(ValueError, match="source"):
+        sp.sssp(g, bad)
+
+
+def test_integral_vertex_ids_accepted():
+    g = g1()
+    for s in (3, 3.0, np.int32(3), np.uint8(3), np.float64(3.0), np.array(3)):
+        assert sp.ppsp(g, 0, s, "et").distance == 4.0
+        assert sp.ppsp(g, s, 0, "bids").distance == 4.0
+        assert sp.sssp(g, s).tolist() == sp.sssp(g, 3).tolist()
+    with pytest.raises(ValueError, match="target 4 out of range"):
+        sp.ppsp(g, 0, 4.0, "et")
+    with pytest.raises(ValueError, match="source -1 out of range"):
+        sp.sssp(g, -1)
+
+
 def test_unknown_strategy():
     with pytest.raises(ValueError):
         sp.ppsp(g1(), 0, 1, "dfs")
@@ -75,12 +108,12 @@ def test_disconnected_bids_early_out():
     path = [(v, v + 1, 1.0) for v in range(3, 11)]
     g = sp.build_csr(12, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), *path], symmetrize=True)
     search = BidsSearch(g, 0, 11)
-    forward_pending = []  # per extraction: is an even (forward) cell pending?
-    watch_hook(search, "keys", lambda cells: forward_pending.append(bool(np.any(cells % 2 == 0))))
+    forward_pending = []  # per early_out call: is an even (forward) cell pending?
+    watch_hook(search, "early_out", lambda f: forward_pending.append(bool(np.any(f.pending % 2 == 0))))
     stats = run_search(g, search, sp.StepPolicy(1.0))
     assert search.best == np.inf
     # the loop stops as soon as the forward side is exhausted
-    assert forward_pending and all(forward_pending)
+    assert forward_pending[:-1] and all(forward_pending[:-1]) and not forward_pending[-1]
     assert stats.steps == 2
     assert sp.ppsp(g, 0, 11, "bids").distance == np.inf
 
@@ -147,12 +180,19 @@ def test_validate_heuristic_rejects_inconsistent():
 
 def test_memoization_counts():
     g = geometric_graph(500, 5, 20)
-    a = sp.ppsp(g, 3, 400, "astar")
-    assert a.extras["heuristic_computations"] <= g.n
-    assert a.extras["heuristic_computations"] <= a.extras["heuristic_requests"]
-    b = sp.ppsp(g, 3, 400, "astar", memoize=False)
-    assert b.distance == a.distance
-    assert a.extras["heuristic_computations"] <= b.extras["heuristic_computations"]
+    evaluated = []
+    base = sp.euclidean_heuristic(g.coords, 400)
+
+    def h(vertices):
+        evaluated.append(np.array(vertices, copy=True))
+        return base(vertices)
+
+    a = sp.ppsp(g, 3, 400, "astar", heuristic=h)
+    seen = np.concatenate(evaluated)
+    assert a.extras["heuristic_computations"] == seen.size == np.unique(seen).size <= g.n
+    # requests count what an uncached table would have computed
+    assert a.extras["heuristic_computations"] < a.extras["heuristic_requests"]
+    assert a.distance == sp.ppsp(g, 3, 400, "astar").distance
 
 
 def test_et_prune_boundary():
@@ -174,6 +214,14 @@ def test_bids_prune_boundary():
     search.dist[4] = 5.0
     out = search.prune(np.array([2, 4]))
     assert out.tolist() == [False, True]
+
+
+def test_astar_prune_uses_keys():
+    search = AstarSearch(g1(), 0, 3, lambda v: np.full(np.shape(v), 2.0))
+    search.best = 10.0
+    search.dist[1] = 8.0  # key 10: at the bound
+    search.dist[2] = 7.9
+    assert search.prune(np.array([1, 2])).tolist() == [True, False]
 
 
 def test_bidastar_prune_uses_keys():
@@ -246,13 +294,17 @@ def test_ppsp_adds_nothing_to_the_schedule():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("memoize", [True, False])
+@pytest.mark.parametrize("at_seed", [True, False])
 @pytest.mark.parametrize("strategy", ["astar", "bidastar"])
-def test_non_finite_heuristic_rejected(strategy, memoize, bad):
+def test_non_finite_heuristic_rejected(strategy, at_seed, bad):
+    # the bad value sits on the source (checked as the seed enters the
+    # frontier) or on vertex 2 (first asked for mid-search)
+    where = 0 if at_seed else 2
+
     def broken(vertices):
-        return np.where(vertices == 2, bad, 0.0)
+        return np.where(vertices == where, bad, 0.0)
 
     zero = sp.zero_heuristic()
     heuristic = broken if strategy == "astar" else (zero, broken)
     with pytest.raises(ValueError, match="heuristic .* non-finite"):
-        sp.ppsp(g1(), 0, 3, strategy, heuristic=heuristic, memoize=memoize)
+        sp.ppsp(g1(), 0, 3, strategy, heuristic=heuristic)

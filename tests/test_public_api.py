@@ -1,0 +1,66 @@
+"""The public surface: exported names, parameters, fields and CLI flags."""
+
+import dataclasses
+import inspect
+
+import pytest
+
+import steppath as sp
+from steppath.batch import BatchAnswer
+from steppath.bench import BenchConfig
+from steppath.cli import _build_parser
+from steppath.graph import ComponentInfo, CsrGraph
+from steppath.heuristics import MemoTable
+from steppath.ppsp import AstarSearch, BidAstarSearch
+
+
+def test_all_is_sorted_unique_and_resolves():
+    assert sp.__all__ == sorted(set(sp.__all__))
+    assert len(sp.__all__) == 50
+    for name in sp.__all__:
+        assert getattr(sp, name) is not None, name
+
+
+@pytest.mark.parametrize("name", ["INF", "Frontier", "MemoTable", "great_circle"])
+def test_internal_names_not_exported(name):
+    assert name not in sp.__all__
+
+
+@pytest.mark.parametrize(
+    "fn, param",
+    [
+        (sp.ppsp, "memoize"),
+        (AstarSearch, "memoize"),
+        (BidAstarSearch, "memoize"),
+        (MemoTable, "enabled"),
+        (sp.multi_bids, "cell_cap"),
+        (sp.check_consistent, "tol"),
+    ],
+)
+def test_removed_parameters(fn, param):
+    assert param not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize("cls, name", [(BenchConfig, "label"), (BatchAnswer, "extras")])
+def test_removed_fields(cls, name):
+    assert name not in {f.name for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("cls, name", [(CsrGraph, "neighbors"), (ComponentInfo, "sizes")])
+def test_removed_methods(cls, name):
+    assert not hasattr(cls, name)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "-g", "g.txt", "--out", "g.bin", "--to", "binary"],
+        ["batch", "-g", "g.txt", "--queries", "q.txt", "--coords", "c.txt"],
+    ],
+    ids=["convert--to", "batch--coords"],
+)
+def test_cli_rejects_removed_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
