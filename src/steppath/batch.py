@@ -26,8 +26,8 @@ from .ppsp import ppsp
 
 BATCH_ALGOS = ("multi", "vc", "plain-bids", "plain-sssp")
 
-# a cell costs 10 B in a joint search (8 B distance, 1 B frontier mask,
-# 1 B settled mask), so the default cap comes to 2.5 GiB
+# a cell costs 18 B in a joint search (8 B distance, 8 B scatter-min stamp,
+# 1 B frontier mask, 1 B settled mask), so the default cap comes to 4.5 GiB
 DEFAULT_CELL_CAP = 2**28
 # largest query graph (in endpoints) whose vertex cover is found exactly
 EXACT_COVER_LIMIT = 20
@@ -145,6 +145,7 @@ class MultiBidsSearch(Search):
         self.edge_best = np.full(len(qg.edges), INF)
         self.closed = np.zeros(len(qg.edges), dtype=bool)
         self.radius = _radius(qg, self.edge_best, self.closed)
+        self._stamp = np.empty(len(qg.edges), dtype=np.int64)  # for _scatter_min
 
     def seeds(self):
         c = self.copies
@@ -157,12 +158,13 @@ class MultiBidsSearch(Search):
 
     def on_improved(self, cells):
         qg, c = self.qg, self.copies
-        verts = cells // c
-        slots, deg = _arc_ranges(qg.q_offsets, cells - verts * c)
-        mates = qg.q_neighbors[slots]
-        own = np.repeat(self.dist[cells], deg)
-        sums = own + self.dist[np.repeat(verts, deg) * c + mates]
-        if not _scatter_min(self.edge_best, qg.q_edges[slots], sums).size:
+        verts, endpoint = np.divmod(cells, c)
+        slots, deg = _arc_ranges(qg.q_offsets, endpoint)
+        mates = np.repeat(verts * c, deg)
+        mates += qg.q_neighbors[slots]
+        sums = np.repeat(self.dist[cells], deg)
+        sums += self.dist[mates]
+        if not _scatter_min(self.edge_best, qg.q_edges[slots], sums, self._stamp).size:
             return False
         return self._update_radius()
 

@@ -28,16 +28,24 @@ Relaxations within a step are applied as one grouped scatter-min, which
 is value-equivalent to a sequence of atomic write-min updates: each cell
 ends the step at the minimum of its prior value and every candidate, and
 counts as improved only on a strict decrease.  Candidates that cannot
-improve their cell are dropped before the grouped minimum, so its sort
-only sees the survivors.  Copies improved mid-step are simply
-re-extracted at a later step, which keeps any schedule correct: a copy
-stays pending until it is extracted or pruned, and the loop runs until
-nothing is pending.  A minimum does not depend on the order of its inputs and every
-schedule ends at the same fixpoint, so distances are bit-identical for
-every step rule.  Answers assembled from sums at meeting points (the
-bidirectional strategies and batches on float weights) may differ in the
-last bit between schedules, because a schedule decides which meeting
-points get offered.
+improve their cell are dropped first; the survivors go through one
+unbuffered ``np.minimum.at`` and are deduplicated by stamping their
+positions into a scratch array, so nothing is sorted and the improved
+cells come back in no set order.  Order never matters: extraction takes
+every pending copy up to a key, ties included, so the same copies are
+taken whatever order the frontier holds them in.  Copies improved
+mid-step are simply re-extracted at a later step, which keeps any
+schedule correct: a copy stays pending until it is extracted or pruned,
+and the loop runs until nothing is pending.  A minimum does not depend on
+the order of its inputs and every schedule ends at the same fixpoint, so
+distances are bit-identical for every step rule.  Answers assembled from
+sums at meeting points (the bidirectional strategies and batches on float
+weights) may differ in the last bit between schedules, because a schedule
+decides which meeting points get offered.
+
+The frontier mask, the settled mask and the scatter-min stamp of a search
+are cached on its graph (``CsrGraph._scratch``) and reused by the next
+search there; each search still owns its distance array.
 """
 
 from __future__ import annotations
@@ -126,7 +134,7 @@ class Frontier:
         self._ids = np.concatenate([self._ids, fresh])
         return int(fresh.size)
 
-    def extract(self, threshold: float, key_fn, min_copies: int = 1) -> tuple[np.ndarray, float]:
+    def extract(self, threshold: float, key_fn, min_copies: int = 1) -> tuple[np.ndarray, float | None]:
         """Remove and return all pending cells with current key <= threshold.
 
         When fewer than ``min_copies`` keys lie within the threshold, the
@@ -134,9 +142,10 @@ class Frontier:
         (every copy tied with it is taken too), or every pending copy is
         taken if there are at most ``min_copies``.  Keys are re-read at
         extraction time, so a copy improved since it was added is
-        classified by its current value.  Also returns the smallest key
-        left pending (inf if none), which lets the caller fast-forward
-        over empty thresholds.
+        classified by its current value.  When nothing is taken, also
+        returns the smallest pending key (inf if none is pending), which
+        lets the caller fast-forward over empty thresholds; otherwise the
+        second item is None.
         """
         if self.size == 0:
             return np.empty(0, dtype=np.int64), INF
@@ -147,13 +156,15 @@ class Frontier:
                 take = np.ones(self.size, dtype=bool)
             else:
                 take = keys <= np.partition(keys, min_copies - 1)[min_copies - 1]
-        out = self._ids[take]
-        if out.size:
-            self._mask[out] = False
-            self.size -= int(out.size)
-            self._ids = self._ids[~take]
-        rest = keys[~take]
-        return out, float(rest.min()) if rest.size else INF
+        # a step takes a mixed share of the frontier, and numpy gathers by
+        # positions several times faster than it compresses by such a mask
+        out = self._ids[take.nonzero()[0]]
+        if out.size == 0:
+            return out, float(keys.min())
+        self._mask[out] = False
+        self.size -= int(out.size)
+        self._ids = self._ids[(~take).nonzero()[0]]
+        return out, None
 
     def discard(self, doomed) -> int:
         """Drop every pending cell for which ``doomed(cells)`` is true.
@@ -230,22 +241,19 @@ class SearchStats:
     settled_copies: int = 0
 
 
-def _exclusive_cumsum(a: np.ndarray) -> np.ndarray:
-    out = np.empty(a.size, dtype=np.int64)
-    if a.size:
-        out[0] = 0
-        np.cumsum(a[:-1], out=out[1:])
-    return out
-
-
 def _arc_ranges(offsets: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flatten the arc index ranges of ``verts`` (grouped, in order)."""
-    deg = offsets[verts + 1] - offsets[verts]
-    total = int(deg.sum())
+    start = offsets[verts]
+    deg = offsets[verts + 1] - start
+    ends = np.cumsum(deg)
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=np.int64), deg
-    shift = np.repeat(offsets[verts] - _exclusive_cumsum(deg), deg)
-    return np.arange(total, dtype=np.int64) + shift, deg
+    start += deg  # start - (ends - deg): each range's first index, less its output offset
+    start -= ends
+    idx = np.repeat(start, deg)
+    idx += np.arange(total, dtype=np.int64)
+    return idx, deg
 
 
 def _candidates(graph, dist, cells, copies):
@@ -253,39 +261,44 @@ def _candidates(graph, dist, cells, copies):
     if copies == 1:
         verts = cells
     else:
-        verts = cells // copies
+        verts, slots = np.divmod(cells, copies)
     arc_idx, deg = _arc_ranges(graph.offsets, verts)
     if arc_idx.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0), 0
-    tgt_v = graph.targets[arc_idx].astype(np.int64)
-    cand = np.repeat(dist[cells], deg) + graph.weights[arc_idx]
-    if copies == 1:
-        tgt_cells = tgt_v
-    else:
-        tgt_cells = tgt_v * copies + np.repeat(cells - verts * copies, deg)
+    tgt_cells = graph.targets[arc_idx].astype(np.int64)
+    cand = np.repeat(dist[cells], deg)
+    cand += graph.weights[arc_idx]
+    if copies > 1:
+        tgt_cells *= copies
+        tgt_cells += np.repeat(slots, deg)
     return tgt_cells, cand, int(arc_idx.size)
 
 
-def _scatter_min(values: np.ndarray, keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
+def _scatter_min(values: np.ndarray, keys: np.ndarray, cand: np.ndarray, stamp: np.ndarray) -> np.ndarray:
     """Grouped write-min of ``cand`` into ``values[keys]``.
 
     Each distinct key takes the minimum of its current value and all of
-    its candidates; returns the distinct keys (ascending) that strictly
-    decreased.  A tie with the current value is not an improvement.
-    Candidates that cannot improve (``cand >= values[keys]``) are dropped
-    before the grouped minimum, so only the survivors are sorted, and
-    every surviving group strictly improves its cell.
+    its candidates; returns the distinct keys that strictly decreased,
+    each once, in no set order.  A tie with the current value is not an
+    improvement.  Candidates that cannot improve (``cand >= values[keys]``)
+    are dropped first, so every surviving key strictly improves its cell.
+    The survivors go through one ``np.minimum.at``.  Then each writes its
+    position into ``stamp[key]``, and a key is kept where its position
+    reads back: whichever write to a cell landed, exactly one of that
+    cell's survivors matches it.  Nothing is sorted.  ``stamp`` is an
+    int64 scratch array at least as long as ``values``; what it held
+    before is ignored and overwritten.
     """
-    live = cand < values[keys]
+    # positions, not a mask: about half the candidates survive, and numpy
+    # gathers by positions faster than it compresses by a mixed mask
+    live = (cand < values[keys]).nonzero()[0]
     keys = keys[live]
     if keys.size == 0:
         return keys
-    order = np.argsort(keys)  # a minimum does not depend on input order
-    sk = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], sk[1:] != sk[:-1])))
-    uniq = sk[starts]
-    values[uniq] = np.minimum.reduceat(cand[live][order], starts)
-    return uniq
+    np.minimum.at(values, keys, cand[live])
+    pos = np.arange(keys.size)
+    stamp[keys] = pos
+    return keys[stamp[keys] == pos]
 
 
 def run_search(
@@ -310,17 +323,27 @@ def run_search(
     one jump (a wider floor never leaves a step empty).  ``relaxations``
     counts scanned arcs and ``settled_copies`` counts distinct copies
     expanded at least once.
+
+    The masks and the stamp come from the graph's scratch, which the run
+    takes off the graph in one step and puts back clean when it returns.
+    A search nested in a hook, or running concurrently, on the same graph
+    finds no scratch and allocates its own; a hook that raises drops it.
     """
     if policy is None:
         policy = default_policy(graph)
     copies = search.copies
+    size = graph.n * copies
+    scratch = vars(graph).pop("_scratch", None)  # taken in one step
+    if scratch is None or scratch[0].size < size:
+        scratch = (np.zeros(size, dtype=bool), np.zeros(size, dtype=bool), np.empty(size, dtype=np.int64))
+    mask, settled, stamp = (a[:size] for a in scratch)
+    frontier = Frontier(0)
+    frontier._mask = mask
     dist = search.dist
-    frontier = Frontier(graph.n * copies)
     cells, values = search.seeds()
     dist[cells] = values
     frontier.add_many(cells[~search.prune(cells)])
     stats = SearchStats()
-    settled = np.zeros(graph.n * copies, dtype=bool)
     index = 0
     while frontier.size > 0:
         # early_out may discard the last pending copies
@@ -334,16 +357,20 @@ def run_search(
             continue
         index += 1
         stats.steps += 1
-        fresh = extracted[~settled[extracted]]
-        settled[fresh] = True
-        stats.settled_copies += int(fresh.size)
+        settled[extracted] = True
         tgt_cells, cand, scanned = _candidates(graph, dist, extracted, copies)
         stats.relaxations += scanned
-        changed = _scatter_min(dist, tgt_cells, cand)
+        changed = _scatter_min(dist, tgt_cells, cand, stamp)
         if changed.size:
             if search.on_improved(changed):
                 frontier.discard(search.prune)
             frontier.add_many(changed[~search.prune(changed)])
+    mask[frontier.pending] = False  # early_out may stop with copies pending
+    stats.settled_copies = int(np.count_nonzero(settled))
+    settled[:] = False
+    held = graph._scratch  # a nested search may have put back a larger one
+    if held is None or held[0].size < scratch[0].size:
+        graph._scratch = scratch
     return stats
 
 
@@ -360,7 +387,6 @@ def sssp(
     """
     search = SsspSearch(graph, source)
     stats = run_search(graph, search, policy=policy)
-    dist = search.dist.copy()
     if return_stats:
-        return dist, stats
-    return dist
+        return search.dist, stats
+    return search.dist

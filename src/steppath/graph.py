@@ -25,8 +25,14 @@ class CsrGraph:
 
     Instances are treated as immutable; derive changed graphs with
     :func:`dataclasses.replace` or the helpers in this module.  A derived
-    graph starts without the component labels and the maximum weight
-    cached on its parent.
+    graph starts without the component labels, the maximum weight and the
+    engine scratch cached on its parent.
+
+    The engine scratch is the frontier mask, settled mask and int64
+    scatter-min stamp that :func:`~steppath.engine.run_search` reuses
+    from one search to the next.  It is sized to the largest search run
+    on this graph object, ``n * copies`` cells at about 10 B per cell, and
+    stays allocated for the life of the graph.
     """
 
     n: int
@@ -38,6 +44,8 @@ class CsrGraph:
     coord_kind: str | None = None
     _components: ComponentInfo | None = field(default=None, init=False, repr=False, compare=False)
     _max_weight: float | None = field(default=None, init=False, repr=False, compare=False)
+    # (frontier mask, settled mask, stamp), owned by steppath.engine.run_search
+    _scratch: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -79,7 +87,10 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     arcs are kept as given (relaxation simply picks the cheapest).  The
     arcs of a vertex are stored in input order with originals before
     mirrors, which fixes the canonical arc order that
-    :func:`generate_uniform_weights` draws in.
+    :func:`generate_uniform_weights` draws in.  ``symmetric`` is True
+    after symmetrizing; otherwise it says whether the arcs as given are
+    closed under mirroring (:func:`mirror_closed`), as
+    :func:`~steppath.io.load_binary` decides it.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -112,13 +123,9 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     src, tgt, w = src[order], tgt[order], w[order]
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return CsrGraph(
-        n=n,
-        offsets=offsets,
-        targets=tgt.astype(np.int32),
-        weights=w,
-        symmetric=bool(symmetrize),
-    )
+    graph = CsrGraph(n=n, offsets=offsets, targets=tgt.astype(np.int32), weights=w)
+    graph.symmetric = bool(symmetrize) or mirror_closed(graph)
+    return graph
 
 
 def _mirror_orders(src: np.ndarray, tgt: np.ndarray, n: int):

@@ -9,6 +9,9 @@ Three on-disk formats are supported:
   then offsets ((n+1) x u64), targets (m x u32), weights (m x f64).
 * coordinates: a header line ``euclidean`` or ``spherical`` followed by
   ``n`` lines ``id c1 c2``.
+
+The fields of the text formats are ASCII numbers; a data line holding an
+underscore or a non-ASCII character is refused.
 """
 
 from __future__ import annotations
@@ -33,6 +36,19 @@ def _data_lines(path):
                 yield line
 
 
+def _fields(line: str, count: int) -> list[str] | None:
+    """The ``count`` whitespace-separated fields of a data line, or None.
+
+    ``int`` and ``float`` also read underscores (``1_0`` is 10) and
+    non-ASCII digits; no field of these formats holds either, so a line
+    with them has no fields.
+    """
+    fields = line.split()
+    if len(fields) != count or "_" in line or not line.isascii():
+        return None
+    return fields
+
+
 def load_edge_list(path) -> CsrGraph:
     """Read a text edge list and return the symmetrized graph."""
     lines = _data_lines(path)
@@ -40,14 +56,14 @@ def load_edge_list(path) -> CsrGraph:
         header = next(lines)
     except StopIteration:
         raise ValueError(f"{path}: missing 'n m' header line") from None
-    parts = header.split()
-    if len(parts) != 2:
+    parts = _fields(header, 2)
+    if parts is None:
         raise ValueError(f"{path}: header must be 'n m', got {header!r}")
     n, m = int(parts[0]), int(parts[1])
     edges = []
     for line in lines:
-        fields = line.split()
-        if len(fields) != 3:
+        fields = _fields(line, 3)
+        if fields is None:
             raise ValueError(f"{path}: edge line must be 'u v w', got {line!r}")
         edges.append((int(fields[0]), int(fields[1]), float(fields[2])))
     if len(edges) != m:
@@ -57,7 +73,7 @@ def load_edge_list(path) -> CsrGraph:
 
 def save_edge_list(graph: CsrGraph, path) -> None:
     """Write a symmetric graph as a text edge list (one line per edge)."""
-    if not graph.symmetric and not mirror_closed(graph):
+    if not graph.symmetric:
         raise ValueError("text edge lists describe undirected graphs; graph is not symmetric")
     src = graph.arc_sources()
     keep = src <= graph.targets
@@ -134,8 +150,8 @@ def load_coords(path) -> tuple[np.ndarray, str]:
         raise ValueError(f"{path}: coordinate kind must be one of {COORD_KINDS}, got {kind!r}")
     rows = []
     for line in lines:
-        fields = line.split()
-        if len(fields) != 3:
+        fields = _fields(line, 3)
+        if fields is None:
             raise ValueError(f"{path}: coordinate line must be 'id c1 c2', got {line!r}")
         c1, c2 = float(fields[1]), float(fields[2])
         if not (math.isfinite(c1) and math.isfinite(c2)):
@@ -205,8 +221,8 @@ def load_pairs(path) -> np.ndarray:
     """Read a batch query file: one 's t' pair per line."""
     pairs = []
     for line in _data_lines(path):
-        fields = line.split()
-        if len(fields) != 2:
+        fields = _fields(line, 2)
+        if fields is None:
             raise ValueError(f"{path}: query line must be 's t', got {line!r}")
         pairs.append((int(fields[0]), int(fields[1])))
     return as_pairs(pairs)

@@ -1,3 +1,7 @@
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,27 +13,51 @@ from steppath.ppsp import AstarSearch, BidAstarSearch, BidsSearch, EtSearch
 from helpers import g1, geometric_graph, random_graph, random_pairs_same_component, two_triangles, watch_hook
 
 
+def _scatter(vals, keys, cand):
+    """Run _scatter_min on a stamp full of junk; check each cell is reported once."""
+    stamp = np.full(vals.size, 7, dtype=np.int64)
+    changed = _scatter_min(vals, np.asarray(keys, dtype=np.int64), np.asarray(cand, dtype=np.float64), stamp)
+    assert changed.dtype == np.int64
+    assert np.unique(changed).size == changed.size, "a cell reported twice"
+    return changed
+
+
 def test_scatter_min_contract():
     vals = np.array([5.0, 3.0, 3.0, 9.0, 6.0])
     # unsorted keys with duplicates; key 4 gets no candidate
     keys = np.array([3, 2, 0, 1, 0, 2, 3, 1])
     cand = np.array([2.0, 3.0, 4.0, 6.0, 7.0, 8.0, 1.0, 5.0])
-    changed = _scatter_min(vals, keys, cand)
-    # strict decreases 5 -> 4 and 9 -> 1, each key reported once, ascending
-    assert changed.tolist() == [0, 3]
+    changed = _scatter(vals, keys, cand)
+    # strict decreases 5 -> 4 and 9 -> 1, each key reported once, in any order
+    assert sorted(changed.tolist()) == [0, 3]
     # key 1 only saw larger candidates, key 2 tied its current value
     assert vals.tolist() == [4.0, 3.0, 3.0, 1.0, 6.0]
-    empty = _scatter_min(vals, np.empty(0, dtype=np.int64), np.empty(0))
+    empty = _scatter(vals, np.empty(0, dtype=np.int64), np.empty(0))
     assert empty.size == 0
     assert vals.tolist() == [4.0, 3.0, 3.0, 1.0, 6.0]
     # every candidate ties or exceeds its cell: nothing to group
-    none = _scatter_min(vals, np.array([2, 0, 2, 4]), np.array([3.0, 4.0, 7.0, 6.0]))
-    assert none.dtype == np.int64 and none.size == 0
+    none = _scatter(vals, np.array([2, 0, 2, 4]), np.array([3.0, 4.0, 7.0, 6.0]))
+    assert none.size == 0
     assert vals.tolist() == [4.0, 3.0, 3.0, 1.0, 6.0]
     # an unreached cell offered an unreachable candidate does not improve
     unreached = np.array([np.inf, 2.0])
-    assert _scatter_min(unreached, np.array([0, 0]), np.array([np.inf, np.inf])).size == 0
+    assert _scatter(unreached, np.array([0, 0]), np.array([np.inf, np.inf])).size == 0
     assert unreached.tolist() == [np.inf, 2.0]
+
+
+def test_scatter_min_repeated_keys_and_tied_candidates():
+    # 3 cells, each offered many candidates: cell 0 ties at its new
+    # minimum, cell 1 only ties its current value, cell 2 improves once
+    rng = np.random.default_rng(3)
+    keys = np.array([0] * 50 + [1] * 30 + [2] * 20 + [0] * 50)
+    cand = np.concatenate([np.full(50, 2.0), np.full(30, 4.0), np.linspace(9.0, 5.0, 20), np.full(50, 2.0)])
+    order = rng.permutation(keys.size)
+    vals = np.array([6.0, 4.0, 8.0, 1.0])
+    changed = _scatter(vals, keys[order], cand[order])
+    assert sorted(changed.tolist()) == [0, 2]
+    assert vals.tolist() == [2.0, 4.0, 5.0, 1.0]
+    # the same candidates again: all tie, none improves
+    assert _scatter(vals, keys[order], cand[order]).size == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -52,8 +80,8 @@ def test_scatter_min_matches_write_min_loop(cells, offers):
         if c < want[k]:
             want[k] = c
             improved.add(k)
-    changed = _scatter_min(vals, keys, cand)
-    assert changed.tolist() == sorted(improved)
+    changed = _scatter(vals, keys, cand)
+    assert sorted(changed.tolist()) == sorted(improved)
     assert vals.tolist() == want
 
 
@@ -101,11 +129,13 @@ def test_frontier_extract_inclusive():
     f.add_many(np.array([0, 1]))
     out, left = f.extract(5.0, lambda cells: keys[cells])
     assert out.tolist() == [0]
-    assert left == 7.0
+    assert left is None  # something was taken: the smallest key is not read
+    out, left = f.extract(5.0, lambda cells: keys[cells])
+    assert out.size == 0 and left == 7.0  # nothing taken: the smallest pending key
     f.add_many(np.array([0]))
     out, left = f.extract(7.0, lambda cells: keys[cells])
     assert sorted(out.tolist()) == [0, 1]
-    assert left == np.inf
+    assert left is None
     out, left = f.extract(100.0, lambda cells: keys[cells])
     assert out.size == 0 and left == np.inf
 
@@ -126,11 +156,11 @@ def test_frontier_extract_min_copies():
     f = full()
     out, left = f.extract(1.0, key_fn, min_copies=3)
     assert sorted(out.tolist()) == [1, 2, 3, 5]
-    assert left == 5.0 and f.size == 3
+    assert left is None and f.size == 3
     # three copies pending, none in the window: all of them are taken
     out, left = f.extract(0.0, key_fn, min_copies=3)
     assert sorted(out.tolist()) == [0, 4, 6]
-    assert left == np.inf and f.size == 0
+    assert left is None and f.size == 0
     f = full()
     out, left = f.extract(0.0, key_fn, min_copies=100)
     assert sorted(out.tolist()) == list(range(keys.size))
@@ -138,14 +168,14 @@ def test_frontier_extract_min_copies():
     f = full()
     out, left = f.extract(5.0, key_fn, min_copies=5)
     assert sorted(out.tolist()) == [0, 1, 2, 3, 5]
-    assert left == 7.0
+    assert left is None
     # min_copies=1 is the plain window, empty or not
     for threshold in (0.0, 1.0, 3.0, 8.0, 100.0):
         f = full()
         out, left = f.extract(threshold, key_fn, min_copies=1)
         assert sorted(out.tolist()) == np.flatnonzero(keys <= threshold).tolist()
         rest = keys[keys > threshold]
-        assert left == (rest.min() if rest.size else np.inf)
+        assert left == (keys.min() if rest.size == keys.size else None)
         assert f.size == rest.size
 
 
@@ -161,7 +191,7 @@ def test_frontier_discard():
     # a dropped cell is no longer a member, so it can come back
     assert f.add_many(np.array([4, 9])) == 1
     out, left = f.extract(np.inf, lambda cells: cells.astype(float))
-    assert sorted(out.tolist()) == [1, 4, 9] and left == np.inf and f.size == 0
+    assert sorted(out.tolist()) == [1, 4, 9] and left is None and f.size == 0
 
 
 def test_frontier_single_direction():
@@ -387,3 +417,135 @@ def test_step_rule_on_float_weights(n, k, graph_seed, delta_share, min_copies, p
         for strategy in ("bids", "bidastar"):
             got = sp.ppsp(g, s, t, strategy, policy=policy).distance
             assert got == want[t] or abs(got - want[t]) <= 1e-15 * want[t], strategy
+
+
+def _scratch_graph():
+    # a kNN graph with coordinates (for astar) and several components
+    g = geometric_graph(300, 2, 3)
+    assert sp.largest_component(g).count > 1
+    return g
+
+
+def _interleaved_calls(g):
+    """sssp, bids, astar, multi and bids again: 1, 2, 1, 10 and 2 copies.
+
+    Each call takes the graph object to run on and returns the answer
+    with its counters.
+    """
+    labels = sp.largest_component(g).labels
+    far = int(np.flatnonzero(labels != labels[0])[0])  # outside 0's component
+    qg = sp.build_query_graph([(0, 150), (3, 40), (77, 201), (12, 299), (5, far)], g.n)
+    assert qg.order == 10
+
+    def sssp(h):
+        dist, stats = sp.sssp(h, 0, return_stats=True)
+        return dist.tolist(), stats
+
+    def ppsp(s, t, strategy):
+        return lambda h: sp.ppsp(h, s, t, strategy)
+
+    def multi(h):
+        b = sp.multi_bids(h, qg)
+        return b.distances.tolist(), b.steps, b.relaxations, b.settled_copies
+
+    # the last bids pair is disconnected: early_out stops with copies pending
+    return [sssp, ppsp(0, 150, "bids"), ppsp(0, 150, "astar"), multi, ppsp(0, far, "bids")]
+
+
+def test_scratch_reuse_is_exact():
+    # one graph object serving searches of every width answers exactly as
+    # a fresh graph object does for each call, and gets its scratch back
+    # clean after every search
+    g = _scratch_graph()
+    sizes = []
+    for call in _interleaved_calls(g):
+        assert call(g) == call(_scratch_graph()), call
+        mask, settled, _ = g._scratch
+        assert not mask.any() and not settled.any(), call
+        sizes.append(mask.size)
+    assert sizes == [g.n, 2 * g.n, 2 * g.n, 10 * g.n, 10 * g.n]
+
+
+def test_scratch_dropped_when_a_hook_raises():
+    g = _scratch_graph()
+    want = sp.sssp(_scratch_graph(), 7, return_stats=True)
+    sp.sssp(g, 7)
+
+    class Boom(SsspSearch):
+        def on_improved(self, cells):
+            if self.dist[cells].max() > 0.1:
+                raise RuntimeError("boom")
+            return False
+
+    with pytest.raises(RuntimeError):
+        run_search(g, Boom(g, 7))
+    assert g._scratch is None  # dropped, dirty, with the raising search
+    dist, stats = sp.sssp(g, 7, return_stats=True)
+    assert np.array_equal(dist, want[0]) and stats == want[1]
+    assert np.array_equal(dist, sp.dijkstra(g, 7))
+
+
+def test_search_nested_in_a_hook_is_exact():
+    g = _scratch_graph()
+    sp.sssp(g, 0)  # the outer search takes a warm scratch
+    inner = []
+
+    class Nested(SsspSearch):
+        def on_improved(self, cells):
+            if not inner:
+                inner.append(sp.ppsp(self.graph, 3, 40, "bids"))
+            return False
+
+    outer = Nested(g, 0)
+    stats = run_search(g, outer)
+    ref = _scratch_graph()
+    want_dist, want_stats = sp.sssp(ref, 0, return_stats=True)
+    assert np.array_equal(outer.dist, want_dist) and stats == want_stats
+    want_inner = sp.ppsp(ref, 3, 40, "bids")
+    assert inner == [want_inner] and want_inner.distance == sp.dijkstra(ref, 3)[40]
+    mask, settled, _ = g._scratch
+    assert not mask.any() and not settled.any()
+
+
+def test_derived_graph_starts_without_scratch():
+    g = _scratch_graph()
+    assert g._scratch is None
+    sp.sssp(g, 0)
+    assert g._scratch is not None
+    assert replace(g)._scratch is None
+    assert g.with_coords(g.coords, "euclidean")._scratch is None
+    assert "_scratch" not in repr(g) and replace(g) == g
+
+
+def test_concurrent_searches_on_one_graph_are_exact():
+    # threads that share one graph object each take the scratch off it
+    # whole or allocate their own; a shared mask or stamp would corrupt
+    # answers or counters
+    g = _scratch_graph()
+    jobs = [(s, t, strategy) for s, t in ((0, 150), (3, 40), (77, 201), (12, 299)) for strategy in ("sssp", "bids", "astar")]
+    ref = _scratch_graph()
+    want = {job: sp.ppsp(ref, *job) for job in jobs}
+    got, errors = [], []
+
+    def worker(k):
+        try:
+            for i in range(12):
+                job = jobs[(k * 5 + i) % len(jobs)]
+                got.append((job, sp.ppsp(g, *job)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors and len(got) == 6 * 12
+    for job, answer in got:
+        assert answer == want[job], job

@@ -271,3 +271,25 @@ def test_derived_graph_gets_fresh_labels():
     placed = g.with_coords(np.zeros((6, 2)), "euclidean")
     assert largest_component(placed) is not largest_component(g)
     assert np.array_equal(largest_component(placed).labels, largest_component(g).labels)
+
+
+def test_symmetric_flag_agrees_with_binary_round_trip(tmp_path):
+    # arcs given both ways, and no arcs at all, are mirror-closed without
+    # symmetrizing; the flag must not depend on how the graph was made
+    both_ways = build_csr(2, [(0, 1, 1.0), (1, 0, 1.0)])
+    edgeless = build_csr(2**20, [])
+    directed = build_csr(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 10.0)])
+    for g, want in ((both_ways, True), (edgeless, True), (directed, False)):
+        path = tmp_path / "g.bin"
+        sp.save_binary(g, path)
+        assert g.symmetric is want
+        assert sp.load_graph(path).symmetric is want
+    assert sp.ppsp(both_ways, 0, 1, "bids").distance == 1.0
+    assert sp.multi_bids(edgeless, sp.build_query_graph([(0, 5)], edgeless.n)).distances.tolist() == [np.inf]
+    sp.save_edge_list(both_ways, tmp_path / "g.txt")
+    with pytest.raises(ValueError, match="symmetrized"):
+        sp.ppsp(directed, 0, 2, "bids")
+    with pytest.raises(ValueError, match="symmetrized"):
+        sp.multi_bids(directed, sp.build_query_graph([(0, 2)], directed.n))
+    with pytest.raises(ValueError, match="not symmetric"):
+        sp.save_edge_list(directed, tmp_path / "d.txt")

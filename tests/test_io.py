@@ -1,9 +1,13 @@
+import math
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import steppath as sp
+from steppath.graph import COORD_KINDS
 from helpers import g1, geometric_graph, random_graph
 
 
@@ -157,3 +161,136 @@ def test_pairs_bad_line(tmp_path):
     p.write_text("0 1 2\n")
     with pytest.raises(ValueError):
         sp.load_pairs(p)
+
+
+# damage for the loader fuzz tests: junk fields, duplicated lines, truncation
+_JUNK = ["x", "", "1.5.2", "--1", "0x1", "1e", "1_0", "\u0661", "nan", "inf", "-3", "2.5", "1e400", "4"]
+_INT = re.compile(r"[+-]?[0-9]+")
+_FLOAT = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[+-]?(?:inf|infinity|nan)", re.I)
+
+
+@st.composite
+def _damaged(draw, lines):
+    """``lines`` as file text, maybe damaged; returns (text, damaged)."""
+    lines = list(lines)
+    damaged = False
+    if lines and draw(st.booleans()):
+        k = draw(st.integers(0, len(lines) - 1))
+        lines.insert(draw(st.integers(0, len(lines))), lines[k])
+        damaged = True
+    if lines and draw(st.booleans()):
+        k = draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split(" ")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_JUNK))
+        lines[k] = " ".join(fields)
+        damaged = True
+    text = "".join(line + "\n" for line in lines)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+        damaged = True
+    return text, damaged
+
+
+def _data(text):
+    lines = (line.strip() for line in text.split("\n"))
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def _number(field, pattern, kind):
+    return kind(field) if pattern.fullmatch(field) else None
+
+
+def _described_graph(text):
+    """(n, edges) that the lines of an edge list describe, or None if they are not one."""
+    lines = _data(text)
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or None in (n := _number(head[0], _INT, int), m := _number(head[1], _INT, int)) or n < 0:
+        return None
+    edges = []
+    for line in lines[1:]:
+        f = line.split()
+        if len(f) != 3:
+            return None
+        u, v, w = _number(f[0], _INT, int), _number(f[1], _INT, int), _number(f[2], _FLOAT, float)
+        if None in (u, v, w) or not (0 <= u < n and 0 <= v < n and math.isfinite(w) and w >= 0):
+            return None
+        edges.append((u, v, w))
+    return (n, edges) if len(edges) == m else None
+
+
+@st.composite
+def _edge_list_text(draw):
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    weight = st.sampled_from([0.0, 0.5, 1.0, 2.25, 7.0, 1e-3])
+    edges = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=6))
+    lines = [f"{n} {len(edges)}"] + [f"{u} {v} {w!r}" for u, v, w in edges]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "# comment")
+    return draw(_damaged(lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_list_text())
+def test_load_edge_list_fuzz(tmp_path_factory, case):
+    # every input loads to the graph its lines describe or raises ValueError
+    text, damaged = case
+    p = tmp_path_factory.mktemp("fuzz") / "g.txt"
+    p.write_text(text, encoding="utf-8")
+    try:
+        g = sp.load_edge_list(p)
+    except ValueError:
+        assert damaged, "an intact edge list was refused"
+        return
+    described = _described_graph(text)
+    assert described is not None, "a damaged edge list was loaded"
+    want = sp.build_csr(*described, symmetrize=True)
+    assert g.n == want.n and g.symmetric
+    for name in ("offsets", "targets", "weights"):
+        assert np.array_equal(getattr(g, name), getattr(want, name)), name
+
+
+def _described_coords(text):
+    """(coords, kind) that the lines of a coordinate file describe, or None."""
+    lines = _data(text)
+    if not lines or lines[0].lower() not in COORD_KINDS:
+        return None
+    rows = {}
+    for line in lines[1:]:
+        f = line.split()
+        if len(f) != 3:
+            return None
+        vid, c1, c2 = _number(f[0], _INT, int), _number(f[1], _FLOAT, float), _number(f[2], _FLOAT, float)
+        if None in (vid, c1, c2) or not (math.isfinite(c1) and math.isfinite(c2)) or vid in rows:
+            return None
+        rows[vid] = (c1, c2)
+    if not rows or sorted(rows) != list(range(len(rows))):
+        return None
+    return np.array([rows[i] for i in range(len(rows))]), lines[0].lower()
+
+
+@st.composite
+def _coords_text(draw):
+    n = draw(st.integers(1, 5))
+    value = st.sampled_from([0.0, -1.5, 0.25, 3.0, 89.5, -179.75])
+    ids = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(["euclidean", "spherical", "Euclidean"]))
+    lines = [kind] + [f"{i} {draw(value)!r} {draw(value)!r}" for i in ids]
+    return draw(_damaged(lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coords_text())
+def test_load_coords_fuzz(tmp_path_factory, case):
+    # every input loads to the rows its lines describe or raises ValueError
+    text, damaged = case
+    p = tmp_path_factory.mktemp("fuzz") / "pts.coords"
+    p.write_text(text, encoding="utf-8")
+    try:
+        coords, kind = sp.load_coords(p)
+    except ValueError:
+        assert damaged, "an intact coordinate file was refused"
+        return
+    described = _described_coords(text)
+    assert described is not None, "a damaged coordinate file was loaded"
+    assert kind == described[1] and np.array_equal(coords, described[0])
