@@ -87,8 +87,10 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     arcs are kept as given (relaxation simply picks the cheapest).  The
     arcs of a vertex are stored in input order with originals before
     mirrors, which fixes the canonical arc order that
-    :func:`generate_uniform_weights` draws in.  ``symmetric`` is True
-    after symmetrizing; otherwise it says whether the arcs as given are
+    :func:`generate_uniform_weights` draws in.  That order is a stable
+    sort by source, made by one or two radix passes over its 16-bit
+    digits (:func:`_stable_argsort`).  ``symmetric`` is True after
+    symmetrizing; otherwise it says whether the arcs as given are
     closed under mirroring (:func:`mirror_closed`), as
     :func:`~steppath.io.load_binary` decides it.
     """
@@ -119,33 +121,49 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
             np.concatenate([w, w[keep]]),
         )
 
-    order = np.argsort(src, kind="stable")
-    src, tgt, w = src[order], tgt[order], w[order]
+    order = _stable_argsort(src, n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    graph = CsrGraph(n=n, offsets=offsets, targets=tgt.astype(np.int32), weights=w)
+    graph = CsrGraph(n=n, offsets=offsets, targets=tgt[order].astype(np.int32), weights=w[order])
     graph.symmetric = bool(symmetrize) or mirror_closed(graph)
     return graph
 
 
-def _mirror_orders(src: np.ndarray, tgt: np.ndarray, n: int):
+def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    ``bound`` is at most 2**32.  NumPy radix-sorts 16-bit keys, so this
+    sorts stably by the low 16-bit digit, then, if ``bound`` needs it, by
+    the high digit: linear time where a stable sort of wider keys is a
+    merge sort.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")  # the cast keeps the low digit
+    if bound > 1 << 16:
+        high = (keys[order] >> 16).astype(np.uint16)
+        order = order[np.argsort(high, kind="stable")]
+    return order
+
+
+def _mirror_orders(graph: CsrGraph):
     """Stable orders of the arcs by (u, v) and of their mirrors by (v, u).
 
     Returns the sorted (u, v) keys of both sides and the two orders; the
     keys are equal iff the arcs, ignoring weights, are closed under
     mirroring.  Parallel arcs keep their storage order within a key.
+    CSR storage lists the sources in ascending order, so a stable sort of
+    the targets alone gives the (v, u) order.
     """
+    n, src, tgt = graph.n, graph.arc_sources(), graph.targets
     key_f = src * n + tgt  # (u, v) as one int64: ids are int32, so n * n < 2**62
-    key_b = tgt * n + src
+    # the rows already come in key order, so this merge sort only orders within rows
     order_f = np.argsort(key_f, kind="stable")
-    order_b = np.argsort(key_b, kind="stable")
-    return key_f[order_f], key_b[order_b], order_f, order_b
+    order_b = _stable_argsort(tgt, n)
+    return key_f[order_f], tgt[order_b] * np.int64(n) + src[order_b], order_f, order_b
 
 
 def mirror_closed(graph: CsrGraph) -> bool:
     """True iff the arc multiset is closed under (u, v, w) -> (v, u, w)."""
-    tgt = graph.targets.astype(np.int64)
-    keys, mirror_keys, fwd, bwd = _mirror_orders(graph.arc_sources(), tgt, graph.n)
+    keys, mirror_keys, fwd, bwd = _mirror_orders(graph)
     if not np.array_equal(keys, mirror_keys):
         return False
     w_f, w_b = graph.weights[fwd], graph.weights[bwd]
@@ -155,17 +173,19 @@ def mirror_closed(graph: CsrGraph) -> bool:
     # parallel arcs may store their weights in another order on the two
     # sides: compare the sorted weights of every key group with a mismatch
     group = np.cumsum(np.concatenate(([True], keys[1:] != keys[:-1])))
-    sel = np.isin(group, group[differ])
+    bad = np.zeros(group[-1] + 1, dtype=bool)
+    bad[group[differ]] = True
+    sel = bad[group]
     group, w_f, w_b = group[sel], w_f[sel], w_b[sel]
     return np.array_equal(w_f[np.lexsort((w_f, group))], w_b[np.lexsort((w_b, group))])
 
 
-def _mirror_permutation(src: np.ndarray, tgt: np.ndarray, n: int) -> np.ndarray:
+def _mirror_permutation(graph: CsrGraph) -> np.ndarray:
     """Map each arc to its mirror, pairing parallel arcs by occurrence rank."""
-    keys, mirror_keys, order_f, order_b = _mirror_orders(src, tgt, n)
+    keys, mirror_keys, order_f, order_b = _mirror_orders(graph)
     if not np.array_equal(keys, mirror_keys):
         raise ValueError("graph is not symmetrized: arc multiset is not mirror-closed")
-    mirror = np.empty(src.size, dtype=np.int64)
+    mirror = np.empty(graph.m, dtype=np.int64)
     mirror[order_f] = order_b
     return mirror
 
@@ -182,10 +202,8 @@ def generate_uniform_weights(graph: CsrGraph, seed: int, lo: float, hi: float) -
     """
     if not (0 <= lo <= hi) or not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("need finite weight bounds with 0 <= lo <= hi")
-    src = graph.arc_sources()
-    tgt = graph.targets.astype(np.int64)
-    mirror = _mirror_permutation(src, tgt, graph.n)
-    canonical = np.flatnonzero(src <= tgt)
+    mirror = _mirror_permutation(graph)
+    canonical = np.flatnonzero(graph.arc_sources() <= graph.targets)
     rng = np.random.default_rng(seed)
     draws = rng.uniform(lo, hi, size=canonical.size)
     weights = np.empty(graph.m, dtype=np.float64)

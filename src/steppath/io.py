@@ -11,7 +11,8 @@ Three on-disk formats are supported:
   ``n`` lines ``id c1 c2``.
 
 The fields of the text formats are ASCII numbers; a data line holding an
-underscore or a non-ASCII character is refused.
+underscore or a non-ASCII character is refused.  Every data line ends in a
+newline, so a file cut inside its last line is refused too.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ def _data_lines(path):
         for raw in fh:
             line = raw.strip()
             if line and not line.startswith("#"):
+                if not raw.endswith("\n"):
+                    raise ValueError(f"{path}: last line {line!r} has no newline; the file may be cut")
                 yield line
 
 
@@ -98,14 +101,16 @@ def load_binary(path) -> CsrGraph:
             raise ValueError(f"{path}: truncated binary CSR graph ({size} bytes, header needs {expected})")
         if size > expected:
             raise ValueError(f"{path}: size mismatch ({size} bytes, header needs {expected})")
-        offsets = np.fromfile(fh, dtype="<u8", count=n + 1).astype(np.int64)
-        targets = np.fromfile(fh, dtype="<u4", count=m).astype(np.int32)
+        # the u64 offsets and u32 targets are read as signed, so a value past
+        # int64 or int32 reads negative and fails the checks below
+        offsets = np.fromfile(fh, dtype="<i8", count=n + 1)
+        targets = np.fromfile(fh, dtype="<i4", count=m)
         weights = np.fromfile(fh, dtype="<f8", count=m)
     if offsets.size != n + 1 or targets.size != m or weights.size != m:
         raise ValueError(f"{path}: truncated binary CSR graph")
     if offsets[0] != 0 or offsets[-1] != m or np.any(np.diff(offsets) < 0):
         raise ValueError(f"{path}: corrupt offsets array")
-    if m and (np.any(targets < 0) or np.any(targets.astype(np.int64) >= n)):
+    if m and (targets.min() < 0 or targets.max() >= n):
         raise ValueError(f"{path}: arc target out of range")
     if m and (not np.all(np.isfinite(weights)) or np.any(weights < 0)):
         raise ValueError(f"{path}: weights must be finite and nonnegative")
@@ -118,9 +123,11 @@ def save_binary(graph: CsrGraph, path) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IQQ", FORMAT_VERSION, graph.n, graph.m))
-        fh.write(graph.offsets.astype("<u8").tobytes())
-        fh.write(graph.targets.astype("<u4").tobytes())
-        fh.write(graph.weights.astype("<f8").tobytes())
+        # ids and offsets are nonnegative, so their signed bytes are the u64
+        # and u32 bytes; an array already in its file type is written uncopied
+        fh.write(np.ascontiguousarray(graph.offsets, dtype="<i8"))
+        fh.write(np.ascontiguousarray(graph.targets, dtype="<i4"))
+        fh.write(np.ascontiguousarray(graph.weights, dtype="<f8"))
 
 
 def load_graph(path) -> CsrGraph:

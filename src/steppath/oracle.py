@@ -50,6 +50,9 @@ def percentile_target(graph: CsrGraph, source: int, p: float, distances=None) ->
     selects the farthest vertex.  The formula is fixed so query sets are
     reproducible.  ``distances`` may pass in precomputed exact distances
     from ``source`` to skip the internal Dijkstra run.
+
+    R is never sorted: a selection finds the distance at that rank, and
+    the vertices tied at it are taken in id order.
     """
     if not 0 < p <= 100:
         raise ValueError("percentile must be in (0, 100]")
@@ -62,8 +65,10 @@ def percentile_target(graph: CsrGraph, source: int, p: float, distances=None) ->
     reachable = reachable[reachable != source]
     if reachable.size == 0:
         raise ValueError(f"source {source} is isolated: no other vertex is reachable")
-    order = np.lexsort((reachable, distances[reachable]))
-    ranked = reachable[order]
-    rank = math.ceil(p / 100.0 * ranked.size) - 1
-    rank = min(max(rank, 0), ranked.size - 1)
-    return int(ranked[rank])
+    d = distances[reachable]
+    rank = math.ceil(p / 100.0 * d.size) - 1
+    rank = min(max(rank, 0), d.size - 1)
+    kth = np.partition(d, rank)[rank]
+    # R holds count(d < kth) vertices before the ties at kth, which sit in
+    # ascending id order because ``reachable`` is ascending
+    return int(reachable[d == kth][rank - np.count_nonzero(d < kth)])

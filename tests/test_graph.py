@@ -1,9 +1,9 @@
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import steppath as sp
 import steppath.graph
@@ -102,12 +102,96 @@ def _arc_lists(draw):
     return draw(st.permutations(arcs))
 
 
+# vertex ids spread over 200,003 vertices, so sorts by id need both 16-bit digits
+SPREAD_N = 200_003
+
+
+def _spread(ids):
+    return np.asarray(ids) * 40_009 % SPREAD_N
+
+
 @settings(max_examples=300, deadline=None)
-@given(_arc_lists())
-def test_mirror_closed_matches_arc_counter(arcs):
-    g = build_csr(5, arcs)
+@given(_arc_lists(), st.booleans())
+def test_mirror_closed_matches_arc_counter(arcs, spread):
+    n = 5
+    if spread:
+        n = SPREAD_N
+        arcs = [(int(_spread(u)), int(_spread(v)), w) for u, v, w in arcs]
+    g = build_csr(n, arcs)
     want = Counter(arcs) == Counter((v, u, w) for u, v, w in arcs)
     assert mirror_closed(g) == want
+
+
+_BOUNDS = (1, 2**16, 2**16 + 1, 2**31)
+
+
+@st.composite
+def _sort_keys(draw):
+    """Integer keys below a bound: arbitrary, drawn from a few values, or all tied."""
+    bound = draw(st.sampled_from(_BOUNDS))
+    edges = [k for k in (0, 2**16 - 1, 2**16, bound - 1) if k < bound]
+    value = st.one_of(st.integers(0, bound - 1), st.sampled_from(edges))
+    kind = draw(st.sampled_from(["any", "few", "tied"]))
+    if kind == "few":
+        value = st.sampled_from(draw(st.lists(value, min_size=1, max_size=3)))
+    keys = draw(st.lists(value, max_size=40))
+    if kind == "tied" and keys:
+        keys = [keys[0]] * len(keys)
+    return np.array(keys, dtype=draw(st.sampled_from([np.int32, np.int64]))), bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sort_keys())
+@example((np.array([], dtype=np.int64), 2**31))
+@example((np.array([2**31 - 1], dtype=np.int32), 2**31))
+@example((np.full(9, 70_000, dtype=np.int64), 2**16 + 1 + 70_000))
+@example((np.full(9, 2**16, dtype=np.int32), 2**16 + 1))
+def test_stable_argsort_matches_numpy(case):
+    keys, bound = case
+    got = steppath.graph._stable_argsort(keys, bound)
+    assert np.array_equal(got, np.argsort(keys, kind="stable"))
+
+
+def _spread_multigraph(seed, m=3_000):
+    """(u, v, w) rows on 40 spread vertex ids: parallel arcs and self-loops."""
+    rng = np.random.default_rng(seed)
+    u, v = _spread(rng.integers(0, 40, (2, m)))
+    return np.column_stack([u, v, rng.integers(1, 4, m)]).astype(np.float64)
+
+
+def test_build_csr_order_past_16_bit_ids():
+    # arcs sorted stably by source: input order, originals before mirrors
+    rows = _spread_multigraph(0)
+    for symmetrize in (False, True):
+        src, tgt, w = rows.T
+        if symmetrize:
+            keep = src != tgt
+            src, tgt, w = np.concatenate([src, tgt[keep]]), np.concatenate([tgt, src[keep]]), np.concatenate([w, w[keep]])
+        order = np.argsort(src, kind="stable")
+        g = build_csr(SPREAD_N, rows, symmetrize=symmetrize)
+        assert np.array_equal(g.offsets, np.searchsorted(src[order], np.arange(SPREAD_N + 1)))
+        assert np.array_equal(g.targets, tgt[order])
+        assert np.array_equal(g.weights, w[order])
+
+
+def test_uniform_weights_past_16_bit_ids():
+    # one draw per arc with source <= target in storage order, shared by its
+    # mirror: the k-th (u, v) arc pairs with the k-th (v, u) arc
+    g = build_csr(SPREAD_N, _spread_multigraph(1), symmetrize=True)
+    h = generate_uniform_weights(g, seed=5, lo=1, hi=100)
+    src, tgt = g.arc_sources().tolist(), g.targets.tolist()
+    arcs = defaultdict(list)
+    for a, key in enumerate(zip(src, tgt)):
+        arcs[key].append(a)
+    draws = iter(np.random.default_rng(5).uniform(1, 100, size=sum(u <= v for u, v in zip(src, tgt))))
+    want = np.full(g.m, np.nan)
+    for a, (u, v) in enumerate(zip(src, tgt)):
+        if u <= v:
+            want[a] = want[arcs[v, u][arcs[u, v].index(a)]] = next(draws)
+    assert np.array_equal(h.weights, want)
+    for (u, v), mine in arcs.items():
+        assert np.array_equal(h.weights[mine], h.weights[arcs[v, u]])
+    assert mirror_closed(h) and h.symmetric
 
 
 def test_build_csr_input_forms():

@@ -102,6 +102,65 @@ def test_binary_trailing_bytes_rejected(tmp_path):
         sp.load_binary(p)
 
 
+def _layout(n, offsets, targets, weights):
+    # the documented binary CSR layout, field by field
+    m = len(targets)
+    return (
+        b"OCSR"
+        + struct.pack("<IQQ", 1, n, m)
+        + struct.pack(f"<{n + 1}Q", *offsets)
+        + struct.pack(f"<{m}I", *targets)
+        + struct.pack(f"<{m}d", *weights)
+    )
+
+
+def test_binary_bytes_match_layout(tmp_path):
+    p = tmp_path / "g.bin"
+    wide = sp.CsrGraph(2, np.array([0, 1, 2], dtype=np.int64), np.array([1, 0]), np.array([2.5, 2.5]))
+    assert wide.targets.dtype == np.int64  # written as u32 all the same
+    for g in (g1(), random_graph(50, 3, 2), sp.build_csr(3, []), wide):
+        sp.save_binary(g, p)
+        assert p.read_bytes() == _layout(g.n, g.offsets.tolist(), g.targets.tolist(), g.weights.tolist())
+
+
+@pytest.mark.parametrize(
+    "offsets, targets, error",
+    [
+        ([0, 1, 2], [1, 2], "arc target out of range"),
+        ([0, 1, 2], [1, 2**31], "arc target out of range"),
+        ([0, 1, 2], [2**32 - 1, 0], "arc target out of range"),
+        ([0, 2**63, 2], [1, 0], "corrupt offsets"),
+        ([0, 2, 1], [1, 0], "corrupt offsets"),
+    ],
+)
+def test_binary_bad_arrays_rejected(tmp_path, offsets, targets, error):
+    p = tmp_path / "g.bin"
+    p.write_bytes(_layout(2, offsets, targets, [1.0, 1.0]))
+    with pytest.raises(ValueError, match=error):
+        sp.load_binary(p)
+
+
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (sp.load_edge_list, "2 1\n0 1 2"),  # cut from "0 1 2.5"
+        (sp.load_edge_list, "2 0"),
+        (sp.load_pairs, "0 1\n2 3"),  # cut from "2 31"
+        (sp.load_coords, "euclidean\n0 0.0 1.5\n1 2.0 3.2"),  # cut from "3.25"
+    ],
+)
+def test_cut_text_file_refused(tmp_path, loader, text):
+    p = tmp_path / "cut.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="no newline; the file may be cut") as err:
+        loader(p)
+    assert str(p) in str(err.value)
+    # the same lines with their newline load, and so does a last comment without one
+    for intact in (text + "\n", text + "\n# end"):
+        p.write_text(intact, encoding="utf-8")
+        loader(p)
+
+
 def test_load_graph_sniffs_format(tmp_path):
     g = g1()
     sp.save_edge_list(g, tmp_path / "g.txt")
@@ -191,6 +250,12 @@ def _damaged(draw, lines):
     return text, damaged
 
 
+def _cut(text):
+    """True if the text ends inside a data line, one without its newline."""
+    last = text.rsplit("\n", 1)[-1].strip()
+    return bool(last) and not last.startswith("#")
+
+
 def _data(text):
     lines = (line.strip() for line in text.split("\n"))
     return [line for line in lines if line and not line.startswith("#")]
@@ -237,6 +302,10 @@ def test_load_edge_list_fuzz(tmp_path_factory, case):
     text, damaged = case
     p = tmp_path_factory.mktemp("fuzz") / "g.txt"
     p.write_text(text, encoding="utf-8")
+    if _cut(text):
+        with pytest.raises(ValueError):  # here, or at an earlier damaged line
+            sp.load_edge_list(p)
+        return
     try:
         g = sp.load_edge_list(p)
     except ValueError:
@@ -286,6 +355,10 @@ def test_load_coords_fuzz(tmp_path_factory, case):
     text, damaged = case
     p = tmp_path_factory.mktemp("fuzz") / "pts.coords"
     p.write_text(text, encoding="utf-8")
+    if _cut(text):
+        with pytest.raises(ValueError):  # here, or at an earlier damaged line
+            sp.load_coords(p)
+        return
     try:
         coords, kind = sp.load_coords(p)
     except ValueError:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,32 @@ def test_percentile_accepts_precomputed_distances():
     d = bellman_ford(g, 0)
     assert percentile_target(g, 0, 100, distances=d) == percentile_target(g, 0, 100)
     assert percentile_target(g, 0, 34, distances=d) == 2
+
+
+def _lexsort_target(d, source, p):
+    # the docstring's definition: rank the reachable vertices but the source
+    # by (distance, id)
+    reachable = np.array([v for v in range(d.size) if v != source and np.isfinite(d[v])], dtype=np.int64)
+    ranked = reachable[np.lexsort((reachable, d[reachable]))]
+    rank = min(max(math.ceil(p / 100.0 * ranked.size) - 1, 0), ranked.size - 1)
+    return int(ranked[rank])
+
+
+def test_percentile_matches_lexsort_ranking():
+    rng = np.random.default_rng(0)
+    values = np.array([0.0, -0.0, 0.5, 1.0, 1.0, 2.0, 7.25, np.inf, np.inf])
+    checked = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        d = rng.choice(values, n)
+        source = int(rng.integers(0, n))
+        d[source] = 0.0
+        g = build_csr(n, [])
+        for p in (0.001, 1, 50, 90, 100):
+            if np.isfinite(np.delete(d, source)).any():
+                assert percentile_target(g, source, p, distances=d) == _lexsort_target(d, source, p)
+                checked += 1
+            else:
+                with pytest.raises(ValueError, match="isolated"):
+                    percentile_target(g, source, p, distances=d)
+    assert checked > 1000
