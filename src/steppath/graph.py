@@ -256,7 +256,8 @@ def _label_components(graph: CsrGraph) -> ComponentInfo:
     )
     count, raw = _cc(mat, directed=False)
     raw = raw.astype(np.int64)
-    _, first = np.unique(raw, return_index=True)
+    first = np.full(count, graph.n, dtype=np.int64)  # first vertex of each raw label
+    np.minimum.at(first, raw, np.arange(graph.n))
     rank = np.empty(count, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(count)
     labels = rank[raw]

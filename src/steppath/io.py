@@ -11,7 +11,8 @@ Three on-disk formats are supported:
   ``n`` lines ``id c1 c2``.
 
 The fields of the text formats are ASCII numbers; a data line holding an
-underscore or a non-ASCII character is refused.  Every data line ends in a
+underscore, a non-ASCII character or a field that is not a number is
+refused with the path and the line.  Every data line ends in a
 newline, so a file cut inside its last line is refused too.
 """
 
@@ -39,17 +40,22 @@ def _data_lines(path):
                 yield line
 
 
-def _fields(line: str, count: int) -> list[str] | None:
-    """The ``count`` whitespace-separated fields of a data line, or None.
+def _fields(line: str, types) -> tuple | None:
+    """The whitespace-separated fields of a data line, converted, or None.
 
-    ``int`` and ``float`` also read underscores (``1_0`` is 10) and
-    non-ASCII digits; no field of these formats holds either, so a line
+    ``types`` holds one converter (``int`` or ``float``) per field.  None
+    means the line has another field count or a field that does not
+    convert.  ``int`` and ``float`` also read underscores (``1_0`` is 10)
+    and non-ASCII digits; no field of these formats holds either, so a line
     with them has no fields.
     """
     fields = line.split()
-    if len(fields) != count or "_" in line or not line.isascii():
+    if len(fields) != len(types) or "_" in line or not line.isascii():
         return None
-    return fields
+    try:
+        return tuple(convert(f) for convert, f in zip(types, fields))
+    except ValueError:
+        return None
 
 
 def load_edge_list(path) -> CsrGraph:
@@ -59,16 +65,16 @@ def load_edge_list(path) -> CsrGraph:
         header = next(lines)
     except StopIteration:
         raise ValueError(f"{path}: missing 'n m' header line") from None
-    parts = _fields(header, 2)
+    parts = _fields(header, (int, int))
     if parts is None:
         raise ValueError(f"{path}: header must be 'n m', got {header!r}")
-    n, m = int(parts[0]), int(parts[1])
+    n, m = parts
     edges = []
     for line in lines:
-        fields = _fields(line, 3)
-        if fields is None:
+        edge = _fields(line, (int, int, float))
+        if edge is None:
             raise ValueError(f"{path}: edge line must be 'u v w', got {line!r}")
-        edges.append((int(fields[0]), int(fields[1]), float(fields[2])))
+        edges.append(edge)
     if len(edges) != m:
         raise ValueError(f"{path}: header says {m} edges, found {len(edges)}")
     return build_csr(n, edges, symmetrize=True)
@@ -157,13 +163,12 @@ def load_coords(path) -> tuple[np.ndarray, str]:
         raise ValueError(f"{path}: coordinate kind must be one of {COORD_KINDS}, got {kind!r}")
     rows = []
     for line in lines:
-        fields = _fields(line, 3)
-        if fields is None:
+        row = _fields(line, (int, float, float))
+        if row is None:
             raise ValueError(f"{path}: coordinate line must be 'id c1 c2', got {line!r}")
-        c1, c2 = float(fields[1]), float(fields[2])
-        if not (math.isfinite(c1) and math.isfinite(c2)):
+        if not (math.isfinite(row[1]) and math.isfinite(row[2])):
             raise ValueError(f"{path}: coordinates must be finite, got {line!r}")
-        rows.append((int(fields[0]), c1, c2))
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no coordinate rows")
     n = len(rows)
@@ -228,10 +233,10 @@ def load_pairs(path) -> np.ndarray:
     """Read a batch query file: one 's t' pair per line."""
     pairs = []
     for line in _data_lines(path):
-        fields = _fields(line, 2)
-        if fields is None:
+        pair = _fields(line, (int, int))
+        if pair is None:
             raise ValueError(f"{path}: query line must be 's t', got {line!r}")
-        pairs.append((int(fields[0]), int(fields[1])))
+        pairs.append(pair)
     return as_pairs(pairs)
 
 

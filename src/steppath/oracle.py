@@ -1,16 +1,18 @@
-"""Sequential reference shortest paths and percentile-ranked target picking.
+"""Reference shortest paths and percentile-ranked target picking.
 
 This module is the ground truth the parallel engine is validated against,
-so it deliberately shares no code with the stepping machinery: plain
-binary-heap Dijkstra over the CSR arrays.
+so it deliberately shares no code with the stepping machinery: distances
+come from scipy's compiled Dijkstra (``scipy.sparse.csgraph.dijkstra``)
+over a CSR view of the graph's arrays.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .graph import CsrGraph
 
@@ -18,28 +20,13 @@ from .graph import CsrGraph
 def dijkstra(graph: CsrGraph, source: int) -> np.ndarray:
     """Exact distances from ``source``; unreachable vertices get +inf.
 
-    Classic binary-heap Dijkstra: vertices settle in nondecreasing
-    distance order, stale heap entries are skipped.
+    scipy's Dijkstra over the arcs as stored: an explicit zero weight is
+    an arc, and parallel arcs count with their lightest weight.
     """
     if not 0 <= source < graph.n:
         raise ValueError(f"source {source} out of range for n={graph.n}")
-    dist = np.full(graph.n, np.inf)
-    dist[source] = 0.0
-    offsets, targets, weights = graph.offsets, graph.targets, graph.weights
-    done = np.zeros(graph.n, dtype=bool)
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for a in range(offsets[u], offsets[u + 1]):
-            v = targets[a]
-            nd = d + weights[a]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, int(v)))
-    return dist
+    matrix = csr_matrix((graph.weights, graph.targets, graph.offsets), shape=(graph.n, graph.n))
+    return _dijkstra(matrix, directed=True, indices=source)
 
 
 def percentile_target(graph: CsrGraph, source: int, p: float, distances=None) -> int:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import sssp
 from .graph import CsrGraph, largest_component
 from .oracle import percentile_target
 
@@ -29,8 +28,10 @@ def _component_sample(graph: CsrGraph, count: int, rng) -> np.ndarray:
 def percentile_pairs(graph: CsrGraph, count: int, percentile: float, seed: int) -> np.ndarray:
     """``count`` pairs whose targets sit at the given distance percentile.
 
-    The distances come from the engine's :func:`~steppath.engine.sssp`,
-    which are exactly the oracle's.
+    Sources are drawn from the largest component; each target is ranked
+    by :func:`~steppath.oracle.percentile_target` on the reference
+    :func:`~steppath.oracle.dijkstra`, so the code under test does not
+    choose its own queries.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -42,7 +43,7 @@ def percentile_pairs(graph: CsrGraph, count: int, percentile: float, seed: int) 
     sources = rng.choice(members, size=count, replace=count > members.size)
     pairs = np.empty((count, 2), dtype=np.int64)
     for k, s in enumerate(sources):
-        pairs[k] = (s, percentile_target(graph, int(s), percentile, distances=sssp(graph, int(s))))
+        pairs[k] = (s, percentile_target(graph, int(s), percentile))
     return pairs
 
 

@@ -1,9 +1,11 @@
 """Shared graph builders and reference computations for the tests.
 
 Everything here is deliberately independent of the engine under test:
-distances come from array-sweep Bellman-Ford or plain BFS, reachability
-from an explicit stack walk.
+distances come from array-sweep Bellman-Ford, a binary-heap Dijkstra or
+plain BFS, reachability from an explicit stack walk.
 """
+
+import heapq
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -69,6 +71,27 @@ def bellman_ford(graph, source):
             return dist
         dist = relaxed
     raise AssertionError("no fixpoint within n sweeps; negative cycle?")
+
+
+def heap_dijkstra(graph, source):
+    """Classic binary-heap Dijkstra; stale heap entries are skipped."""
+    dist = np.full(graph.n, np.inf)
+    dist[source] = 0.0
+    offsets, targets, weights = graph.offsets, graph.targets, graph.weights
+    done = np.zeros(graph.n, dtype=bool)
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for a in range(offsets[u], offsets[u + 1]):
+            v = targets[a]
+            nd = d + weights[a]
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, int(v)))
+    return dist
 
 
 def bfs_hops(graph, source):

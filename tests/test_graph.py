@@ -4,6 +4,8 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 import steppath as sp
 import steppath.graph
@@ -281,6 +283,36 @@ def test_component_labels_match_reachability():
         for src in (0, 17, 63):
             mask = reachable_mask(g, src)
             assert np.array_equal(mask, info.labels == info.labels[src])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 30).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=25) if n else st.just([]),
+        )
+    ),
+    st.booleans(),
+)
+def test_component_labels_match_sort_based_ranking(case, symmetrize):
+    # the ranking by first vertex, made the sorting way: np.unique finds
+    # each raw label's first vertex
+    n, pairs = case
+    g = build_csr(n, [(u, v, 1.0) for u, v in pairs], symmetrize=symmetrize)
+    info = largest_component(g)
+    if n == 0:
+        assert (info.labels.size, info.count, info.largest, info.largest_size) == (0, 0, 0, 0)
+        return
+    mat = csr_matrix((np.ones(g.m), g.targets, g.offsets), shape=(n, n))
+    count, raw = connected_components(mat, directed=False)
+    _, first = np.unique(raw, return_index=True)
+    rank = np.empty(count, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(count)
+    labels = rank[raw]
+    sizes = np.bincount(labels)
+    assert info.labels.dtype == np.int64 and np.array_equal(info.labels, labels)
+    assert (info.count, info.largest, info.largest_size) == (count, sizes.argmax(), sizes.max())
 
 
 def test_max_weight():

@@ -222,6 +222,23 @@ def test_pairs_bad_line(tmp_path):
         sp.load_pairs(p)
 
 
+@pytest.mark.parametrize(
+    "loader, text, line",
+    [
+        (sp.load_edge_list, "x 1\n0 1 1.0\n", "x 1"),
+        (sp.load_edge_list, "2 1\n0 y 1.0\n", "0 y 1.0"),
+        (sp.load_coords, "euclidean\n0 x 1.0\n", "0 x 1.0"),
+        (sp.load_pairs, "0 1\n0 z\n", "0 z"),
+    ],
+)
+def test_non_numeric_field_names_file_and_line(tmp_path, loader, text, line):
+    p = tmp_path / "bad.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"got '{line}'") as err:
+        loader(p)
+    assert str(err.value).startswith(f"{p}: ")
+
+
 # damage for the loader fuzz tests: junk fields, duplicated lines, truncation
 _JUNK = ["x", "", "1.5.2", "--1", "0x1", "1e", "1_0", "\u0661", "nan", "inf", "-3", "2.5", "1e400", "4"]
 _INT = re.compile(r"[+-]?[0-9]+")

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from steppath import build_csr, dijkstra, percentile_target
-from helpers import bellman_ford, g1, random_graph
+from helpers import bellman_ford, g1, heap_dijkstra, random_graph
 
 
 def test_g1_distances():
@@ -29,6 +30,35 @@ def test_matches_bellman_ford_fixpoint():
         g = random_graph(80, 2.5, seed, hi=50)
         src = seed % g.n
         assert np.array_equal(dijkstra(g, src), bellman_ford(g, src))
+
+
+@st.composite
+def _odd_graph(draw):
+    # few arcs over up to 9 vertices: several components, self-loops,
+    # parallel arcs and zero weights all show up; sums stay exact
+    n = draw(st.integers(1, 9))
+    vertex = st.integers(0, n - 1)
+    weight = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.25, 7.0])
+    edges = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=16))
+    return n, edges, draw(st.booleans()), draw(vertex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_odd_graph())
+@example((1, [], False, 0))
+@example((1, [(0, 0, 0.0), (0, 0, 2.0)], False, 0))
+@example((3, [(0, 1, 5.0), (0, 1, 0.0), (1, 2, 1.0)], False, 0))  # zero-weight parallel arc
+@example((3, [(0, 1, 4.0), (0, 1, 1.0), (0, 1, 2.0), (1, 2, 1.0)], True, 2))
+@example((4, [(1, 0, 1.0), (2, 3, 0.0)], False, 0))  # directed, nothing reachable
+def test_oracle_agrees_with_heap_dijkstra_and_bellman_ford(case):
+    # explicit zeros must stay arcs and parallel arcs give their minimum,
+    # whatever scipy does with duplicate entries of a CSR matrix
+    n, edges, symmetrize, source = case
+    g = build_csr(n, edges, symmetrize=symmetrize)
+    got = dijkstra(g, source)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert np.array_equal(got, heap_dijkstra(g, source))
+    assert np.array_equal(got, bellman_ford(g, source))
 
 
 def test_percentile_rank_formula_on_g1():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import steppath as sp
-from helpers import g1, random_graph, two_triangles
+import steppath.oracle
+from helpers import g1, geometric_graph, grid_graph, random_graph, two_triangles
 
 
 def _members_of_largest(g):
@@ -117,12 +118,33 @@ def test_pattern_component_too_small():
         sp.pattern_pairs(g, "chain", 4, 0)
 
 
-def test_percentile_pairs_match_oracle():
+@pytest.mark.parametrize(
+    "graph",
+    [lambda: geometric_graph(300, 5, 4), lambda: random_graph(200, 2, 19), lambda: grid_graph(12)],
+    ids=["geometric", "random", "grid"],
+)
+def test_percentile_pairs_pinned_to_engine_ranking(graph):
+    # the targets the workload has always drawn: ranked on the engine's
+    # distances, which the reference Dijkstra must give bit for bit
+    g = graph()
+    for p in (1, 50, 90, 100):
+        pairs = sp.percentile_pairs(g, 10, p, seed=p)
+        assert pairs.shape == (10, 2)
+        for s, t in pairs.tolist():
+            assert t == sp.percentile_target(g, s, p, distances=sp.sssp(g, s))
+
+
+@pytest.mark.parametrize("p", [0, 150, float("nan")])
+def test_percentile_pairs_bad_percentile_runs_no_dijkstra(monkeypatch, p):
+    calls = []
+    dijkstra = steppath.oracle.dijkstra
+    monkeypatch.setattr(steppath.oracle, "dijkstra", lambda *a: calls.append(a) or dijkstra(*a))
     g = random_graph(80, 3, 19)
-    pairs = sp.percentile_pairs(g, 10, 50.0, seed=3)
-    assert pairs.shape == (10, 2)
-    for s, t in pairs.tolist():
-        assert t == sp.percentile_target(g, s, 50.0)
+    with pytest.raises(ValueError, match="percentile"):
+        sp.percentile_pairs(g, 5, p, seed=1)
+    assert calls == []
+    sp.percentile_pairs(g, 5, 50, seed=1)
+    assert len(calls) == 5
 
 
 def test_percentile_pairs_determinism_and_validation():
