@@ -88,8 +88,8 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     arcs of a vertex are stored in input order with originals before
     mirrors, which fixes the canonical arc order that
     :func:`generate_uniform_weights` draws in.  That order is a stable
-    sort by source, made by one or two radix passes over its 16-bit
-    digits (:func:`_stable_argsort`).  ``symmetric`` is True after
+    sort by source, made by one in-place sort of packed values
+    (:func:`_stable_argsort`).  ``symmetric`` is True after
     symmetrizing; otherwise it says whether the arcs as given are
     closed under mirroring (:func:`mirror_closed`), as
     :func:`~steppath.io.load_binary` decides it.
@@ -124,7 +124,7 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     order = _stable_argsort(src, n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    graph = CsrGraph(n=n, offsets=offsets, targets=tgt[order].astype(np.int32), weights=w[order])
+    graph = CsrGraph(n=n, offsets=offsets, targets=tgt.astype(np.int32)[order], weights=w[order])
     graph.symmetric = bool(symmetrize) or mirror_closed(graph)
     return graph
 
@@ -132,61 +132,83 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
 def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
 
-    ``bound`` is at most 2**32.  NumPy radix-sorts 16-bit keys, so this
-    sorts stably by the low 16-bit digit, then, if ``bound`` needs it, by
-    the high digit: linear time where a stable sort of wider keys is a
-    merge sort.
+    Each key is packed with its position into one ``uint64``,
+    ``key << b | position`` with ``b`` bits for the positions, and the
+    packed values are sorted in place; the low bits then hold the order.
+    Positions are unique, so the packed values are distinct and any sort
+    is stable: numpy sorts them with its SIMD value sort, where a stable
+    argsort of keys wider than 16 bits is a merge sort.  Raises
+    ValueError when key and position bits do not fit in 64, which cannot
+    happen for ``bound <= 2**31`` with fewer than ``2**33`` keys.
     """
-    order = np.argsort(keys.astype(np.uint16), kind="stable")  # the cast keeps the low digit
-    if bound > 1 << 16:
-        high = (keys[order] >> 16).astype(np.uint16)
-        order = order[np.argsort(high, kind="stable")]
-    return order
+    b = max(1, (keys.size - 1).bit_length())
+    if (bound - 1).bit_length() + b > 64:
+        raise ValueError(f"{keys.size} keys below {bound} do not fit in 64 bits with their positions")
+    packed = keys.astype(np.uint64)
+    packed <<= np.uint64(b)
+    packed |= np.arange(keys.size, dtype=np.uint64)
+    packed.sort()
+    packed &= np.uint64((1 << b) - 1)
+    return packed.view(np.int64)
 
 
 def _mirror_orders(graph: CsrGraph):
     """Stable orders of the arcs by (u, v) and of their mirrors by (v, u).
 
-    Returns the sorted (u, v) keys of both sides and the two orders; the
-    keys are equal iff the arcs, ignoring weights, are closed under
-    mirroring.  Parallel arcs keep their storage order within a key.
+    Returns ``(fwd, bwd)``, where ``bwd[k]`` is the mirror of arc
+    ``fwd[k]`` when weights are ignored, or None when the arcs, ignoring
+    weights, are not closed under mirroring.  Parallel arcs keep their
+    storage order within a key, so the k-th (u, v) arc pairs with the
+    k-th (v, u) arc.
+
     CSR storage lists the sources in ascending order, so a stable sort of
-    the targets alone gives the (v, u) order.
+    the targets gives the (v, u) order; a stable sort of that order by
+    source gives the (u, v) one.  The arcs are closed iff, position by
+    position, the (u, v) order's targets equal the (v, u) order's
+    sources.  Equal sequences hold each vertex as often, so every
+    in-degree equals its out-degree: both orders then give each vertex
+    the same positions, its sorted out-neighbours on one side and its
+    sorted in-neighbours on the other.
     """
-    n, src, tgt = graph.n, graph.arc_sources(), graph.targets
-    key_f = src * n + tgt  # (u, v) as one int64: ids are int32, so n * n < 2**62
-    # the rows already come in key order, so this merge sort only orders within rows
-    order_f = np.argsort(key_f, kind="stable")
-    order_b = _stable_argsort(tgt, n)
-    return key_f[order_f], tgt[order_b] * np.int64(n) + src[order_b], order_f, order_b
+    n, targets = graph.n, graph.targets
+    bwd = _stable_argsort(targets, n)
+    mirror_sources = np.repeat(np.arange(n, dtype=np.int32), graph.degrees)[bwd]
+    fwd = bwd[_stable_argsort(mirror_sources, n)]
+    if not np.array_equal(targets[fwd], mirror_sources):
+        return None
+    return fwd, bwd
 
 
 def mirror_closed(graph: CsrGraph) -> bool:
     """True iff the arc multiset is closed under (u, v, w) -> (v, u, w)."""
-    keys, mirror_keys, fwd, bwd = _mirror_orders(graph)
-    if not np.array_equal(keys, mirror_keys):
+    orders = _mirror_orders(graph)
+    if orders is None:
         return False
-    w_f, w_b = graph.weights[fwd], graph.weights[bwd]
-    differ = w_f != w_b
-    if not differ.any():
+    fwd, bwd = orders
+    differ = np.flatnonzero(graph.weights[fwd] != graph.weights[bwd])
+    if not differ.size:
         return True
     # parallel arcs may store their weights in another order on the two
-    # sides: compare the sorted weights of every key group with a mismatch
-    group = np.cumsum(np.concatenate(([True], keys[1:] != keys[:-1])))
-    bad = np.zeros(group[-1] + 1, dtype=bool)
-    bad[group[differ]] = True
-    sel = bad[group]
-    group, w_f, w_b = group[sel], w_f[sel], w_b[sel]
-    return np.array_equal(w_f[np.lexsort((w_f, group))], w_b[np.lexsort((w_b, group))])
+    # sides: compare the sorted weights of each (u, v) key, in the rows
+    # that hold a mismatch (the (u, v) order keeps every arc in its row)
+    degrees = graph.degrees
+    rows = np.zeros(graph.n, dtype=bool)
+    rows[np.searchsorted(graph.offsets, differ, side="right") - 1] = True
+    sel = np.flatnonzero(np.repeat(rows, degrees))
+    fwd, bwd = fwd[sel], bwd[sel]
+    key = np.repeat(np.flatnonzero(rows), degrees[rows]) * graph.n + graph.targets[fwd]
+    w_f, w_b = graph.weights[fwd], graph.weights[bwd]
+    return np.array_equal(w_f[np.lexsort((w_f, key))], w_b[np.lexsort((w_b, key))])
 
 
 def _mirror_permutation(graph: CsrGraph) -> np.ndarray:
     """Map each arc to its mirror, pairing parallel arcs by occurrence rank."""
-    keys, mirror_keys, order_f, order_b = _mirror_orders(graph)
-    if not np.array_equal(keys, mirror_keys):
+    orders = _mirror_orders(graph)
+    if orders is None:
         raise ValueError("graph is not symmetrized: arc multiset is not mirror-closed")
+    fwd, bwd = orders
     mirror = np.empty(graph.m, dtype=np.int64)
-    mirror[order_f] = order_b
+    mirror[fwd] = bwd
     return mirror
 
 
@@ -237,10 +259,13 @@ class ComponentInfo:
 def largest_component(graph: CsrGraph) -> ComponentInfo:
     """Label connected components (ties for largest go to the smaller label).
 
-    Labels are canonical: components are numbered by the smallest vertex
-    id they contain, so vertex 0 is always in component 0.  They are
-    computed once per graph object; later calls return the same
-    :class:`ComponentInfo`.
+    Components are weak: arc directions are ignored.  A ``symmetric``
+    graph is labelled by scipy's single-pass strong-component search
+    (Pearce's algorithm), which needs no symmetrized copy of the arcs;
+    any other graph by its undirected search.  Labels are canonical:
+    components are numbered by the smallest vertex id they contain, so
+    vertex 0 is always in component 0.  They are computed once per graph
+    object; later calls return the same :class:`ComponentInfo`.
     """
     if graph._components is None:
         graph._components = _label_components(graph)
@@ -250,11 +275,21 @@ def largest_component(graph: CsrGraph) -> ComponentInfo:
 def _label_components(graph: CsrGraph) -> ComponentInfo:
     if graph.n == 0:
         return ComponentInfo(np.empty(0, dtype=np.int64), 0, 0, 0)
+    # summing duplicate entries sorts the indices in place, so the matrix
+    # gets copies; float64 is the type scipy labels, so it copies no more
     mat = csr_matrix(
-        (np.ones(graph.m, dtype=np.int8), graph.targets, graph.offsets),
+        (np.ones(graph.m), graph.targets.copy(), graph.offsets.copy()),
         shape=(graph.n, graph.n),
     )
-    count, raw = _cc(mat, directed=False)
+    mat.sum_duplicates()
+    if graph.symmetric:
+        # every arc has its mirror, so the strong components are the
+        # connected ones, found without forming mat + mat.T.  scipy's
+        # strong pass needs the duplicates summed: parallel arcs make it
+        # hang or split components
+        count, raw = _cc(mat, directed=True, connection="strong")
+    else:
+        count, raw = _cc(mat, directed=False)
     raw = raw.astype(np.int64)
     first = np.full(count, graph.n, dtype=np.int64)  # first vertex of each raw label
     np.minimum.at(first, raw, np.arange(graph.n))

@@ -80,6 +80,14 @@ def test_mirror_closed_rejects_weight_mismatch():
     assert not mirror_closed(_two_sided([3.0, 7.0, 7.0, 4.0]))
 
 
+def test_mirror_closed_compares_weights_per_arc_key():
+    # the triangle weighs 3 one way round and 1 the other: every vertex
+    # sends and receives one 1 and one 3, so only weights compared per
+    # (u, v) key, not per vertex, show that no arc matches its mirror
+    arcs = [(0, 1, 3.0), (1, 2, 3.0), (2, 0, 3.0), (1, 0, 1.0), (2, 1, 1.0), (0, 2, 1.0)]
+    assert not mirror_closed(build_csr(3, arcs))
+
+
 _ARC = st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from([0.0, -0.0, 1.0, 2.5, 3.0]))
 
 
@@ -104,7 +112,7 @@ def _arc_lists(draw):
     return draw(st.permutations(arcs))
 
 
-# vertex ids spread over 200,003 vertices, so sorts by id need both 16-bit digits
+# vertex ids spread over 200,003 vertices, so ids need more than 16 bits
 SPREAD_N = 200_003
 
 
@@ -152,6 +160,14 @@ def test_stable_argsort_matches_numpy(case):
     keys, bound = case
     got = steppath.graph._stable_argsort(keys, bound)
     assert np.array_equal(got, np.argsort(keys, kind="stable"))
+
+
+def test_stable_argsort_refuses_keys_that_do_not_fit():
+    # two keys take one position bit: a 63-bit key fits, a 64-bit one does not
+    keys = np.array([2**63 - 1, 0], dtype=np.uint64)
+    assert steppath.graph._stable_argsort(keys, 2**63).tolist() == [1, 0]
+    with pytest.raises(ValueError, match="64 bits"):
+        steppath.graph._stable_argsort(keys, 2**64)
 
 
 def _spread_multigraph(seed, m=3_000):
@@ -285,7 +301,22 @@ def test_component_labels_match_reachability():
             assert np.array_equal(mask, info.labels == info.labels[src])
 
 
-@settings(max_examples=200, deadline=None)
+def _no_duplicate_entries(*args, **kwargs):
+    """scipy's labelling, refusing a strong pass over duplicate entries.
+
+    scipy's strong-component pass loops forever on the symmetrized doubled
+    edge and splits components of multigraphs, so a matrix with duplicate
+    (row, column) entries fails here instead of reaching it.
+    """
+    mat = args[0]
+    if kwargs.get("connection") == "strong":
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        cells = rows * mat.shape[0] + mat.indices
+        assert np.unique(cells).size == cells.size, "duplicate entries reach the strong pass"
+    return connected_components(*args, **kwargs)
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 30).flatmap(
         lambda n: st.tuples(
@@ -293,17 +324,33 @@ def test_component_labels_match_reachability():
             st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=25) if n else st.just([]),
         )
     ),
-    st.booleans(),
+    st.sampled_from(["directed", "symmetrized", "both ways"]),
+    st.integers(1, 3),
 )
-def test_component_labels_match_sort_based_ranking(case, symmetrize):
-    # the ranking by first vertex, made the sorting way: np.unique finds
-    # each raw label's first vertex
+@example((0, []), "symmetrized", 1)
+@example((1, []), "symmetrized", 1)
+@example((2, [(0, 1)]), "symmetrized", 2)  # the doubled edge
+@example((4, [(0, 0), (1, 1), (2, 3), (3, 3)]), "symmetrized", 2)  # self-loops
+@example((7, [(5, 2)]), "both ways", 3)  # isolated 0, 1, 3, 4 and 6
+@example((4, [(0, 1), (1, 2)]), "directed", 1)  # weak: 0 -> 1 -> 2 is one component
+def test_component_labels_match_sort_based_ranking(case, form, copies):
+    # copies and repeated pairs give parallel arcs; arcs given both ways
+    # are flagged symmetric by the mirror check, so both symmetric forms
+    # take the strong pass
     n, pairs = case
-    g = build_csr(n, [(u, v, 1.0) for u, v in pairs], symmetrize=symmetrize)
-    info = largest_component(g)
+    edges = [(u, v, 1.0) for u, v in pairs] * copies
+    if form == "both ways":
+        edges += [(v, u, w) for u, v, w in edges]
+    g = build_csr(n, edges, symmetrize=form == "symmetrized")
+    assert g.symmetric or form == "directed"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(steppath.graph, "_cc", _no_duplicate_entries)
+        info = largest_component(g)
     if n == 0:
         assert (info.labels.size, info.count, info.largest, info.largest_size) == (0, 0, 0, 0)
         return
+    # the ranking by first vertex, made the sorting way: np.unique finds
+    # each raw label's first vertex
     mat = csr_matrix((np.ones(g.m), g.targets, g.offsets), shape=(n, n))
     count, raw = connected_components(mat, directed=False)
     _, first = np.unique(raw, return_index=True)
@@ -313,6 +360,24 @@ def test_component_labels_match_sort_based_ranking(case, symmetrize):
     sizes = np.bincount(labels)
     assert info.labels.dtype == np.int64 and np.array_equal(info.labels, labels)
     assert (info.count, info.largest, info.largest_size) == (count, sizes.argmax(), sizes.max())
+
+
+def test_set_up_never_writes_into_a_graph(tmp_path):
+    # read-only arrays make any in-place write raise: the labelling's
+    # matrix, the mirror orders and the weight draw must all work on copies
+    directed = build_csr(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (3, 4, 2.0)])
+    graphs = [random_graph(300, 3, 7), _two_sided([3.0, 7.0, 7.0, 3.0]), directed]
+    for g in graphs:
+        saved = [a.copy() for a in (g.offsets, g.targets, g.weights)]
+        for a in (g.offsets, g.targets, g.weights):
+            a.flags.writeable = False
+        largest_component(g)
+        assert mirror_closed(g) is (g is not directed)
+        if g is not directed:
+            generate_uniform_weights(g, seed=3, lo=1.0, hi=2.0)
+        sp.save_binary(g, tmp_path / "g.bin")
+        for a, before in zip((g.offsets, g.targets, g.weights), saved):
+            assert np.array_equal(a, before)
 
 
 def test_max_weight():
@@ -395,11 +460,14 @@ def test_symmetric_flag_agrees_with_binary_round_trip(tmp_path):
     both_ways = build_csr(2, [(0, 1, 1.0), (1, 0, 1.0)])
     edgeless = build_csr(2**20, [])
     directed = build_csr(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 10.0)])
-    for g, want in ((both_ways, True), (edgeless, True), (directed, False)):
+    # every in-degree equals its out-degree, yet no arc has its mirror
+    cycle = build_csr(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)], symmetrize=False)
+    for g, want in ((both_ways, True), (edgeless, True), (directed, False), (cycle, False)):
         path = tmp_path / "g.bin"
         sp.save_binary(g, path)
-        assert g.symmetric is want
-        assert sp.load_graph(path).symmetric is want
+        assert g.symmetric is want and mirror_closed(g) is want
+        loaded = sp.load_graph(path)
+        assert loaded.symmetric is want and mirror_closed(loaded) is want
     assert sp.ppsp(both_ways, 0, 1, "bids").distance == 1.0
     assert sp.multi_bids(edgeless, sp.build_query_graph([(0, 5)], edgeless.n)).distances.tolist() == [np.inf]
     sp.save_edge_list(both_ways, tmp_path / "g.txt")
