@@ -37,7 +37,7 @@ def main():
 
     print("\nstep width sweep (bidirectional search):")
     print(f"{'delta':>10}  {'steps':>6}  {'relaxations':>11}")
-    for delta in (g.max_weight() / 64, g.max_weight() / 16, g.max_weight() / 4, g.max_weight()):
+    for delta in (g.max_weight / 64, g.max_weight / 16, g.max_weight / 4, g.max_weight):
         a = sp.ppsp(g, source, target, "bids", policy=sp.StepPolicy(delta))
         assert a.distance == sp.ppsp(g, source, target, "bids").distance
         print(f"{delta:>10.5f}  {a.steps:>6}  {a.relaxations:>11}")

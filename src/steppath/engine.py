@@ -43,9 +43,12 @@ sums at meeting points (the bidirectional strategies and batches on float
 weights) may differ in the last bit between schedules, because a schedule
 decides which meeting points get offered.
 
-The frontier mask, the settled mask and the scatter-min stamp of a search
-are cached on its graph (``CsrGraph._scratch``) and reused by the next
-search there; each search still owns its distance array.
+The frontier mask, the settled mask and the int64 scatter-min stamp of a
+search are this module's scratch, kept under ``_scratch`` in the graph
+object's ``__dict__`` and reused by the next search there; each search
+still owns its distance array.  The scratch is sized to the largest
+search run on that graph object, ``n * copies`` cells at about 10 B per
+cell, and stays allocated for the life of the graph.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ class StepPolicy:
 
 def default_policy(graph: CsrGraph) -> StepPolicy:
     """Δ = max arc weight / 16, each step floored at DEFAULT_MIN_COPIES."""
-    top = graph.max_weight()
+    top = graph.max_weight
     return StepPolicy(delta=top / 16.0 if top > 0 else 1.0, min_copies=DEFAULT_MIN_COPIES)
 
 
@@ -368,9 +371,9 @@ def run_search(
     mask[frontier.pending] = False  # early_out may stop with copies pending
     stats.settled_copies = int(np.count_nonzero(settled))
     settled[:] = False
-    held = graph._scratch  # a nested search may have put back a larger one
+    held = vars(graph).get("_scratch")  # a nested search may have put back a larger one
     if held is None or held[0].size < scratch[0].size:
-        graph._scratch = scratch
+        vars(graph)["_scratch"] = scratch  # not a field: the graph is frozen
     return stats
 
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -13,39 +14,30 @@ SPHERICAL = "spherical"
 COORD_KINDS = (EUCLIDEAN, SPHERICAL)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CsrGraph:
     """Compressed-adjacency graph with float64 arc weights.
 
     Arcs are directed; an undirected graph stores both (u, v) and (v, u)
-    with equal weight and carries ``symmetric=True``.  Vertices are dense
-    ids ``0..n-1``.  ``coords`` optionally holds one 2-D point per vertex,
-    tagged by ``coord_kind``: ``"euclidean"`` rows are (x, y), and
-    ``"spherical"`` rows are (latitude, longitude) in degrees.
+    with equal weight.  Vertices are dense ids ``0..n-1``.  ``coords``
+    optionally holds one 2-D point per vertex, tagged by ``coord_kind``:
+    ``"euclidean"`` rows are (x, y), and ``"spherical"`` rows are
+    (latitude, longitude) in degrees.
 
-    Instances are treated as immutable; derive changed graphs with
-    :func:`dataclasses.replace` or the helpers in this module.  A derived
-    graph starts without the component labels, the maximum weight and the
-    engine scratch cached on its parent.
-
-    The engine scratch is the frontier mask, settled mask and int64
-    scatter-min stamp that :func:`~steppath.engine.run_search` reuses
-    from one search to the next.  It is sized to the largest search run
-    on this graph object, ``n * copies`` cells at about 10 B per cell, and
-    stays allocated for the life of the graph.
+    Instances are frozen; derive changed graphs with
+    :func:`dataclasses.replace` or the helpers in this module.  Facts
+    derived from the arcs (``symmetric``, ``max_weight`` and the
+    component labels behind :func:`largest_component`) are computed once
+    per graph object, on first use; a derived graph works them out
+    afresh.
     """
 
     n: int
     offsets: np.ndarray  # int64, length n + 1
     targets: np.ndarray  # int32, length m
     weights: np.ndarray  # float64, length m
-    symmetric: bool = False
     coords: np.ndarray | None = None
     coord_kind: str | None = None
-    _components: ComponentInfo | None = field(default=None, init=False, repr=False, compare=False)
-    _max_weight: float | None = field(default=None, init=False, repr=False, compare=False)
-    # (frontier mask, settled mask, stamp), owned by steppath.engine.run_search
-    _scratch: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -59,11 +51,19 @@ class CsrGraph:
         """Source vertex of every arc, aligned with ``targets``."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
 
+    @cached_property
+    def symmetric(self) -> bool:
+        """True iff the arcs are closed under mirroring (:func:`mirror_closed`)."""
+        return mirror_closed(self)
+
+    @cached_property
     def max_weight(self) -> float:
-        """Largest arc weight (0 without arcs), computed once per graph object."""
-        if self._max_weight is None:
-            self._max_weight = float(self.weights.max()) if self.m else 0.0
-        return self._max_weight
+        """Largest arc weight (0 without arcs)."""
+        return float(self.weights.max()) if self.m else 0.0
+
+    @cached_property
+    def _components(self) -> ComponentInfo:
+        return _label_components(self)
 
     def with_coords(self, coords, kind: str) -> "CsrGraph":
         coords = np.asarray(coords, dtype=np.float64)
@@ -89,10 +89,8 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     mirrors, which fixes the canonical arc order that
     :func:`generate_uniform_weights` draws in.  That order is a stable
     sort by source, made by one in-place sort of packed values
-    (:func:`_stable_argsort`).  ``symmetric`` is True after
-    symmetrizing; otherwise it says whether the arcs as given are
-    closed under mirroring (:func:`mirror_closed`), as
-    :func:`~steppath.io.load_binary` decides it.
+    (:func:`_stable_argsort`).  The graph's ``symmetric`` is derived
+    from the arcs on first use, however they were made.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -124,9 +122,7 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     order = _stable_argsort(src, n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    graph = CsrGraph(n=n, offsets=offsets, targets=tgt.astype(np.int32)[order], weights=w[order])
-    graph.symmetric = bool(symmetrize) or mirror_closed(graph)
-    return graph
+    return CsrGraph(n=n, offsets=offsets, targets=tgt.astype(np.int32)[order], weights=w[order])
 
 
 def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -231,7 +227,7 @@ def generate_uniform_weights(graph: CsrGraph, seed: int, lo: float, hi: float) -
     weights = np.empty(graph.m, dtype=np.float64)
     weights[canonical] = draws
     weights[mirror[canonical]] = draws
-    return replace(graph, weights=weights, symmetric=True)
+    return replace(graph, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -259,22 +255,24 @@ class ComponentInfo:
 def largest_component(graph: CsrGraph) -> ComponentInfo:
     """Label connected components (ties for largest go to the smaller label).
 
-    Components are weak: arc directions are ignored.  A ``symmetric``
-    graph is labelled by scipy's single-pass strong-component search
-    (Pearce's algorithm), which needs no symmetrized copy of the arcs;
-    any other graph by its undirected search.  Labels are canonical:
+    Components are weak: arc directions are ignored.  A graph whose
+    ``symmetric`` holds (derived here, if not yet read) is labelled by
+    scipy's single-pass strong-component search (Pearce's algorithm),
+    which needs no symmetrized copy of the arcs; any other graph by its
+    undirected search.  Labels are canonical:
     components are numbered by the smallest vertex id they contain, so
     vertex 0 is always in component 0.  They are computed once per graph
     object; later calls return the same :class:`ComponentInfo`.
     """
-    if graph._components is None:
-        graph._components = _label_components(graph)
     return graph._components
 
 
 def _label_components(graph: CsrGraph) -> ComponentInfo:
     if graph.n == 0:
         return ComponentInfo(np.empty(0, dtype=np.int64), 0, 0, 0)
+    # read before the matrix is built, so the mirror check's temporaries
+    # and the matrix's copies are never alive together
+    strong = graph.symmetric
     # summing duplicate entries sorts the indices in place, so the matrix
     # gets copies; float64 is the type scipy labels, so it copies no more
     mat = csr_matrix(
@@ -282,7 +280,7 @@ def _label_components(graph: CsrGraph) -> ComponentInfo:
         shape=(graph.n, graph.n),
     )
     mat.sum_duplicates()
-    if graph.symmetric:
+    if strong:
         # every arc has its mirror, so the strong components are the
         # connected ones, found without forming mat + mat.T.  scipy's
         # strong pass needs the duplicates summed: parallel arcs make it

@@ -24,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .graph import COORD_KINDS, CsrGraph, build_csr, mirror_closed
+from .graph import COORD_KINDS, CsrGraph, build_csr
 
 MAGIC = b"OCSR"
 FORMAT_VERSION = 1
@@ -94,6 +94,11 @@ def save_edge_list(graph: CsrGraph, path) -> None:
 
 
 def load_binary(path) -> CsrGraph:
+    """Read a binary CSR graph, checking the header and arrays first.
+
+    The file holds no symmetric flag: the graph derives it from its arcs
+    on first use (:attr:`CsrGraph.symmetric`).
+    """
     with open(path, "rb") as fh:
         head = fh.read(24)
         if len(head) < 24 or head[:4] != MAGIC:
@@ -120,9 +125,7 @@ def load_binary(path) -> CsrGraph:
         raise ValueError(f"{path}: arc target out of range")
     if m and (not np.all(np.isfinite(weights)) or np.any(weights < 0)):
         raise ValueError(f"{path}: weights must be finite and nonnegative")
-    graph = CsrGraph(n=int(n), offsets=offsets, targets=targets, weights=weights)
-    graph.symmetric = mirror_closed(graph)
-    return graph
+    return CsrGraph(n=int(n), offsets=offsets, targets=targets, weights=weights)
 
 
 def save_binary(graph: CsrGraph, path) -> None:

@@ -27,7 +27,6 @@ from .graph import CsrGraph
 from .heuristics import (
     EARTH_RADIUS_KM,
     MemoTable,
-    check_consistent,
     heuristic_for_graph,
     make_bidirectional_heuristics,
 )
@@ -159,18 +158,18 @@ def ppsp(
     policy: StepPolicy | None = None,
     heuristic=None,
     radius: float = EARTH_RADIUS_KM,
-    validate_heuristic: bool = False,
 ) -> PpspAnswer:
     """One point-to-point query; returns the exact distance and counters.
 
     ``heuristic`` feeds the A* strategies: a single vectorized callable
     estimating distance *to the target* for ``astar``, or a
     ``(h_source, h_target)`` pair for ``bidastar``.  When omitted the
-    heuristics come from the graph's coordinates.  ``policy`` (default:
-    :func:`~steppath.engine.default_policy`) is handed to
-    :func:`~steppath.engine.run_search` unchanged, so every strategy's
-    thresholds are ``i * delta`` from 0 and the counters are those of
-    the engine run.  To search a potential-reweighted graph, build it
+    heuristics come from the graph's coordinates.  A heuristic is used
+    unchecked; :func:`~steppath.heuristics.check_consistent` checks one.
+    ``policy`` (default: :func:`~steppath.engine.default_policy`) is
+    handed to :func:`~steppath.engine.run_search` unchanged, so every
+    strategy's thresholds are ``i * delta`` from 0 and the counters are
+    those of the engine run.  To search a potential-reweighted graph, build it
     from :func:`~steppath.heuristics.induced_arc_weights` and query that.
     """
     source = as_vertex(source, graph.n, "source")
@@ -188,8 +187,6 @@ def ppsp(
         _, h_target = _heuristic_pair(graph, source, target, heuristic, radius)
         if h_target is None:
             raise ValueError("astar needs a target heuristic")
-        if validate_heuristic:
-            check_consistent(graph, h_target)
         search = AstarSearch(graph, source, target, h_target)
     elif strategy == "bids":
         search = BidsSearch(graph, source, target)
@@ -197,9 +194,6 @@ def ppsp(
         h_source, h_target = _heuristic_pair(graph, source, target, heuristic, radius)
         if h_source is None or h_target is None:
             raise ValueError("bidastar needs heuristics toward both endpoints")
-        if validate_heuristic:
-            check_consistent(graph, h_source)
-            check_consistent(graph, h_target)
         search = BidAstarSearch(graph, source, target, h_source, h_target)
 
     stats = run_search(graph, search, policy=policy)

@@ -406,7 +406,7 @@ def test_under_reported_tightening_stays_exact():
 )
 def test_step_rule_on_float_weights(n, k, graph_seed, delta_share, min_copies, pair_seed):
     g = geometric_graph(n, k, graph_seed)
-    policy = sp.StepPolicy(delta_share * g.max_weight(), min_copies=min_copies)
+    policy = sp.StepPolicy(delta_share * g.max_weight, min_copies=min_copies)
     rng = np.random.default_rng(pair_seed)
     for s, t in rng.integers(0, n, (3, 2)).tolist():
         want = sp.dijkstra(g, s)
@@ -460,7 +460,7 @@ def test_scratch_reuse_is_exact():
     sizes = []
     for call in _interleaved_calls(g):
         assert call(g) == call(_scratch_graph()), call
-        mask, settled, _ = g._scratch
+        mask, settled, _ = vars(g).get("_scratch")
         assert not mask.any() and not settled.any(), call
         sizes.append(mask.size)
     assert sizes == [g.n, 2 * g.n, 2 * g.n, 10 * g.n, 10 * g.n]
@@ -479,7 +479,7 @@ def test_scratch_dropped_when_a_hook_raises():
 
     with pytest.raises(RuntimeError):
         run_search(g, Boom(g, 7))
-    assert g._scratch is None  # dropped, dirty, with the raising search
+    assert vars(g).get("_scratch") is None  # dropped, dirty, with the raising search
     dist, stats = sp.sssp(g, 7, return_stats=True)
     assert np.array_equal(dist, want[0]) and stats == want[1]
     assert np.array_equal(dist, sp.dijkstra(g, 7))
@@ -503,17 +503,17 @@ def test_search_nested_in_a_hook_is_exact():
     assert np.array_equal(outer.dist, want_dist) and stats == want_stats
     want_inner = sp.ppsp(ref, 3, 40, "bids")
     assert inner == [want_inner] and want_inner.distance == sp.dijkstra(ref, 3)[40]
-    mask, settled, _ = g._scratch
+    mask, settled, _ = vars(g).get("_scratch")
     assert not mask.any() and not settled.any()
 
 
 def test_derived_graph_starts_without_scratch():
     g = _scratch_graph()
-    assert g._scratch is None
+    assert vars(g).get("_scratch") is None
     sp.sssp(g, 0)
-    assert g._scratch is not None
-    assert replace(g)._scratch is None
-    assert g.with_coords(g.coords, "euclidean")._scratch is None
+    assert vars(g).get("_scratch") is not None
+    assert vars(replace(g)).get("_scratch") is None
+    assert vars(g.with_coords(g.coords, "euclidean")).get("_scratch") is None
     assert "_scratch" not in repr(g) and replace(g) == g
 
 

@@ -301,21 +301,6 @@ def test_component_labels_match_reachability():
             assert np.array_equal(mask, info.labels == info.labels[src])
 
 
-def _no_duplicate_entries(*args, **kwargs):
-    """scipy's labelling, refusing a strong pass over duplicate entries.
-
-    scipy's strong-component pass loops forever on the symmetrized doubled
-    edge and splits components of multigraphs, so a matrix with duplicate
-    (row, column) entries fails here instead of reaching it.
-    """
-    mat = args[0]
-    if kwargs.get("connection") == "strong":
-        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-        cells = rows * mat.shape[0] + mat.indices
-        assert np.unique(cells).size == cells.size, "duplicate entries reach the strong pass"
-    return connected_components(*args, **kwargs)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 30).flatmap(
@@ -343,9 +328,7 @@ def test_component_labels_match_sort_based_ranking(case, form, copies):
         edges += [(v, u, w) for u, v, w in edges]
     g = build_csr(n, edges, symmetrize=form == "symmetrized")
     assert g.symmetric or form == "directed"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(steppath.graph, "_cc", _no_duplicate_entries)
-        info = largest_component(g)
+    info = largest_component(g)  # conftest refuses duplicates in the strong pass
     if n == 0:
         assert (info.labels.size, info.count, info.largest, info.largest_size) == (0, 0, 0, 0)
         return
@@ -381,8 +364,8 @@ def test_set_up_never_writes_into_a_graph(tmp_path):
 
 
 def test_max_weight():
-    assert g1().max_weight() == 5.0
-    assert build_csr(2, []).max_weight() == 0.0
+    assert g1().max_weight == 5.0
+    assert build_csr(2, []).max_weight == 0.0
 
 
 def test_max_weight_computed_once_per_graph():
@@ -395,16 +378,16 @@ def test_max_weight_computed_once_per_graph():
 
     base = random_graph(200, 3, 4)
     g = replace(base, weights=base.weights.view(CountingWeights))
-    top = g.max_weight()
+    top = g.max_weight
     for _ in range(3):
         assert sp.default_policy(g).delta == top / 16.0
         sp.sssp(g, 0)
         sp.ppsp(g, 0, 5, "bids")
-    assert g.max_weight() == top == float(base.weights.max())
+    assert g.max_weight == top == float(base.weights.max())
     assert len(calls) == 1
     heavier = replace(g, weights=2.0 * base.weights)
-    assert heavier.max_weight() == 2.0 * top
-    assert g.max_weight() == top
+    assert heavier.max_weight == 2.0 * top
+    assert g.max_weight == top
 
 
 def test_build_csr_rejects_ids_past_int32():
@@ -467,6 +450,7 @@ def test_symmetric_flag_agrees_with_binary_round_trip(tmp_path):
         sp.save_binary(g, path)
         assert g.symmetric is want and mirror_closed(g) is want
         loaded = sp.load_graph(path)
+        assert "symmetric" not in vars(loaded)  # derived on first use, not on load
         assert loaded.symmetric is want and mirror_closed(loaded) is want
     assert sp.ppsp(both_ways, 0, 1, "bids").distance == 1.0
     assert sp.multi_bids(edgeless, sp.build_query_graph([(0, 5)], edgeless.n)).distances.tolist() == [np.inf]
@@ -477,3 +461,66 @@ def test_symmetric_flag_agrees_with_binary_round_trip(tmp_path):
         sp.multi_bids(directed, sp.build_query_graph([(0, 2)], directed.n))
     with pytest.raises(ValueError, match="not symmetric"):
         sp.save_edge_list(directed, tmp_path / "d.txt")
+
+
+def _path_by_hand():
+    # 0 -> 1 -> 2, each arc one way only
+    offsets = np.array([0, 1, 2, 2], dtype=np.int64)
+    return CsrGraph(3, offsets, np.array([1, 2], dtype=np.int32), np.array([1.0, 1.0]))
+
+
+def test_symmetric_is_derived_from_the_arcs():
+    g = _path_by_hand()
+    assert not g.symmetric
+    info = largest_component(g)
+    assert info.count == 1 and info.labels.tolist() == [0, 0, 0]
+    assert sp.ppsp(g, 0, 2, "et").distance == sp.dijkstra(g, 0)[2] == 2.0
+    zero = sp.zero_heuristic()
+    qg = sp.build_query_graph([(0, 2)], g.n)
+    refused = [
+        lambda: sp.ppsp(g, 0, 2, "bids"),
+        lambda: sp.ppsp(g, 0, 2, "bidastar", heuristic=(zero, zero)),
+        lambda: sp.multi_bids(g, qg),
+        lambda: sp.vc_sssp_batch(g, qg),
+        lambda: sp.baseline_batch(g, qg, "plain-bids"),
+        lambda: sp.baseline_batch(g, qg, "plain-sssp"),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="symmetrized"):
+            call()
+
+
+def test_symmetric_can_be_neither_passed_nor_set():
+    offsets = np.array([0, 1, 2, 2], dtype=np.int64)
+    with pytest.raises(TypeError):
+        CsrGraph(3, offsets, np.array([1, 2], dtype=np.int32), np.array([1.0, 1.0]), symmetric=True)
+    g = build_csr(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    with pytest.raises(FrozenInstanceError):
+        g.symmetric = True
+    assert not g.symmetric
+    with pytest.raises(FrozenInstanceError):
+        g.symmetric = True  # cached or not, the flag stays derived
+    with pytest.raises(ValueError, match="symmetrized"):
+        sp.ppsp(g, 0, 2, "bids")
+
+
+def test_derived_graph_derives_symmetric_afresh():
+    g = build_csr(3, [(0, 1, 1.0), (1, 2, 1.0)], symmetrize=True)
+    assert "symmetric" not in vars(g)  # build_csr does not seed it
+    assert g.symmetric
+    assert "symmetric" not in vars(replace(g)) and replace(g).symmetric
+    # arcs in storage order: (0, 1), (1, 2), (1, 0), (2, 1)
+    heavier = replace(g, weights=np.array([1.0, 1.0, 5.0, 1.0]))
+    assert not heavier.symmetric and g.symmetric
+    one_way = _path_by_hand()
+    h = replace(g, offsets=one_way.offsets, targets=one_way.targets, weights=one_way.weights)
+    assert not h.symmetric
+    placed = g.with_coords(np.zeros((3, 2)), "euclidean")
+    assert "symmetric" not in vars(placed) and placed.symmetric
+    assert not h.with_coords(np.zeros((3, 2)), "euclidean").symmetric
+
+
+def test_uniform_weights_output_is_symmetric():
+    h = generate_uniform_weights(random_graph(60, 3, 2), seed=4, lo=1.0, hi=9.0)
+    assert "symmetric" not in vars(h)
+    assert h.symmetric and mirror_closed(h)
