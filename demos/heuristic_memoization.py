@@ -28,9 +28,9 @@ def main():
     target = sp.percentile_target(g, source, 90.0)
     print(f"graph: {g.n} vertices, {g.m} arcs; query {source} -> {target}\n")
 
-    h_target = sp.euclidean_heuristic(g.coords, target)
+    h_target = sp.heuristic_for_graph(g, target)
     sp.check_consistent(g, h_target)
-    print("straight-line heuristic toward the target is consistent on every arc")
+    print(f"straight-line heuristic toward the target (scale {g.coord_scale:.6f}) is consistent on every arc")
     slack = sp.consistency_violation(g, h_target(np.arange(g.n)))
     print(f"worst arc slack: {slack:.3e} (<= 0 means no arc is shortened below zero)\n")
 
@@ -40,7 +40,7 @@ def main():
     print(f"astar: distance {a.distance:.6f}, {lookups} lookups, {computed} computations "
           f"({lookups / computed:.1f}x fewer evaluations than uncached)")
 
-    potential = 0.5 * (h_target(np.arange(g.n)) - sp.euclidean_heuristic(g.coords, source)(np.arange(g.n)))
+    potential = 0.5 * (h_target(np.arange(g.n)) - sp.heuristic_for_graph(g, source)(np.arange(g.n)))
     fwd, _ = sp.induced_arc_weights(g, potential)
     print(f"\naveraged potential reweights arcs into [{fwd.min():.3e}, {fwd.max():.3e}] forward")
     reweighted = sp.build_csr(g.n, np.column_stack([g.arc_sources(), g.targets, fwd]))

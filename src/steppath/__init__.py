@@ -32,14 +32,11 @@ from .graph import (
     mirror_closed,
 )
 from .heuristics import (
-    EARTH_RADIUS_KM,
     check_consistent,
     consistency_violation,
-    euclidean_heuristic,
     heuristic_for_graph,
     induced_arc_weights,
     make_bidirectional_heuristics,
-    spherical_heuristic,
     zero_heuristic,
 )
 from .io import (
@@ -68,7 +65,6 @@ __all__ = [
     "BenchReport",
     "ComponentInfo",
     "CsrGraph",
-    "EARTH_RADIUS_KM",
     "PATTERNS",
     "PpspAnswer",
     "QueryGraph",
@@ -81,7 +77,6 @@ __all__ = [
     "consistency_violation",
     "default_policy",
     "dijkstra",
-    "euclidean_heuristic",
     "exact_vertex_cover",
     "generate_uniform_weights",
     "greedy_vertex_cover",
@@ -106,7 +101,6 @@ __all__ = [
     "save_coords",
     "save_edge_list",
     "save_pairs",
-    "spherical_heuristic",
     "sssp",
     "vc_sssp_batch",
     "zero_heuristic",

@@ -45,7 +45,6 @@ class BenchConfig:
     warmup: int = DEFAULT_WARMUP
     rounds: int = DEFAULT_ROUNDS
     seed: int = 0
-    radius: float | None = None
 
 
 @dataclass
@@ -60,12 +59,8 @@ def step_policy(graph: CsrGraph, delta: float | str) -> StepPolicy:
 
 
 def _query_runner(graph, cfg, s, t):
-    kwargs = {}
-    if cfg.radius is not None:
-        kwargs["radius"] = cfg.radius
-
     def run(policy):
-        ans = ppsp(graph, s, t, cfg.strategy, policy=policy, **kwargs)
+        ans = ppsp(graph, s, t, cfg.strategy, policy=policy)
         return np.asarray([ans.distance]), ans.steps, ans.relaxations, ans.settled_copies
 
     return run

@@ -17,7 +17,6 @@ from . import io as gio
 from .batch import BATCH_ALGOS, _run_batch, build_query_graph
 from .bench import DEFAULT_ROUNDS, DEFAULT_WARMUP, BenchConfig, run_bench, step_policy
 from .graph import generate_uniform_weights, largest_component
-from .heuristics import EARTH_RADIUS_KM
 from .ppsp import STRATEGIES, ppsp
 from .workloads import PATTERNS, pattern_pairs, percentile_pairs
 
@@ -117,21 +116,23 @@ def cmd_gen_batch(args):
 def cmd_query(args):
     graph = _load(args)
     policy = step_policy(graph, args.delta)
-    answer = ppsp(graph, args.source, args.target, args.strategy, policy=policy, radius=args.radius)
-    emit(
-        {
-            "record": "query",
-            "strategy": args.strategy,
-            "source": args.source,
-            "target": args.target,
-            "delta": policy.delta,
-            "min_copies": policy.min_copies,
-            "distance": answer.distance,
-            "steps": answer.steps,
-            "relaxations": answer.relaxations,
-            "settled_copies": answer.settled_copies,
-        }
-    )
+    answer = ppsp(graph, args.source, args.target, args.strategy, policy=policy)
+    record = {
+        "record": "query",
+        "strategy": args.strategy,
+        "source": args.source,
+        "target": args.target,
+        "delta": policy.delta,
+        "min_copies": policy.min_copies,
+        "distance": answer.distance,
+        "steps": answer.steps,
+        "relaxations": answer.relaxations,
+        "settled_copies": answer.settled_copies,
+    }
+    if args.strategy in ("astar", "bidastar"):
+        # 0 means the heuristic fell to zero and the search ran unguided
+        record["coord_scale"] = graph.coord_scale
+    emit(record)
     return 0
 
 
@@ -194,7 +195,6 @@ def cmd_bench(args):
         warmup=args.warmup,
         rounds=args.rounds,
         seed=args.seed,
-        radius=args.radius,
     )
     report = run_bench(graph, cfg)
     for rec in report.records:
@@ -257,7 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="step width (no copy floor), or 'auto' for the default policy: max arc weight / 16, at least 128 copies per step",
     )
     p.add_argument("--coords", help="coordinates file (for the A* strategies)")
-    p.add_argument("--radius", type=float, default=EARTH_RADIUS_KM)
     p.set_defaults(fn=cmd_query)
 
     p = sub.add_parser("batch", help="answer a batch of queries")
@@ -285,7 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coords")
-    p.add_argument("--radius", type=float, default=EARTH_RADIUS_KM)
     p.add_argument("--csv")
     p.set_defaults(fn=cmd_bench)
     return parser

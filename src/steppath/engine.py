@@ -110,11 +110,12 @@ class Frontier:
 
     A boolean membership mask is the dedup authority; the pending cells
     themselves are kept as a compact id array, so extraction costs time
-    in the number of pending cells, not in the capacity.
+    in the number of pending cells, not in the capacity.  The frontier
+    starts empty on ``mask``, one entry per cell, which must be all False.
     """
 
-    def __init__(self, capacity: int):
-        self._mask = np.zeros(capacity, dtype=bool)
+    def __init__(self, mask: np.ndarray):
+        self._mask = mask
         self._ids = np.empty(0, dtype=np.int64)
         self.size = 0
 
@@ -340,8 +341,7 @@ def run_search(
     if scratch is None or scratch[0].size < size:
         scratch = (np.zeros(size, dtype=bool), np.zeros(size, dtype=bool), np.empty(size, dtype=np.int64))
     mask, settled, stamp = (a[:size] for a in scratch)
-    frontier = Frontier(0)
-    frontier._mask = mask
+    frontier = Frontier(mask)
     dist = search.dist
     cells, values = search.seeds()
     dist[cells] = values

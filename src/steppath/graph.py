@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import connected_components as _cc
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
 COORD_KINDS = (EUCLIDEAN, SPHERICAL)
+_SCALE_BLOCK = 1 << 16  # arcs per block of the coord_scale pass
 
 
 @dataclass(frozen=True)
@@ -26,10 +27,10 @@ class CsrGraph:
 
     Instances are frozen; derive changed graphs with
     :func:`dataclasses.replace` or the helpers in this module.  Facts
-    derived from the arcs (``symmetric``, ``max_weight`` and the
-    component labels behind :func:`largest_component`) are computed once
-    per graph object, on first use; a derived graph works them out
-    afresh.
+    derived from the arcs (``symmetric``, ``max_weight``, ``coord_scale``
+    and the component labels behind :func:`largest_component`) are
+    computed once per graph object, on first use; a derived graph works
+    them out afresh.
     """
 
     n: int
@@ -62,6 +63,29 @@ class CsrGraph:
         return float(self.weights.max()) if self.m else 0.0
 
     @cached_property
+    def coord_scale(self) -> float:
+        """Largest ``k`` with ``k * coord_length(u, v) <= w(u, v)`` on every arc.
+
+        ``k`` times the coordinate length to a vertex is then a consistent
+        heuristic toward it, whatever units the weights use.  Arcs of zero
+        length bound nothing; with no arc of positive length the scale is
+        0.  Raises ValueError on a graph without coordinates.
+        """
+        if self.coords is None or self.coord_kind not in COORD_KINDS:
+            raise ValueError("graph carries no coordinates; attach them or pass a heuristic")
+        x, y = np.ascontiguousarray(self.coords.T)
+        src, tgt = self.arc_sources(), self.targets
+        scale = np.inf
+        # in blocks of arcs, so that only a few block-long temporaries live
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, self.m, _SCALE_BLOCK):
+                arcs = slice(lo, lo + _SCALE_BLOCK)
+                s, t = src[arcs], tgt[arcs]
+                length = coord_length(self.coord_kind, (x[s], y[s]), (x[t], y[t]))
+                scale = np.fmin.reduce(self.weights[arcs] / length, initial=scale)  # fmin skips 0/0
+        return float(scale) if np.isfinite(scale) else 0.0
+
+    @cached_property
     def _components(self) -> ComponentInfo:
         return _label_components(self)
 
@@ -77,6 +101,26 @@ class CsrGraph:
             if np.any(np.abs(coords[:, 0]) > 90.0) or np.any(np.abs(coords[:, 1]) > 180.0):
                 raise ValueError("spherical coords need |latitude| <= 90 and |longitude| <= 180")
         return replace(self, coords=coords, coord_kind=kind)
+
+
+def coord_length(kind: str, p, q) -> np.ndarray:
+    """Length between points ``p`` and ``q`` (numpy broadcasting applies).
+
+    Each point is a pair of coordinate columns, arrays or scalars.
+    ``"euclidean"`` (x, y) pairs give the planar distance; ``"spherical"``
+    (latitude, longitude) pairs, in degrees, give the central angle in
+    radians (the haversine formula).  :attr:`CsrGraph.coord_scale` turns
+    either into the units of the arc weights.
+    """
+    (px, py), (qx, qy) = p, q
+    if kind == EUCLIDEAN:
+        return np.hypot(px - qx, py - qy)
+    lat_p, lat_q = np.radians(px), np.radians(qx)
+    s1 = np.sin((lat_p - lat_q) / 2.0)
+    s2 = np.sin(np.radians(py - qy) / 2.0)
+    a = s1 * s1 + np.cos(lat_p) * np.cos(lat_q) * s2 * s2
+    a = np.clip(a, 0.0, 1.0)  # rounding can push a near-antipodal pair past 1
+    return 2.0 * np.arctan2(np.sqrt(a), np.sqrt(1.0 - a))
 
 
 def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:

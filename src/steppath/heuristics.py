@@ -1,64 +1,22 @@
-"""Distance heuristics: geometric lower bounds, memoization, consistency.
+"""Distance heuristics: the coordinate lower bound, memoization, consistency.
 
 A heuristic here is a vectorized callable mapping an int array of vertex
 ids to float64 estimates.  Searches only ever evaluate heuristics through
-:class:`MemoTable`, which computes each vertex at most once.
+:class:`MemoTable`, which computes each vertex at most once.  The
+coordinate heuristic is :attr:`~steppath.graph.CsrGraph.coord_scale`
+times the coordinate length, so it is consistent on every graph whatever
+units its weights use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import CsrGraph, EUCLIDEAN, SPHERICAL
+from .graph import CsrGraph, coord_length
+from .io import as_vertex
 
-EARTH_RADIUS_KM = 6371.0088  # mean Earth radius; pick units to match arc weights
 # largest arc violation check_consistent forgives (float rounding)
 CONSISTENCY_TOL = 1e-9
-
-
-def euclidean_heuristic(coords: np.ndarray, anchor: int):
-    """Straight-line distance to ``anchor`` in the plane."""
-    coords = np.asarray(coords, dtype=np.float64)
-    ax, ay = coords[anchor]
-
-    def h(vertices: np.ndarray) -> np.ndarray:
-        pts = coords[vertices]
-        return np.hypot(pts[..., 0] - ax, pts[..., 1] - ay)
-
-    return h
-
-
-def great_circle(coords_deg: np.ndarray, anchor_deg, radius: float = EARTH_RADIUS_KM) -> np.ndarray:
-    """Haversine distance from (lat, lon) degree rows to one anchor point."""
-    coords_deg = np.asarray(coords_deg, dtype=np.float64)
-    lat = np.radians(coords_deg[..., 0])
-    lon = np.radians(coords_deg[..., 1])
-    alat = np.radians(float(anchor_deg[0]))
-    alon = np.radians(float(anchor_deg[1]))
-    s1 = np.sin((lat - alat) / 2.0)
-    s2 = np.sin((lon - alon) / 2.0)
-    a = s1 * s1 + np.cos(lat) * np.cos(alat) * s2 * s2
-    return 2.0 * radius * np.arctan2(np.sqrt(a), np.sqrt(1.0 - a))
-
-
-def spherical_heuristic(coords: np.ndarray, anchor: int, radius: float = EARTH_RADIUS_KM):
-    """Great-circle distance to ``anchor`` over a sphere of ``radius``.
-
-    Coordinates are (latitude, longitude) in degrees.  The default radius
-    is the mean Earth radius in kilometers; pass a different value when
-    arc weights use other units.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    if np.any(np.abs(coords[:, 0]) > 90.0) or np.any(np.abs(coords[:, 1]) > 180.0):
-        raise ValueError("spherical coords need |latitude| <= 90 and |longitude| <= 180")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    anchor_pt = coords[anchor]
-
-    def h(vertices: np.ndarray) -> np.ndarray:
-        return great_circle(coords[vertices], anchor_pt, radius)
-
-    return h
 
 
 def zero_heuristic():
@@ -70,15 +28,25 @@ def zero_heuristic():
     return h
 
 
-def heuristic_for_graph(graph: CsrGraph, anchor: int, radius: float = EARTH_RADIUS_KM):
-    """Build the heuristic matching the graph's coordinate kind."""
-    if graph.coords is None or graph.coord_kind is None:
-        raise ValueError("graph carries no coordinates; attach them or pass a heuristic")
-    if graph.coord_kind == EUCLIDEAN:
-        return euclidean_heuristic(graph.coords, anchor)
-    if graph.coord_kind == SPHERICAL:
-        return spherical_heuristic(graph.coords, anchor, radius)
-    raise ValueError(f"unknown coordinate kind {graph.coord_kind!r}")
+def heuristic_for_graph(graph: CsrGraph, anchor: int):
+    """The coordinate heuristic toward ``anchor``.
+
+    Its estimate is the graph's ``coord_scale`` times the coordinate
+    length (:func:`~steppath.graph.coord_length`) to the anchor, which is
+    consistent by construction, up to float rounding.  Raises ValueError
+    on a graph without coordinates or an anchor that is not a vertex id.
+    """
+    anchor = as_vertex(anchor, graph.n, "anchor")
+    scale, coords, kind = graph.coord_scale, graph.coords, graph.coord_kind
+    point = coords[anchor].tolist()  # Python floats: unpacked on every call
+
+    def h(vertices: np.ndarray) -> np.ndarray:
+        pts = coords[vertices]
+        estimate = coord_length(kind, (pts[..., 0], pts[..., 1]), point)
+        estimate *= scale  # in place: this runs on every step of an A* search
+        return estimate
+
+    return h
 
 
 def make_bidirectional_heuristics(h_source, h_target):

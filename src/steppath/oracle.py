@@ -3,7 +3,8 @@
 This module is the ground truth the parallel engine is validated against,
 so it deliberately shares no code with the stepping machinery: distances
 come from scipy's compiled Dijkstra (``scipy.sparse.csgraph.dijkstra``)
-over a CSR view of the graph's arrays.
+over a CSR view of the graph's arrays.  Vertex ids are checked by
+:func:`~steppath.io.as_vertex`, which does no stepping.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .graph import CsrGraph
+from .io import as_vertex
 
 
 def dijkstra(graph: CsrGraph, source: int) -> np.ndarray:
@@ -23,8 +25,7 @@ def dijkstra(graph: CsrGraph, source: int) -> np.ndarray:
     scipy's Dijkstra over the arcs as stored: an explicit zero weight is
     an arc, and parallel arcs count with their lightest weight.
     """
-    if not 0 <= source < graph.n:
-        raise ValueError(f"source {source} out of range for n={graph.n}")
+    source = as_vertex(source, graph.n, "source")
     matrix = csr_matrix((graph.weights, graph.targets, graph.offsets), shape=(graph.n, graph.n))
     return _dijkstra(matrix, directed=True, indices=source)
 
@@ -41,6 +42,7 @@ def percentile_target(graph: CsrGraph, source: int, p: float, distances=None) ->
     R is never sorted: a selection finds the distance at that rank, and
     the vertices tied at it are taken in id order.
     """
+    source = as_vertex(source, graph.n, "source")
     if not 0 < p <= 100:
         raise ValueError("percentile must be in (0, 100]")
     if distances is None:

@@ -24,12 +24,7 @@ import numpy as np
 
 from .engine import INF, Search, SsspSearch, StepPolicy, run_search
 from .graph import CsrGraph
-from .heuristics import (
-    EARTH_RADIUS_KM,
-    MemoTable,
-    heuristic_for_graph,
-    make_bidirectional_heuristics,
-)
+from .heuristics import MemoTable, heuristic_for_graph, make_bidirectional_heuristics
 from .io import as_vertex
 
 STRATEGIES = ("sssp", "et", "bids", "astar", "bidastar")
@@ -138,12 +133,9 @@ class BidAstarSearch(BidsSearch):
         return self.dist[cells] + h * sign
 
 
-def _heuristic_pair(graph, source, target, heuristic, radius):
+def _heuristic_pair(graph, source, target, heuristic):
     if heuristic is None:
-        return (
-            heuristic_for_graph(graph, source, radius),
-            heuristic_for_graph(graph, target, radius),
-        )
+        return heuristic_for_graph(graph, source), heuristic_for_graph(graph, target)
     if isinstance(heuristic, tuple):
         return heuristic
     return None, heuristic  # single callable: estimates distance to target
@@ -157,15 +149,17 @@ def ppsp(
     *,
     policy: StepPolicy | None = None,
     heuristic=None,
-    radius: float = EARTH_RADIUS_KM,
 ) -> PpspAnswer:
     """One point-to-point query; returns the exact distance and counters.
 
     ``heuristic`` feeds the A* strategies: a single vectorized callable
     estimating distance *to the target* for ``astar``, or a
     ``(h_source, h_target)`` pair for ``bidastar``.  When omitted the
-    heuristics come from the graph's coordinates.  A heuristic is used
-    unchecked; :func:`~steppath.heuristics.check_consistent` checks one.
+    heuristics come from the graph's coordinates
+    (:func:`~steppath.heuristics.heuristic_for_graph`), scaled to the arc
+    weights so they are consistent whatever units the weights use.  A
+    heuristic passed in is used unchecked;
+    :func:`~steppath.heuristics.check_consistent` checks one.
     ``policy`` (default: :func:`~steppath.engine.default_policy`) is
     handed to :func:`~steppath.engine.run_search` unchanged, so every
     strategy's thresholds are ``i * delta`` from 0 and the counters are
@@ -184,14 +178,14 @@ def ppsp(
     elif strategy == "et":
         search = EtSearch(graph, source, target)
     elif strategy == "astar":
-        _, h_target = _heuristic_pair(graph, source, target, heuristic, radius)
+        _, h_target = _heuristic_pair(graph, source, target, heuristic)
         if h_target is None:
             raise ValueError("astar needs a target heuristic")
         search = AstarSearch(graph, source, target, h_target)
     elif strategy == "bids":
         search = BidsSearch(graph, source, target)
     else:
-        h_source, h_target = _heuristic_pair(graph, source, target, heuristic, radius)
+        h_source, h_target = _heuristic_pair(graph, source, target, heuristic)
         if h_source is None or h_target is None:
             raise ValueError("bidastar needs heuristics toward both endpoints")
         search = BidAstarSearch(graph, source, target, h_source, h_target)

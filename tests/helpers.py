@@ -48,6 +48,24 @@ def geometric_graph(n, k, seed):
     return build_csr(n, edges, symmetrize=True).with_coords(pts, "euclidean")
 
 
+def latlon_graph(n, k, seed, radius):
+    """k-nearest-neighbor graph over points on a sphere of ``radius``.
+
+    Coordinates are (latitude, longitude) in degrees; an arc weighs its
+    great-circle length, found from the chord, in the units of ``radius``.
+    """
+    rng = np.random.default_rng(seed)
+    lat = np.degrees(np.arcsin(rng.uniform(-0.9, 0.9, n)))
+    lon = rng.uniform(-180.0, 180.0, n)
+    phi, lam = np.radians(lat), np.radians(lon)
+    xyz = np.column_stack([np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi)])
+    chord, idx = cKDTree(xyz).query(xyz, k=k + 1)
+    rows = np.repeat(np.arange(n), k)
+    weights = 2.0 * radius * np.arcsin(np.minimum(chord[:, 1:].ravel() / 2.0, 1.0))
+    edges = np.column_stack([rows, idx[:, 1:].ravel(), weights])
+    return build_csr(n, edges, symmetrize=True).with_coords(np.column_stack([lat, lon]), "spherical")
+
+
 def grid_graph(side, weight=1.0):
     """side x side 4-neighbor grid with constant weights."""
     ids = np.arange(side * side).reshape(side, side)

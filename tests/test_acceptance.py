@@ -105,8 +105,8 @@ def test_criterion_02_geometric_oracle_equivalence():
         if s not in oracle:
             oracle[s] = sp.dijkstra(g, s)
         want = oracle[s][t]
-        toward_target = sp.euclidean_heuristic(g.coords, t)(vertices)
-        averaged = 0.5 * (toward_target - sp.euclidean_heuristic(g.coords, s)(vertices))
+        toward_target = sp.heuristic_for_graph(g, t)(vertices)
+        averaged = 0.5 * (toward_target - sp.heuristic_for_graph(g, s)(vertices))
         worst_slack = max(
             worst_slack,
             sp.consistency_violation(g, toward_target),
@@ -127,8 +127,8 @@ def test_criterion_03_reweighted_graph_equivalence():
         pairs = random_pairs_same_component(g, 5, seed=200 + k)
         vertices = np.arange(g.n)
         for s, t in pairs.tolist():
-            at_target = sp.euclidean_heuristic(g.coords, t)(vertices)
-            at_source = sp.euclidean_heuristic(g.coords, s)(vertices)
+            at_target = sp.heuristic_for_graph(g, t)(vertices)
+            at_source = sp.heuristic_for_graph(g, s)(vertices)
             potential = 0.5 * (at_target - at_source)
             on_g = sp.ppsp(g, s, t, "bidastar").distance
             # the directed graph of the forward reweighted arcs
@@ -245,7 +245,7 @@ def test_criterion_07_heuristic_memoization():
     savings_failures = 0
     ratios = []
     for s, t in pairs.tolist():
-        h, batches = _recording(sp.euclidean_heuristic(g.coords, t))
+        h, batches = _recording(sp.heuristic_for_graph(g, t))
         run = sp.ppsp(g, s, t, "astar", heuristic=h)
         computed = np.concatenate(batches) if batches else np.empty(0, np.int64)
         if computed.size != np.unique(computed).size:

@@ -141,6 +141,8 @@ def test_query_astar_with_coords(tmp_path, g1_file, capsys):
               "--delta", "2", "--coords", str(coords_path)])
     recs = _records(capsys)
     assert [r["distance"] for r in recs] == ["4.0", "4.0"]
+    # every point coincides, so the heuristic falls to zero
+    assert [r["coord_scale"] for r in recs] == ["0.0", "0.0"]
 
 
 def test_batch_all_algos(tmp_path, g1_file, capsys):

@@ -105,7 +105,7 @@ def test_step_policy_thresholds():
 
 
 def test_frontier_add_dedup():
-    f = Frontier(10)
+    f = Frontier(np.zeros(10, bool))
     assert f.add_many(np.array([2])) == 1
     assert f.size == 1
     assert f.add_many(np.array([2])) == 0
@@ -116,7 +116,7 @@ def test_frontier_add_dedup():
 
 def test_frontier_distinct_copies_of_same_vertex():
     # cells 4 and 5 are the two search copies of vertex 2
-    f = Frontier(12)
+    f = Frontier(np.zeros(12, bool))
     assert f.add_many(np.array([4])) == 1
     assert f.add_many(np.array([5])) == 1
     assert f.size == 2
@@ -125,7 +125,7 @@ def test_frontier_distinct_copies_of_same_vertex():
 
 def test_frontier_extract_inclusive():
     keys = np.array([2.0, 7.0, np.inf])
-    f = Frontier(3)
+    f = Frontier(np.zeros(3, bool))
     f.add_many(np.array([0, 1]))
     out, left = f.extract(5.0, lambda cells: keys[cells])
     assert out.tolist() == [0]
@@ -147,7 +147,7 @@ def test_frontier_extract_min_copies():
         return keys[cells]
 
     def full():
-        f = Frontier(keys.size)
+        f = Frontier(np.zeros(keys.size, bool))
         f.add_many(np.arange(keys.size))
         return f
 
@@ -180,7 +180,7 @@ def test_frontier_extract_min_copies():
 
 
 def test_frontier_discard():
-    f = Frontier(10)
+    f = Frontier(np.zeros(10, bool))
     assert f.discard(lambda cells: np.ones(cells.shape, dtype=bool)) == 0  # empty: no-op
     assert f.size == 0
     f.add_many(np.array([1, 4, 6, 9]))
@@ -198,7 +198,7 @@ def test_frontier_single_direction():
     # a bidirectional search gives up while it has no answer and only one
     # side (even cells forward, odd cells backward) is still pending
     search = BidsSearch(two_triangles(), 0, 4)
-    f = Frontier(12)
+    f = Frontier(np.zeros(12, bool))
     f.add_many(np.array([0, 2, 4]))
     assert search.early_out(f)
     f.add_many(np.array([1]))

@@ -1,43 +1,70 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import steppath as sp
 from steppath.heuristics import MemoTable
 from helpers import g1, geometric_graph
 
 
+def _placed(coords, kind, edges):
+    coords = np.asarray(coords, dtype=np.float64)
+    return sp.build_csr(len(coords), edges, symmetrize=True).with_coords(coords, kind)
+
+
 def test_euclidean_345():
-    coords = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0], [4.0, 5.0]])
-    h = sp.euclidean_heuristic(coords, 1)
+    # each arc weighs its length, so the scale is exactly 1
+    g = _placed([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0], [4.0, 5.0]], "euclidean", [(0, 1, 5.0), (2, 3, 5.0)])
+    assert g.coord_scale == 1.0
+    h = sp.heuristic_for_graph(g, 1)
     assert h(np.array([0]))[0] == 5.0
     assert h(np.array([1]))[0] == 0.0
-    h2 = sp.euclidean_heuristic(coords, 3)
+    h2 = sp.heuristic_for_graph(g, 3)
     assert h2(np.array([2]))[0] == 5.0
 
 
+def test_euclidean_scale_follows_the_weights():
+    # the arc of length 5 weighs 2.5: every estimate is halved
+    g = _placed([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]], "euclidean", [(0, 1, 2.5), (1, 2, 10.0)])
+    assert g.coord_scale == 0.5
+    assert sp.heuristic_for_graph(g, 2)(np.array([0, 1, 2])).tolist() == [5.0, 2.5, 0.0]
+
+
 def test_spherical_anchor_is_zero():
-    coords = np.array([[12.5, -30.0], [0.0, 0.0]])
-    h = sp.spherical_heuristic(coords, 0)
+    g = _placed([[12.5, -30.0], [0.0, 0.0]], "spherical", [(0, 1, 100.0)])
+    h = sp.heuristic_for_graph(g, 0)
     assert h(np.array([0]))[0] == 0.0
 
 
 def test_spherical_quarter_and_half_circle():
-    coords = np.array([[0.0, 0.0], [0.0, 90.0], [0.0, 180.0]])
-    h = sp.spherical_heuristic(coords, 0, radius=6371.0088)
-    quarter, half = h(np.array([1, 2]))
-    assert abs(quarter - math.pi * 6371.0088 / 2) < 1e-3
-    assert abs(half - math.pi * 6371.0088) < 1e-3
+    # two quarter-circle arcs along the equator weigh a quarter of the
+    # circumference in km: the scale is the radius in km
+    radius = 6371.0088
+    quarter_arc = math.pi * radius / 2
+    g = _placed([[0.0, 0.0], [0.0, 90.0], [0.0, 180.0]], "spherical", [(0, 1, quarter_arc), (1, 2, quarter_arc)])
+    assert abs(g.coord_scale - radius) < 1e-9
+    quarter, half = sp.heuristic_for_graph(g, 0)(np.array([1, 2]))
+    assert abs(quarter - math.pi * radius / 2) < 1e-3
+    assert abs(half - math.pi * radius) < 1e-3
+
+
+def test_spherical_antipodes_stay_finite():
+    # rounding puts the haversine term of this antipodal pair just past 1
+    g = _placed([[-82.0, 1.0], [82.0, -179.0]], "spherical", [(0, 1, math.pi)])
+    assert g.coord_scale == pytest.approx(1.0, rel=1e-12)
+    assert sp.heuristic_for_graph(g, 1)(np.array([0]))[0] == pytest.approx(math.pi, rel=1e-12)
+    assert sp.ppsp(g, 0, 1, "astar").distance == math.pi
 
 
 def test_spherical_validation():
-    with pytest.raises(ValueError):
-        sp.spherical_heuristic(np.array([[91.0, 0.0]]), 0)
-    with pytest.raises(ValueError):
-        sp.spherical_heuristic(np.array([[0.0, 181.0]]), 0)
-    with pytest.raises(ValueError):
-        sp.spherical_heuristic(np.array([[0.0, 0.0]]), 0, radius=0.0)
+    g = sp.build_csr(1, [])
+    with pytest.raises(ValueError, match="latitude"):
+        g.with_coords(np.array([[91.0, 0.0]]), "spherical")
+    with pytest.raises(ValueError, match="longitude"):
+        g.with_coords(np.array([[0.0, 181.0]]), "spherical")
 
 
 def test_zero_heuristic():
@@ -50,8 +77,62 @@ def test_heuristic_for_graph_dispatch():
     h = sp.heuristic_for_graph(g, 4)
     assert h(np.array([4]))[0] == 0.0
     bare = sp.build_csr(2, [(0, 1, 1.0)], symmetrize=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no coordinates"):
         sp.heuristic_for_graph(bare, 0)
+    with pytest.raises(ValueError, match="no coordinates"):
+        bare.coord_scale
+
+
+@pytest.mark.parametrize("anchor", [-1, 50, 99, 1.5, True, "3"])
+def test_heuristic_for_graph_rejects_a_bad_anchor(anchor):
+    g = geometric_graph(50, 3, 0)
+    with pytest.raises(ValueError, match="anchor"):
+        sp.heuristic_for_graph(g, anchor)
+
+
+def test_coord_scale_zero_without_a_positive_length():
+    # every point coincides: no arc bounds the scale, which falls to 0 and
+    # leaves a zero heuristic
+    g = g1().with_coords(np.zeros((4, 2)), "euclidean")
+    assert g.coord_scale == 0.0
+    assert sp.heuristic_for_graph(g, 3)(np.arange(4)).tolist() == [0.0] * 4
+    # a zero weight on an arc of positive length
+    g = _placed([[0.0, 0.0], [1.0, 0.0]], "euclidean", [(0, 1, 0.0)])
+    assert g.coord_scale == 0.0
+    # self-loops and coincident points bound nothing
+    g = _placed([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]], "euclidean", [(0, 0, 0.0), (0, 1, 0.0), (1, 2, 6.0)])
+    assert g.coord_scale == 3.0
+    assert _placed(np.zeros((3, 2)), "euclidean", []).coord_scale == 0.0
+
+
+def test_coord_scale_is_derived_afresh():
+    g = geometric_graph(200, 4, 3)
+    scale = g.coord_scale
+    halved = dataclasses.replace(g, weights=g.weights / 2)
+    assert halved.coord_scale == pytest.approx(scale / 2, rel=1e-12)
+    assert g.coord_scale == scale
+    moved = g.with_coords(g.coords * 4, "euclidean")
+    assert moved.coord_scale == pytest.approx(scale / 4, rel=1e-12)
+
+
+@st.composite
+def _placed_graph(draw):
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["euclidean", "spherical"]))
+    lat = st.floats(-90, 90) if kind == "spherical" else st.floats(-1e3, 1e3)
+    lon = st.floats(-180, 180) if kind == "spherical" else st.floats(-1e3, 1e3)
+    coords = draw(st.lists(st.tuples(lat, lon), min_size=n, max_size=n))
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.floats(0, 1e3)), max_size=16))
+    g = sp.build_csr(n, edges, symmetrize=draw(st.booleans())).with_coords(coords, kind)
+    return g, draw(vertex)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_placed_graph())
+def test_coordinate_heuristic_is_consistent(case):
+    g, anchor = case
+    sp.check_consistent(g, sp.heuristic_for_graph(g, anchor))
 
 
 def test_bidirectional_pair_values():

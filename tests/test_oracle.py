@@ -21,8 +21,17 @@ def test_unreachable_is_inf():
 
 
 def test_source_out_of_range():
-    with pytest.raises(ValueError):
-        dijkstra(g1(), 4)
+    # a fractional or boolean id was once truncated to another vertex:
+    # 1.5 and True answered from vertex 1
+    for source in (4, -1, 1.5, True, "1", None):
+        with pytest.raises(ValueError, match="source"):
+            dijkstra(g1(), source)
+        with pytest.raises(ValueError, match="source"):
+            percentile_target(g1(), source, 50)
+    g = random_graph(50, 3, 5)
+    with pytest.raises(ValueError, match="source"):
+        percentile_target(g, 2.7, 50)  # once ranked from 2, leaving 2 in R
+    assert percentile_target(g, 2.0, 50) == percentile_target(g, 2, 50)
 
 
 def test_matches_bellman_ford_fixpoint():

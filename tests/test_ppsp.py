@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from steppath.ppsp import AstarSearch, BidAstarSearch, BidsSearch, EtSearch
 from helpers import (
     g1,
     geometric_graph,
+    latlon_graph,
     random_graph,
     random_pairs_same_component,
     two_triangles,
@@ -140,6 +142,35 @@ def test_astar_geometric_matches_oracle():
         assert sp.ppsp(g, s, t, "astar").distance == pytest.approx(want, rel=1e-9)
 
 
+EARTH_KM = 6371.0088
+KM_PER_MILE = 1.609344
+
+
+def _halved_weights():
+    g = geometric_graph(5000, 6, 1)
+    return dataclasses.replace(g, weights=g.weights / 2)
+
+
+@pytest.mark.parametrize(
+    "make, scale",
+    [
+        (_halved_weights, 0.5),
+        (lambda: latlon_graph(3000, 6, 1, EARTH_KM), EARTH_KM),
+        (lambda: latlon_graph(3000, 6, 1, EARTH_KM / KM_PER_MILE), EARTH_KM / KM_PER_MILE),
+    ],
+    ids=["halved-weights", "latlon-km", "latlon-miles"],
+)
+def test_astar_exact_whatever_the_weight_units(make, scale):
+    # weights shorter than the coordinate lengths, or in other units than
+    # the coordinates, scale the heuristic instead of misleading it
+    g = make()
+    assert g.coord_scale == pytest.approx(scale, rel=1e-9)
+    for s, t in sp.percentile_pairs(g, 20, 90, 1).tolist():
+        want = sp.dijkstra(g, s)[t]
+        for strategy in ("astar", "bidastar"):
+            assert sp.ppsp(g, s, t, strategy).distance == pytest.approx(want, rel=1e-9), (strategy, s, t)
+
+
 def test_symmetry_of_endpoints():
     g = geometric_graph(300, 4, 17)
     pairs = random_pairs_same_component(g, 8, 5)
@@ -166,7 +197,7 @@ def test_best_trace_nonincreasing():
 def test_memoization_counts():
     g = geometric_graph(500, 5, 20)
     evaluated = []
-    base = sp.euclidean_heuristic(g.coords, 400)
+    base = sp.heuristic_for_graph(g, 400)
 
     def h(vertices):
         evaluated.append(np.array(vertices, copy=True))

@@ -16,14 +16,19 @@ from steppath.ppsp import AstarSearch, BidAstarSearch
 
 def test_all_is_sorted_unique_and_resolves():
     assert sp.__all__ == sorted(set(sp.__all__))
-    assert len(sp.__all__) == 50
+    assert len(sp.__all__) == 47
     for name in sp.__all__:
         assert getattr(sp, name) is not None, name
 
 
-@pytest.mark.parametrize("name", ["INF", "Frontier", "MemoTable", "great_circle"])
+@pytest.mark.parametrize("name", ["INF", "Frontier", "MemoTable", "great_circle", "coord_length"])
 def test_internal_names_not_exported(name):
     assert name not in sp.__all__
+
+
+@pytest.mark.parametrize("name", ["EARTH_RADIUS_KM", "euclidean_heuristic", "spherical_heuristic", "great_circle"])
+def test_removed_names(name):
+    assert not hasattr(sp, name) and not hasattr(sp.heuristics, name)
 
 
 @pytest.mark.parametrize(
@@ -35,13 +40,15 @@ def test_internal_names_not_exported(name):
         (MemoTable, "enabled"),
         (sp.multi_bids, "cell_cap"),
         (sp.check_consistent, "tol"),
+        (sp.ppsp, "radius"),
+        (sp.heuristic_for_graph, "radius"),
     ],
 )
 def test_removed_parameters(fn, param):
     assert param not in inspect.signature(fn).parameters
 
 
-@pytest.mark.parametrize("cls, name", [(BenchConfig, "label"), (BatchAnswer, "extras")])
+@pytest.mark.parametrize("cls, name", [(BenchConfig, "label"), (BenchConfig, "radius"), (BatchAnswer, "extras")])
 def test_removed_fields(cls, name):
     assert name not in {f.name for f in dataclasses.fields(cls)}
 
@@ -56,8 +63,10 @@ def test_removed_methods(cls, name):
     [
         ["convert", "-g", "g.txt", "--out", "g.bin", "--to", "binary"],
         ["batch", "-g", "g.txt", "--queries", "q.txt", "--coords", "c.txt"],
+        ["query", "-g", "g.txt", "--source", "0", "--target", "1", "--radius", "3958.8"],
+        ["bench", "-g", "g.txt", "--radius", "3958.8"],
     ],
-    ids=["convert--to", "batch--coords"],
+    ids=["convert--to", "batch--coords", "query--radius", "bench--radius"],
 )
 def test_cli_rejects_removed_flags(argv, capsys):
     with pytest.raises(SystemExit) as exc:
