@@ -23,7 +23,9 @@ class CsrGraph:
     with equal weight.  Vertices are dense ids ``0..n-1``.  ``coords``
     optionally holds one 2-D point per vertex, tagged by ``coord_kind``:
     ``"euclidean"`` rows are (x, y), and ``"spherical"`` rows are
-    (latitude, longitude) in degrees.
+    (latitude, longitude) in degrees.  Every construction checks them:
+    the shape, the kind, finiteness and, for spherical rows,
+    ``|latitude| <= 90`` and ``|longitude| <= 180``.
 
     Instances are frozen; derive changed graphs with
     :func:`dataclasses.replace` or the helpers in this module.  Facts
@@ -39,6 +41,20 @@ class CsrGraph:
     weights: np.ndarray  # float64, length m
     coords: np.ndarray | None = None
     coord_kind: str | None = None
+
+    def __post_init__(self):
+        if self.coords is None and self.coord_kind is None:
+            return
+        if self.coord_kind not in COORD_KINDS:
+            raise ValueError(f"coord kind must be one of {COORD_KINDS}, got {self.coord_kind!r}")
+        if np.shape(self.coords) != (self.n, 2):
+            raise ValueError(f"coords must have shape ({self.n}, 2), got {np.shape(self.coords)}")
+        coords = np.asarray(self.coords, dtype=np.float64)
+        if not np.all(np.isfinite(coords)):
+            raise ValueError("coords must be finite")
+        if self.coord_kind == SPHERICAL:
+            if np.any(np.abs(coords[:, 0]) > 90.0) or np.any(np.abs(coords[:, 1]) > 180.0):
+                raise ValueError("spherical coords need |latitude| <= 90 and |longitude| <= 180")
 
     @property
     def m(self) -> int:
@@ -71,7 +87,7 @@ class CsrGraph:
         length bound nothing; with no arc of positive length the scale is
         0.  Raises ValueError on a graph without coordinates.
         """
-        if self.coords is None or self.coord_kind not in COORD_KINDS:
+        if self.coords is None:
             raise ValueError("graph carries no coordinates; attach them or pass a heuristic")
         x, y = np.ascontiguousarray(self.coords.T)
         src, tgt = self.arc_sources(), self.targets
@@ -90,17 +106,8 @@ class CsrGraph:
         return _label_components(self)
 
     def with_coords(self, coords, kind: str) -> "CsrGraph":
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.shape != (self.n, 2):
-            raise ValueError(f"coords must have shape ({self.n}, 2), got {coords.shape}")
-        if kind not in COORD_KINDS:
-            raise ValueError(f"coord kind must be one of {COORD_KINDS}, got {kind!r}")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("coords must be finite")
-        if kind == SPHERICAL:
-            if np.any(np.abs(coords[:, 0]) > 90.0) or np.any(np.abs(coords[:, 1]) > 180.0):
-                raise ValueError("spherical coords need |latitude| <= 90 and |longitude| <= 180")
-        return replace(self, coords=coords, coord_kind=kind)
+        """This graph with float64 ``coords`` of ``kind`` (checked as on construction)."""
+        return replace(self, coords=np.asarray(coords, dtype=np.float64), coord_kind=kind)
 
 
 def coord_length(kind: str, p, q) -> np.ndarray:
@@ -126,12 +133,18 @@ def coord_length(kind: str, p, q) -> np.ndarray:
 def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     """Build a :class:`CsrGraph` from (u, v, w) triples.
 
-    With ``symmetrize`` every non-loop arc gains a mirror arc of equal
-    weight; a self-loop is its own mirror and is stored once.  Parallel
-    arcs are kept as given (relaxation simply picks the cheapest).  The
-    arcs of a vertex are stored in input order with originals before
-    mirrors, which fixes the canonical arc order that
-    :func:`generate_uniform_weights` draws in.  That order is a stable
+    With ``symmetrize`` the arcs are the smallest mirror-closed multiset
+    that holds the input: a non-loop arc (u, v, w) gains a mirror
+    (v, u, w) unless the input already holds one for it.  Arcs given
+    both ways pair up by occurrence rank, so each (u, v, w) is stored
+    ``max(count(u, v, w), count(v, u, w))`` times: an edge given both
+    ways is one undirected edge, stored once per direction.  A self-loop
+    is its own mirror and is stored once.  Parallel arcs of different
+    weights, and extra copies given one way only, are kept (relaxation
+    simply picks the cheapest).  The arcs of a vertex are stored in
+    input order with originals before the added mirrors, which fixes
+    the canonical arc order that :func:`generate_uniform_weights` draws
+    in.  That order is a stable
     sort by source, made by one in-place sort of packed values
     (:func:`_stable_argsort`).  The graph's ``symmetric`` is derived
     from the arcs on first use, however they were made.
@@ -156,17 +169,78 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
         raise ValueError("weights must be finite and nonnegative")
 
     if symmetrize and src.size:
-        keep = src != tgt  # a self-loop is its own mirror
+        lone = _unmatched_arcs(src, tgt, w, n)  # the arcs that gain a mirror
         src, tgt, w = (
-            np.concatenate([src, tgt[keep]]),
-            np.concatenate([tgt, src[keep]]),
-            np.concatenate([w, w[keep]]),
+            np.concatenate([src, tgt[lone]]),
+            np.concatenate([tgt, src[lone]]),
+            np.concatenate([w, w[lone]]),
         )
 
     order = _stable_argsort(src, n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
     return CsrGraph(n=n, offsets=offsets, targets=tgt.astype(np.int32)[order], weights=w[order])
+
+
+def _unmatched_arcs(src: np.ndarray, tgt: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the non-loop arcs that the input holds no mirror for.
+
+    The arcs (u, v, w) and (v, u, w) pair up by occurrence rank: the k-th
+    given one way, in input order, pairs with the k-th given the other
+    way.  An arc is unmatched when its side of the pairing is the longer
+    one and its rank is past the shorter side's count.  The arcs are
+    ordered stably by their undirected key ``min * n + max``, with one
+    packed sort when key and position fit in 64 bits; a key held by two
+    arcs is matched directly, and only the arcs of keys held by three or
+    more are ordered further by weight and direction.  A self-loop is its
+    own key and never pairs.
+    """
+    lo, hi = np.minimum(src, tgt), np.maximum(src, tgt)
+    if _packs(n * n, src.size):
+        key, bits = _packed_sort(lo * n + hi, n * n)
+        order = (key & np.uint64((1 << bits) - 1)).view(np.int64)
+        key >>= np.uint64(bits)  # unpacked in place: the sorted keys
+    else:  # by max, then stably by min, as _mirror_orders does
+        order = _stable_argsort(hi, n)
+        order = order[_stable_argsort(lo[order], n)]
+        key = lo[order] * n + hi[order]
+    del lo, hi
+    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    sizes = np.diff(starts, append=key.size)
+    lone = src != tgt
+    # a key held by two arcs: they pair when they run opposite ways with one weight
+    two = starts[sizes == 2]
+    a, b = order[two], order[two + 1]
+    pair = (src[a] != src[b]) & (w[a] == w[b])
+    lone[a[pair]] = lone[b[pair]] = False
+    many = sizes > 2
+    if many.any():
+        many = np.flatnonzero(np.repeat(many, sizes))
+        a = order[many]
+        lone[a[_paired_by_rank(key[many], w[a], src[a] < tgt[a])]] = False
+    return lone
+
+
+def _paired_by_rank(key: np.ndarray, w: np.ndarray, forward: np.ndarray) -> np.ndarray:
+    """Positions of the arcs that pair with a mirror, for arcs sorted by key.
+
+    Within a key the arcs are in input order.  A stable sort by (key,
+    weight, direction) keeps that order within each direction, so an
+    arc's offset in its run of one key, weight and direction is its
+    occurrence rank.  In each run the arcs ranked below
+    ``min(forward, backward)`` of their key and weight pair up.
+    """
+    order = np.lexsort((~forward, w, key))
+    key, w, forward = key[order], w[order], forward[order]
+    new_group = np.ones(order.size, dtype=bool)
+    new_group[1:] = (key[1:] != key[:-1]) | (w[1:] != w[:-1])
+    new_run = new_group.copy()
+    new_run[1:] |= forward[1:] != forward[:-1]
+    group = np.cumsum(new_group) - 1
+    rank = np.arange(order.size) - np.flatnonzero(new_run)[np.cumsum(new_run) - 1]
+    ahead = np.bincount(group[forward], minlength=group[-1] + 1)
+    pairs = np.minimum(ahead, np.bincount(group) - ahead)
+    return order[rank < pairs[group]]
 
 
 def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -181,15 +255,30 @@ def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     ValueError when key and position bits do not fit in 64, which cannot
     happen for ``bound <= 2**31`` with fewer than ``2**33`` keys.
     """
-    b = max(1, (keys.size - 1).bit_length())
-    if (bound - 1).bit_length() + b > 64:
+    packed, b = _packed_sort(keys, bound)
+    packed &= np.uint64((1 << b) - 1)
+    return packed.view(np.int64)
+
+
+def _packed_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
+    """The sorted ``uint64`` values ``key << b | position``, and ``b``."""
+    if not _packs(bound, keys.size):
         raise ValueError(f"{keys.size} keys below {bound} do not fit in 64 bits with their positions")
+    b = _position_bits(keys.size)
     packed = keys.astype(np.uint64)
     packed <<= np.uint64(b)
     packed |= np.arange(keys.size, dtype=np.uint64)
     packed.sort()
-    packed &= np.uint64((1 << b) - 1)
-    return packed.view(np.int64)
+    return packed, b
+
+
+def _position_bits(size: int) -> int:
+    return max(1, (size - 1).bit_length())
+
+
+def _packs(bound: int, size: int) -> bool:
+    """True iff ``size`` keys in ``[0, bound)`` fit in 64 bits with their positions."""
+    return (bound - 1).bit_length() + _position_bits(size) <= 64
 
 
 def _mirror_orders(graph: CsrGraph):

@@ -10,6 +10,8 @@ units its weights use.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .graph import CsrGraph, coord_length
@@ -106,11 +108,14 @@ def consistency_violation(graph: CsrGraph, h_values: np.ndarray) -> float:
     """Worst violation of h(u) <= w(u, v) + h(v) over all arcs.
 
     Equivalently the most negative induced weight, negated: a heuristic is
-    consistent when the result is <= 0 (up to float tolerance).
+    consistent when the result is <= 0 (up to float tolerance).  A
+    non-finite value (NaN or infinity) is an infinite violation.
     """
     h_values = np.asarray(h_values, dtype=np.float64)
     if h_values.shape != (graph.n,):
         raise ValueError("need one heuristic value per vertex")
+    if not np.all(np.isfinite(h_values)):
+        return math.inf
     if graph.m == 0:
         return 0.0
     src = graph.arc_sources()
@@ -119,8 +124,13 @@ def consistency_violation(graph: CsrGraph, h_values: np.ndarray) -> float:
 
 
 def check_consistent(graph: CsrGraph, h) -> None:
-    """Raise if ``h`` is not consistent on ``graph`` within CONSISTENCY_TOL."""
+    """Raise if ``h`` is not consistent on ``graph`` within CONSISTENCY_TOL.
+
+    A non-finite value (NaN or infinity) is refused with its own message.
+    """
     values = np.asarray(h(np.arange(graph.n)), dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("heuristic returned a non-finite value")
     worst = consistency_violation(graph, values)
     if worst > CONSISTENCY_TOL:
         raise ValueError(f"heuristic is inconsistent: worst arc violation {worst:.3e} > {CONSISTENCY_TOL:.1e}")

@@ -4,7 +4,9 @@ Three on-disk formats are supported:
 
 * text edge list: an optional block of ``#`` comment lines, one header
   line ``n m``, then ``m`` lines ``u v w``.  The list describes an
-  undirected graph; the loader symmetrizes.
+  undirected graph; the loader symmetrizes, adding a mirror arc for
+  each line the list does not already give the other way with the same
+  weight, so an edge listed both ways is stored once per direction.
 * binary CSR: little-endian, magic ``OCSR``, u32 version, u64 n, u64 m,
   then offsets ((n+1) x u64), targets (m x u32), weights (m x f64).
 * coordinates: a header line ``euclidean`` or ``spherical`` followed by

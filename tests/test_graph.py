@@ -19,7 +19,7 @@ from steppath import (
     pattern_pairs,
     percentile_pairs,
 )
-from helpers import g1, random_graph, reachable_mask, two_triangles
+from helpers import g1, heap_dijkstra, random_graph, reachable_mask, two_triangles
 
 
 def test_g1_shape():
@@ -177,19 +177,82 @@ def _spread_multigraph(seed, m=3_000):
     return np.column_stack([u, v, rng.integers(1, 4, m)]).astype(np.float64)
 
 
+def _symmetrized_by_loop(edges):
+    """The input, then a mirror of each arc left over by occurrence-rank pairing.
+
+    The k-th (u, v, w) given, in input order, pairs with the k-th
+    (v, u, w); the (u, v, w) arcs past the count of (v, u, w) ones gain
+    mirrors, which follow the input in the order of their originals.
+    """
+    edges = [tuple(e) for e in edges]
+    given = defaultdict(list)
+    for k, arc in enumerate(edges):
+        given[arc].append(k)
+    lone = set()
+    for (u, v, w), mine in given.items():
+        if u != v:
+            lone.update(mine[len(given.get((v, u, w), ())) :])
+    return edges + [(v, u, w) for k, (u, v, w) in enumerate(edges) if k in lone]
+
+
 def test_build_csr_order_past_16_bit_ids():
     # arcs sorted stably by source: input order, originals before mirrors
     rows = _spread_multigraph(0)
     for symmetrize in (False, True):
-        src, tgt, w = rows.T
-        if symmetrize:
-            keep = src != tgt
-            src, tgt, w = np.concatenate([src, tgt[keep]]), np.concatenate([tgt, src[keep]]), np.concatenate([w, w[keep]])
+        src, tgt, w = np.array(_symmetrized_by_loop(rows)).T if symmetrize else rows.T
         order = np.argsort(src, kind="stable")
         g = build_csr(SPREAD_N, rows, symmetrize=symmetrize)
         assert np.array_equal(g.offsets, np.searchsorted(src[order], np.arange(SPREAD_N + 1)))
         assert np.array_equal(g.targets, tgt[order])
         assert np.array_equal(g.weights, w[order])
+
+
+@st.composite
+def _edges_with_copies(draw):
+    """Arcs on 5 vertices, some copied and some also given the other way."""
+    edges = draw(st.lists(_ARC, max_size=10))
+    if edges:
+        pick = st.sampled_from(edges)
+        edges += draw(st.lists(pick, max_size=6))
+        edges += [(v, u, w) for u, v, w in draw(st.lists(pick, max_size=10))]
+    return draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edges_with_copies())
+@example([(0, 1, 1.0), (1, 0, 1.0)])  # one edge given both ways
+@example([(0, 1, 1.0), (1, 0, 1.0), (0, 1, 1.0), (0, 1, 2.0), (2, 2, 0.0), (2, 2, 0.0)])
+def test_symmetrize_is_the_smallest_mirror_closed_multiset(edges):
+    n = 5
+    g = build_csr(n, edges, symmetrize=True)
+    count = Counter(edges)
+    want = Counter()
+    for u, v, w in count | Counter((v, u, w) for u, v, w in edges):
+        want[u, v, w] = count[u, v, w] if u == v else max(count[u, v, w], count[v, u, w])
+    assert Counter(zip(g.arc_sources().tolist(), g.targets.tolist(), g.weights.tolist())) == want
+    assert mirror_closed(g)
+    # the input first, in input order within each row, then the added mirrors
+    src, tgt, w = np.array(_symmetrized_by_loop(edges), dtype=np.float64).reshape(-1, 3).T
+    order = np.argsort(src, kind="stable")
+    assert np.array_equal(g.targets, tgt[order]) and np.array_equal(g.weights, w[order])
+    # no distance moves from the graph that mirrors every arc
+    doubled = build_csr(n, edges + [(v, u, w) for u, v, w in edges if u != v])
+    for s in range(n):
+        assert np.array_equal(heap_dijkstra(g, s), heap_dijkstra(doubled, s))
+
+
+def test_unmatched_arcs_with_ids_past_packed_keys():
+    # ids near 2**31 leave key and position no room in 64 bits, so the
+    # helper sorts by max and then stably by min; a few arcs reach that path
+    rows = np.array(
+        [(0, 1, 1.0), (1, 0, 1.0), (0, 1, 1.0), (2, 2, 0.0), (1, 2, 2.0), (2, 1, 3.0), (0, 1, 1.0), (1, 0, 1.0)]
+    )
+    src, tgt, w = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64), rows[:, 2]
+    want = [False, False, False, False, True, True, True, False]
+    assert steppath.graph._unmatched_arcs(src, tgt, w, 3).tolist() == want
+    n = 2**31
+    assert not steppath.graph._packs(n * n, src.size)
+    assert steppath.graph._unmatched_arcs(n - 1 - src, n - 1 - tgt, w, n).tolist() == want
 
 
 def test_uniform_weights_past_16_bit_ids():

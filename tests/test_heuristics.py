@@ -67,6 +67,31 @@ def test_spherical_validation():
         g.with_coords(np.array([[0.0, 181.0]]), "spherical")
 
 
+def test_coords_checked_on_every_construction():
+    # a graph built directly, or derived with replace, gets with_coords' checks
+    g = sp.build_csr(2, [(0, 1, 1.0)], symmetrize=True)
+    offsets, targets, weights = g.offsets, g.targets, g.weights
+    placed = np.array([[95.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="latitude"):
+        sp.CsrGraph(2, offsets, targets, weights, placed, "spherical")
+    with pytest.raises(ValueError, match="latitude"):
+        dataclasses.replace(g, coords=placed, coord_kind="spherical")
+    ok = g.with_coords([[45.0, 10.0], [0.0, 0.0]], "spherical")
+    assert ok.coords.dtype == np.float64
+    for coords, kind, message in (
+        (np.zeros((3, 2)), "euclidean", "shape"),
+        (np.zeros((2, 2)), "planar", "kind"),
+        (np.zeros((2, 2)), None, "kind"),
+        (None, "euclidean", "shape"),
+        (np.array([[0.0, np.nan], [0.0, 0.0]]), "euclidean", "finite"),
+        (np.array([[0.0, 181.0], [0.0, 0.0]]), "spherical", "longitude"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            sp.CsrGraph(2, offsets, targets, weights, coords, kind)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ok, coords=coords, coord_kind=kind)
+
+
 def test_zero_heuristic():
     h = sp.zero_heuristic()
     assert np.array_equal(h(np.arange(5)), np.zeros(5))
@@ -194,6 +219,16 @@ def test_inconsistent_heuristic_detected():
     assert sp.consistency_violation(g, bogus) > 1.0
     with pytest.raises(ValueError):
         sp.check_consistent(g, lambda v: bogus[v])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_heuristic_is_inconsistent(value):
+    # a NaN violation would compare False against the tolerance: a
+    # non-finite value is an infinite violation, refused on its own
+    g = g1()
+    assert sp.consistency_violation(g, np.full(g.n, value)) == math.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        sp.check_consistent(g, lambda v: np.full(np.shape(v), value))
 
 
 def test_induced_weights_nonnegative_and_mirrored():

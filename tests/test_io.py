@@ -35,6 +35,21 @@ def test_edge_list_comments_and_blank_lines(tmp_path):
     assert g.symmetric
 
 
+def test_edge_list_given_both_ways_loads_as_given_once(tmp_path):
+    # an edge given both ways is one undirected edge, stored once per direction
+    edges = [(0, 1, 1.5), (1, 2, 2.5), (0, 1, 4.0), (2, 2, 1.0), (3, 0, 0.0)]
+    both = edges + [(v, u, w) for u, v, w in edges if u != v]
+    graphs = []
+    for name, lines in (("once", edges), ("both", both)):
+        p = tmp_path / f"{name}.txt"
+        p.write_text(f"4 {len(lines)}\n" + "".join(f"{u} {v} {w}\n" for u, v, w in lines))
+        graphs.append(sp.load_edge_list(p))
+    once, twice = graphs
+    assert once.m == twice.m == 9
+    for name in ("offsets", "targets", "weights"):
+        assert np.array_equal(getattr(once, name), getattr(twice, name)), name
+
+
 def test_edge_list_bad_header(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("3\n0 1 1.0\n")
