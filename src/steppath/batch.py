@@ -160,9 +160,9 @@ class MultiBidsSearch(Search):
         qg, c = self.qg, self.copies
         verts, endpoint = np.divmod(cells, c)
         slots, deg = _arc_ranges(qg.q_offsets, endpoint)
-        mates = np.repeat(verts * c, deg)
+        mates = (verts * c).repeat(deg)
         mates += qg.q_neighbors[slots]
-        sums = np.repeat(self.dist[cells], deg)
+        sums = self.dist[cells].repeat(deg)
         sums += self.dist[mates]
         if not _scatter_min(self.edge_best, qg.q_edges[slots], sums, self._stamp).size:
             return False

@@ -6,9 +6,9 @@ rounds only, and fails loudly if any round disagrees on the distances
 (the runs are supposed to be value-deterministic).  Records are plain
 dicts that echo every configuration field so a report line can be
 replayed.  A step width of ``"auto"`` runs the graph's
-:func:`~steppath.engine.default_policy` itself (its Δ and its per-step
-copy floor), the same schedule ``query``, ``batch`` and the library use;
-a number runs ``StepPolicy(delta)``.  The distances are the same for
+:func:`~steppath.engine.default_policy` itself (its Δ and its adaptive
+per-step copy count ρ), the same schedule ``query``, ``batch`` and the
+library use; a number runs ``StepPolicy(delta)``.  The distances are the same for
 every schedule, so the choice only moves the timings.
 """
 

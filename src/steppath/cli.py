@@ -254,7 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--delta",
         type=_delta_arg,
         default="auto",
-        help="step width (no copy floor), or 'auto' for the default policy: max arc weight / 16, at least 128 copies per step",
+        help="step width (no copy floor), or 'auto' for the default policy: max arc weight / 16, "
+        "at least rho copies per step, rho starting at 128 and adapted to re-expansions (64-256)",
     )
     p.add_argument("--coords", help="coordinates file (for the A* strategies)")
     p.set_defaults(fn=cmd_query)

@@ -57,7 +57,7 @@ class EtSearch(Search):
         return self.keys(cells) >= self.best
 
     def on_improved(self, cells):
-        if np.any(cells == self.target):
+        if (cells == self.target).any():
             d = float(self.dist[self.target])
             if d < self.best:
                 self.best = d
@@ -66,14 +66,27 @@ class EtSearch(Search):
 
 
 class AstarSearch(EtSearch):
-    """Early termination with keys ordered by distance plus heuristic."""
+    """Early termination with keys ordered by distance plus heuristic.
+
+    The heuristic of a cell is looked up when the cell is seeded or
+    improved, so a key is one gather from the memo table's values.
+    """
 
     def __init__(self, graph, source, target, heuristic):
         super().__init__(graph, source, target)
         self.memo = MemoTable(graph.n, heuristic)
 
+    def seeds(self):
+        cells, values = super().seeds()
+        self.memo.get_many(cells)
+        return cells, values
+
     def keys(self, cells):
-        return self.dist[cells] + self.memo.get_many(cells)
+        return self.dist[cells] + self.memo.values[cells]
+
+    def on_improved(self, cells):
+        self.memo.get_many(cells)
+        return super().on_improved(cells)
 
 
 class BidsSearch(Search):
@@ -120,17 +133,34 @@ class BidsSearch(Search):
 
 
 class BidAstarSearch(BidsSearch):
-    """Bidirectional search steered by opposing averaged heuristics."""
+    """Bidirectional search steered by opposing averaged heuristics.
+
+    Each cell's signed heuristic (+h forward, -h backward) is stored in a
+    per-cell array when the cell is seeded or improved, so a key is one
+    gather from it.
+    """
 
     def __init__(self, graph, source, target, h_source, h_target):
         super().__init__(graph, source, target)
         forward_h, _ = make_bidirectional_heuristics(h_source, h_target)
         self.memo = MemoTable(graph.n, forward_h)
+        self._signed_h = np.full(graph.n * 2, np.nan)  # cell 2v: +h(v), 2v + 1: -h(v)
+
+    def _fill(self, cells):
+        h = self.memo.get_many(cells >> 1)
+        self._signed_h[cells] = np.where(cells & 1, -h, h)
+
+    def seeds(self):
+        cells, values = super().seeds()
+        self._fill(cells)
+        return cells, values
 
     def keys(self, cells):
-        h = self.memo.get_many(cells >> 1)
-        sign = 1.0 - 2.0 * (cells & 1)  # +h forward, -h backward
-        return self.dist[cells] + h * sign
+        return self.dist[cells] + self._signed_h[cells]
+
+    def on_improved(self, cells):
+        self._fill(cells)
+        return super().on_improved(cells)
 
 
 def _heuristic_pair(graph, source, target, heuristic):

@@ -419,6 +419,111 @@ def test_step_rule_on_float_weights(n, k, graph_seed, delta_share, min_copies, p
             assert got == want[t] or abs(got - want[t]) <= 1e-15 * want[t], strategy
 
 
+def _delta_stepping_counts(g, source, delta):
+    """Steps, relaxations and settled vertices of bulk Δ-stepping, in plain Python.
+
+    Each step takes every pending vertex with distance up to ``i * delta``
+    and offers its arcs from the distances at the start of the step; an
+    empty window moves ``i`` straight to the first one holding a vertex.
+    """
+    dist = [np.inf] * g.n
+    dist[source] = 0.0
+    pending, settled = {source}, set()
+    steps = relaxations = index = 0
+    while pending:
+        take = [v for v in pending if dist[v] <= index * delta]
+        if not take:
+            low = min(dist[v] for v in pending)
+            index = max(index + 1, int(np.ceil(low / delta)))
+            while index * delta < low:
+                index += 1
+            continue
+        index += 1
+        steps += 1
+        pending.difference_update(take)
+        settled.update(take)
+        offers = []
+        for u in take:
+            for a in range(g.offsets[u], g.offsets[u + 1]):
+                offers.append((int(g.targets[a]), dist[u] + float(g.weights[a])))
+        relaxations += len(offers)
+        for v, d in offers:
+            if d < dist[v]:
+                dist[v] = d
+                pending.add(v)
+    return steps, relaxations, len(settled)
+
+
+def test_min_copies_one_is_pure_delta_stepping():
+    graphs = [random_graph(300, 3, 21), geometric_graph(300, 4, 22)]
+    for g in graphs:
+        for delta in (g.max_weight / 16, g.max_weight / 2, g.max_weight * 4):
+            for source in (0, 7, 150):
+                _, stats = sp.sssp(g, source, policy=sp.StepPolicy(delta), return_stats=True)
+                got = (stats.steps, stats.relaxations, stats.settled_copies)
+                assert got == _delta_stepping_counts(g, source, delta), (delta, source)
+
+
+def test_step_width_stays_within_bounds(monkeypatch):
+    # record the ρ that run_search hands to every extraction
+    widths = []
+    extract = Frontier.extract
+
+    def watched(self, threshold, key_fn, min_copies=1):
+        widths.append(min_copies)
+        return extract(self, threshold, key_fn, min_copies)
+
+    monkeypatch.setattr(Frontier, "extract", watched)
+    g = geometric_graph(5_000, 6, 23)
+    pairs = sp.percentile_pairs(g, 3, 90.0, 24).tolist()
+    for min_copies in (1, 2, 40, 128):
+        policy = sp.StepPolicy(g.max_weight / 16, min_copies=min_copies)
+        seen = set()
+        for s, t in pairs:
+            for strategy in ("et", "bids", "astar", "bidastar"):
+                widths.clear()
+                sp.ppsp(g, s, t, strategy, policy=policy)
+                assert widths[0] == min_copies
+                seen.update(widths)
+        assert max(1, min_copies // 2) <= min(seen) and max(seen) <= 2 * min_copies, (min_copies, seen)
+        if min_copies == 1:
+            assert seen == {1}
+        if min_copies == 128:
+            # A* re-expansions narrow the step; waste-free steps widen it
+            assert min(seen) < 128 < max(seen)
+
+
+def test_et_and_astar_answers_identical_across_policies():
+    # float weights: a pruned single-direction answer is the fixpoint
+    # distance of the target, whatever the step width
+    g = geometric_graph(3_000, 6, 25)
+    top = g.max_weight
+    policies = [
+        sp.default_policy(g),
+        sp.StepPolicy(top / 16),
+        sp.StepPolicy(top / 64, min_copies=32),
+        sp.StepPolicy(top * 4, min_copies=256),
+    ]
+    for s, t in sp.percentile_pairs(g, 6, 90.0, 26).tolist():
+        want = sp.dijkstra(g, s)[t].hex()
+        for strategy in ("et", "astar"):
+            got = {sp.ppsp(g, s, t, strategy, policy=p).distance.hex() for p in policies}
+            assert got == {want}, (strategy, s, t)
+
+
+def test_astar_expands_a_copy_about_once():
+    # a consistent heuristic needs one expansion per vertex; the step
+    # width keeps A* near that: relaxations per settled copy stay close to
+    # the mean degree (7.1 here) instead of about 20 at a fixed width
+    g = geometric_graph(25_000, 6, 1)
+    relaxations = settled = 0
+    for s, t in sp.percentile_pairs(g, 7, 90.0, 1).tolist():
+        a = sp.ppsp(g, s, t, "astar")
+        relaxations += a.relaxations
+        settled += a.settled_copies
+    assert relaxations / settled < 15
+
+
 def _scratch_graph():
     # a kNN graph with coordinates (for astar) and several components
     g = geometric_graph(300, 2, 3)

@@ -237,6 +237,7 @@ def test_astar_prune_uses_keys():
     search.best = 10.0
     search.dist[1] = 8.0  # key 10: at the bound
     search.dist[2] = 7.9
+    search.on_improved(np.array([1, 2]))  # reached, as the engine reports them
     assert search.prune(np.array([1, 2])).tolist() == [True, False]
 
 
@@ -248,9 +249,56 @@ def test_bidastar_prune_uses_keys():
     search.best = 10.0
     cell = 2  # forward copy of vertex 1, with estimate +2
     search.dist[cell] = 3.0
+    search.on_improved(np.array([cell]))  # reached, as the engine reports it
     assert search.prune(np.array([cell])).tolist() == [True]
     search.dist[cell] = 2.9
+    search.on_improved(np.array([cell]))
     assert search.prune(np.array([cell])).tolist() == [False]
+
+
+def _counting(base, seen):
+    def h(vertices):
+        seen.append(np.asarray(vertices, dtype=np.int64).copy())
+        return base(vertices)
+
+    return h
+
+
+def test_heuristic_computed_once_per_vertex():
+    # a heuristic is looked up when a cell is reached, and the memo table
+    # computes each vertex at most once over the whole search
+    g = geometric_graph(2_000, 5, 12)
+    for s, t in random_pairs_same_component(g, 4, 13).tolist():
+        seen = []
+        a = sp.ppsp(g, s, t, "astar", heuristic=_counting(sp.heuristic_for_graph(g, t), seen))
+        computed = np.concatenate(seen)
+        assert np.unique(computed).size == computed.size == a.extras["heuristic_computations"]
+        assert a.extras["heuristic_requests"] >= computed.size
+        seen_s, seen_t = [], []
+        pair = (_counting(sp.heuristic_for_graph(g, s), seen_s), _counting(sp.heuristic_for_graph(g, t), seen_t))
+        b = sp.ppsp(g, s, t, "bidastar", heuristic=pair)
+        for part in (seen_s, seen_t):
+            computed = np.concatenate(part)
+            assert np.unique(computed).size == computed.size == b.extras["heuristic_computations"]
+
+
+def test_keys_are_distance_plus_signed_heuristic():
+    # on every reached cell a key is dist + h (astar) or dist +/- h
+    # (bidastar: + forward, - backward), bit for bit
+    g = geometric_graph(2_000, 5, 14)
+    for s, t in random_pairs_same_component(g, 3, 15).tolist():
+        h_s, h_t = sp.heuristic_for_graph(g, s), sp.heuristic_for_graph(g, t)
+        astar = AstarSearch(g, s, t, h_t)
+        run_search(g, astar)
+        cells = np.flatnonzero(np.isfinite(astar.dist))
+        want = astar.dist[cells] + h_t(cells)
+        assert np.array_equal(astar.keys(cells).view(np.uint64), want.view(np.uint64))
+        bid = BidAstarSearch(g, s, t, h_s, h_t)
+        run_search(g, bid)
+        cells = np.flatnonzero(np.isfinite(bid.dist))
+        forward = 0.5 * (h_t(cells >> 1) - h_s(cells >> 1))
+        want = bid.dist[cells] + np.where(cells & 1, -forward, forward)
+        assert np.array_equal(bid.keys(cells).view(np.uint64), want.view(np.uint64))
 
 
 def test_bids_update_sum_rule():
