@@ -25,8 +25,10 @@ pays the fixed cost of a step less often.
 ρ starts at the policy's ``min_copies`` and follows the work each step
 wastes: a copy taken again after it was already expanded is a
 re-expansion.  When more than 1/8 of a step's copies were re-expansions,
-ρ halves; when at most 1/32 were, it grows by 1/8.  It stays between
-half and twice ``min_copies``.  An A* search, whose keys lie close
+ρ halves; when at most 1/32 were and the step took at least ρ copies, it
+grows by 1/8.  A step that took the whole, smaller frontier says nothing
+about a wider one, so it leaves ρ as it is.  ρ stays between half and
+twice ``min_copies``.  An A* search, whose keys lie close
 together along its corridor, then takes narrower steps and re-expands
 less, while a search that wastes nothing takes wider ones and pays the
 fixed cost of a step less often.  The default policy starts ρ at
@@ -74,11 +76,13 @@ INF = math.inf
 # the default policy's ρ when a search starts: the fewest copies a step takes
 DEFAULT_MIN_COPIES = 128
 # ρ halves when more than 1/_RHO_SHRINK of a step re-expands settled copies,
-# grows by 1/8 when at most 1/_RHO_GROW does, and stays within _RHO_RANGE
-# times min_copies either way.  Measured on a 25k-vertex kNN graph, this
-# cut A* relaxations per settled copy from about 20 (ρ fixed at 128) to
-# 13; on a 200k-vertex random graph, doubling ρ in place of the 1/8
-# growth gave plain-bids batches 7% more relaxations and no gain.
+# grows by 1/8 when at most 1/_RHO_GROW does in a step of at least ρ
+# copies, and stays within _RHO_RANGE times min_copies either way.
+# Measured on a 25k-vertex kNN graph, this cut A* relaxations per settled
+# copy from about 20 (ρ fixed at 128) to 13; on a 200k-vertex random
+# graph, doubling ρ in place of the 1/8 growth gave plain-bids batches 7%
+# more relaxations and no gain, and growing after steps that took the
+# whole, smaller frontier gave them 13% more.
 _RHO_SHRINK = 8
 _RHO_GROW = 32
 _RHO_RANGE = 2
@@ -344,8 +348,8 @@ def run_search(
     pushes their arcs as one scatter-min.  ρ starts at
     ``policy.min_copies`` and, when that is above 1, halves after a step
     in which more than 1/8 of the copies had been expanded before and
-    grows by 1/8 after one in which at most 1/32 had, staying between
-    half and twice ``min_copies``.  It reports
+    grows by 1/8 after one of at least ρ copies in which at most 1/32
+    had, staying between half and twice ``min_copies``.  It reports
     the improved cells to ``search.on_improved``; when that tightens a
     prune bound, every pending copy ``search.prune`` now rejects is
     dropped.  Then the improved cells that ``prune`` accepts are re-added.
@@ -394,7 +398,7 @@ def run_search(
             again = int(np.count_nonzero(settled[extracted]))
             if again * _RHO_SHRINK > extracted.size:
                 rho = max(rho_low, rho // 2)
-            elif again * _RHO_GROW <= extracted.size:
+            elif extracted.size >= rho and again * _RHO_GROW <= extracted.size:
                 rho = min(rho_high, rho + max(1, rho // 8))
         settled[extracted] = True
         tgt_cells, cand, scanned = _candidates(graph, dist, extracted, copies)

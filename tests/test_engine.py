@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import steppath as sp
 from steppath.batch import MultiBidsSearch
-from steppath.engine import Frontier, SsspSearch, _scatter_min, run_search
+from steppath.engine import DEFAULT_MIN_COPIES, Frontier, SsspSearch, _scatter_min, run_search
 from steppath.ppsp import AstarSearch, BidAstarSearch, BidsSearch, EtSearch
 from helpers import g1, geometric_graph, random_graph, random_pairs_same_component, two_triangles, watch_hook
 
@@ -491,6 +491,23 @@ def test_step_width_stays_within_bounds(monkeypatch):
         if min_copies == 128:
             # A* re-expansions narrow the step; waste-free steps widen it
             assert min(seen) < 128 < max(seen)
+
+
+def test_step_width_grows_only_when_it_binds(monkeypatch):
+    # on a path the frontier holds one copy, so every step takes all of it
+    # and no step says whether a wider one would waste work
+    widths = []
+    extract = Frontier.extract
+
+    def watched(self, threshold, key_fn, min_copies=1):
+        widths.append(min_copies)
+        return extract(self, threshold, key_fn, min_copies)
+
+    monkeypatch.setattr(Frontier, "extract", watched)
+    n = 300
+    g = sp.build_csr(n, [(v, v + 1, 1.0) for v in range(n - 1)], symmetrize=True)
+    assert sp.ppsp(g, 0, n - 1, "et").distance == n - 1
+    assert set(widths) == {DEFAULT_MIN_COPIES}
 
 
 def test_et_and_astar_answers_identical_across_policies():
