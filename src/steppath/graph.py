@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import connected_components as _cc
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
 COORD_KINDS = (EUCLIDEAN, SPHERICAL)
-_SCALE_BLOCK = 1 << 16  # arcs per block of the coord_scale pass
+_BLOCK = 1 << 16  # entries per block of the blockwise passes over the arcs
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ class CsrGraph:
         scale = np.inf
         # in blocks of arcs, so that only a few block-long temporaries live
         with np.errstate(divide="ignore", invalid="ignore"):
-            for lo in range(0, self.m, _SCALE_BLOCK):
-                arcs = slice(lo, lo + _SCALE_BLOCK)
+            for lo in range(0, self.m, _BLOCK):
+                arcs = slice(lo, lo + _BLOCK)
                 s, t = src[arcs], tgt[arcs]
                 length = coord_length(self.coord_kind, (x[s], y[s]), (x[t], y[t]))
                 scale = np.fmin.reduce(self.weights[arcs] / length, initial=scale)  # fmin skips 0/0
@@ -148,6 +148,13 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     sort by source, made by one in-place sort of packed values
     (:func:`_stable_argsort`).  The graph's ``symmetric`` is derived
     from the arcs on first use, however they were made.
+
+    Memory: the ids are int32 once checked, and each working array is
+    dropped at its last use.  Besides the input, everything allocated,
+    the returned arrays included, peaks at about 28 bytes per stored arc
+    plus 8 per vertex: under 2.5 times the bytes of the returned graph.
+    The peak is the weight gather, with the sort order (8 bytes per arc)
+    and the unsorted weights alive next to the result.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -158,11 +165,15 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
         arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("edges must be (u, v, w) triples")
-    src = arr[:, 0].astype(np.int64)
-    tgt = arr[:, 1].astype(np.int64)
-    w = np.ascontiguousarray(arr[:, 2])
+    with np.errstate(invalid="ignore"):  # a NaN, infinite or huge id fails the check below
+        src, tgt = arr[:, 0].astype(np.int32), arr[:, 1].astype(np.int32)
+    w = arr[:, 2]
     if np.any((arr[:, 0] != src) | (arr[:, 1] != tgt)):
-        raise ValueError("endpoints must be integers")
+        # an id the int32 cast changed: a fraction, or an integer past int32
+        ids = arr[:, :2]
+        if not np.all(np.isfinite(ids) & (ids == np.trunc(ids))):
+            raise ValueError("endpoints must be integers")
+        raise ValueError("edge endpoint out of range")
     if np.any((src < 0) | (src >= n) | (tgt < 0) | (tgt >= n)):
         raise ValueError("edge endpoint out of range")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
@@ -170,16 +181,17 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
 
     if symmetrize and src.size:
         lone = _unmatched_arcs(src, tgt, w, n)  # the arcs that gain a mirror
-        src, tgt, w = (
-            np.concatenate([src, tgt[lone]]),
-            np.concatenate([tgt, src[lone]]),
-            np.concatenate([w, w[lone]]),
-        )
+        src, tgt = np.concatenate([src, tgt[lone]]), np.concatenate([tgt, src[lone]])
+        w = np.concatenate([w, w[lone]])  # after the ids: fewer arrays are alive at once
+        del lone
 
-    order = _stable_argsort(src, n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return CsrGraph(n=n, offsets=offsets, targets=tgt.astype(np.int32)[order], weights=w[order])
+    order = _stable_argsort(src, n)
+    del src
+    targets = tgt[order]
+    del tgt
+    return CsrGraph(n=n, offsets=offsets, targets=targets, weights=w[order])
 
 
 def _unmatched_arcs(src: np.ndarray, tgt: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
@@ -194,31 +206,57 @@ def _unmatched_arcs(src: np.ndarray, tgt: np.ndarray, w: np.ndarray, n: int) -> 
     arcs is matched directly, and only the arcs of keys held by three or
     more are ordered further by weight and direction.  A self-loop is its
     own key and never pairs.
+
+    Memory: the sorted keys (8 bytes per arc), their positions (4) and a
+    few masks (1 each); pairs are matched block by block.  When key and
+    position do not pack, the two sorts peak at 20 bytes per arc beside
+    the ids.
     """
-    lo, hi = np.minimum(src, tgt), np.maximum(src, tgt)
-    if _packs(n * n, src.size):
-        key, bits = _packed_sort(lo * n + hi, n * n)
-        order = (key & np.uint64((1 << bits) - 1)).view(np.int64)
-        key >>= np.uint64(bits)  # unpacked in place: the sorted keys
+    m, index = src.size, _index_type(src.size)
+    if _packs(n * n, m):
+        # the keys are packed and sorted in place; the sorted positions go
+        # to a narrow array, and the keys are unpacked in place
+        key, bits = _sort_packed(_edge_keys(src, tgt, n).view(np.uint64))
+        order = np.empty(m, dtype=index)
+        for lo in range(0, m, _BLOCK):
+            order[lo : lo + _BLOCK] = key[lo : lo + _BLOCK] & np.uint64((1 << bits) - 1)
+        key >>= np.uint64(bits)
     else:  # by max, then stably by min, as _mirror_orders does
-        order = _stable_argsort(hi, n)
-        order = order[_stable_argsort(lo[order], n)]
-        key = lo[order] * n + hi[order]
-    del lo, hi
-    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    sizes = np.diff(starts, append=key.size)
+        order = _stable_argsort(np.maximum(src, tgt), n).astype(index, copy=False)
+        order = order[_stable_argsort(np.minimum(src[order], tgt[order]), n)]
+        key = _edge_keys(src[order], tgt[order], n)
+    # new[i]: sorted arc i starts a key (new[m] closes the last one)
+    new = np.ones(m + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:m])
     lone = src != tgt
-    # a key held by two arcs: they pair when they run opposite ways with one weight
-    two = starts[sizes == 2]
-    a, b = order[two], order[two + 1]
-    pair = (src[a] != src[b]) & (w[a] == w[b])
-    lone[a[pair]] = lone[b[pair]] = False
-    many = sizes > 2
-    if many.any():
-        many = np.flatnonzero(np.repeat(many, sizes))
+    # a key held by two arcs starts at i when i + 1 shares it and i + 2 does
+    # not; the two pair when they run opposite ways with one weight
+    two = new[:-2] & ~new[1:-1] & new[2:]
+    for lo in range(0, two.size, _BLOCK):
+        first = lo + np.flatnonzero(two[lo : lo + _BLOCK])
+        a, b = order[first], order[first + 1]
+        pair = (src[a] != src[b]) & (w[a] == w[b])
+        lone[a[pair]] = lone[b[pair]] = False
+    # the arcs of keys held by three or more: neither alone nor in a two
+    many = ~(new[:-1] & new[1:])
+    many[:-1] &= ~two
+    many[1:] &= ~two
+    many = np.flatnonzero(many)
+    if many.size:
         a = order[many]
         lone[a[_paired_by_rank(key[many], w[a], src[a] < tgt[a])]] = False
     return lone
+
+
+def _edge_keys(src: np.ndarray, tgt: np.ndarray, n: int) -> np.ndarray:
+    """The undirected key ``min * n + max`` of each arc, as int64, built block by block."""
+    key = np.empty(src.size, dtype=np.int64)
+    for lo in range(0, src.size, _BLOCK):
+        s, t, k = src[lo : lo + _BLOCK], tgt[lo : lo + _BLOCK], key[lo : lo + _BLOCK]
+        np.minimum(s, t, out=k)
+        k *= n
+        k += np.maximum(s, t)
+    return key
 
 
 def _paired_by_rank(key: np.ndarray, w: np.ndarray, forward: np.ndarray) -> np.ndarray:
@@ -261,13 +299,24 @@ def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
 
 
 def _packed_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
-    """The sorted ``uint64`` values ``key << b | position``, and ``b``."""
+    """The sorted ``uint64`` values ``key << b | position``, and ``b``.
+
+    The packed array, 8 bytes per key, is the only array this allocates
+    beyond one block: the positions are ORed in block by block, and
+    numpy sorts it in place.
+    """
     if not _packs(bound, keys.size):
         raise ValueError(f"{keys.size} keys below {bound} do not fit in 64 bits with their positions")
-    b = _position_bits(keys.size)
-    packed = keys.astype(np.uint64)
+    return _sort_packed(keys.astype(np.uint64))
+
+
+def _sort_packed(packed: np.ndarray) -> tuple[np.ndarray, int]:
+    """:func:`_packed_sort` in place, on ``uint64`` keys known to fit."""
+    b = _position_bits(packed.size)
     packed <<= np.uint64(b)
-    packed |= np.arange(keys.size, dtype=np.uint64)
+    for lo in range(0, packed.size, _BLOCK):
+        block = packed[lo : lo + _BLOCK]
+        block |= np.arange(lo, lo + block.size, dtype=np.uint64)
     packed.sort()
     return packed, b
 
@@ -281,6 +330,11 @@ def _packs(bound: int, size: int) -> bool:
     return (bound - 1).bit_length() + _position_bits(size) <= 64
 
 
+def _index_type(size: int):
+    """The narrowest integer type that holds every position below ``size``."""
+    return np.int32 if size <= 2**31 else np.int64
+
+
 def _mirror_orders(graph: CsrGraph):
     """Stable orders of the arcs by (u, v) and of their mirrors by (v, u).
 
@@ -288,7 +342,8 @@ def _mirror_orders(graph: CsrGraph):
     ``fwd[k]`` when weights are ignored, or None when the arcs, ignoring
     weights, are not closed under mirroring.  Parallel arcs keep their
     storage order within a key, so the k-th (u, v) arc pairs with the
-    k-th (v, u) arc.
+    k-th (v, u) arc.  Both orders hold positions in the narrowest index
+    type for ``m`` (int32 below ``2**31`` arcs).
 
     CSR storage lists the sources in ascending order, so a stable sort of
     the targets gives the (v, u) order; a stable sort of that order by
@@ -300,7 +355,7 @@ def _mirror_orders(graph: CsrGraph):
     sorted in-neighbours on the other.
     """
     n, targets = graph.n, graph.targets
-    bwd = _stable_argsort(targets, n)
+    bwd = _stable_argsort(targets, n).astype(_index_type(graph.m), copy=False)
     mirror_sources = np.repeat(np.arange(n, dtype=np.int32), graph.degrees)[bwd]
     fwd = bwd[_stable_argsort(mirror_sources, n)]
     if not np.array_equal(targets[fwd], mirror_sources):
@@ -309,24 +364,34 @@ def _mirror_orders(graph: CsrGraph):
 
 
 def mirror_closed(graph: CsrGraph) -> bool:
-    """True iff the arc multiset is closed under (u, v, w) -> (v, u, w)."""
+    """True iff the arc multiset is closed under (u, v, w) -> (v, u, w).
+
+    Memory: the two orders of :func:`_mirror_orders` take 4 bytes per
+    arc each (8 past ``2**31`` arcs), and their sort peaks at 20 bytes
+    per arc, under 1.75 times the graph's bytes.  The weights of the two
+    orders are compared block by block.
+    """
     orders = _mirror_orders(graph)
     if orders is None:
         return False
     fwd, bwd = orders
-    differ = np.flatnonzero(graph.weights[fwd] != graph.weights[bwd])
-    if not differ.size:
+    weights, offsets = graph.weights, graph.offsets
+    # the rows that hold a weight mismatch (the (u, v) order keeps every
+    # arc in its row)
+    rows = np.zeros(graph.n, dtype=bool)
+    for lo in range(0, graph.m, _BLOCK):
+        arcs = slice(lo, lo + _BLOCK)
+        differ = lo + np.flatnonzero(weights[fwd[arcs]] != weights[bwd[arcs]])
+        rows[np.searchsorted(offsets, differ, side="right") - 1] = True
+    if not rows.any():
         return True
     # parallel arcs may store their weights in another order on the two
-    # sides: compare the sorted weights of each (u, v) key, in the rows
-    # that hold a mismatch (the (u, v) order keeps every arc in its row)
+    # sides: compare the sorted weights of each (u, v) key in those rows
     degrees = graph.degrees
-    rows = np.zeros(graph.n, dtype=bool)
-    rows[np.searchsorted(graph.offsets, differ, side="right") - 1] = True
     sel = np.flatnonzero(np.repeat(rows, degrees))
     fwd, bwd = fwd[sel], bwd[sel]
     key = np.repeat(np.flatnonzero(rows), degrees[rows]) * graph.n + graph.targets[fwd]
-    w_f, w_b = graph.weights[fwd], graph.weights[bwd]
+    w_f, w_b = weights[fwd], weights[bwd]
     return np.array_equal(w_f[np.lexsort((w_f, key))], w_b[np.lexsort((w_b, key))])
 
 
@@ -336,7 +401,7 @@ def _mirror_permutation(graph: CsrGraph) -> np.ndarray:
     if orders is None:
         raise ValueError("graph is not symmetrized: arc multiset is not mirror-closed")
     fwd, bwd = orders
-    mirror = np.empty(graph.m, dtype=np.int64)
+    mirror = np.empty_like(bwd)
     mirror[fwd] = bwd
     return mirror
 

@@ -91,10 +91,15 @@ class MemoTable:
         self.requests += int(np.size(vertices))
         missing = np.isnan(self.values[vertices])
         if missing.any():
-            # sorted and deduplicated; np.unique costs several times as much
-            # on the few dozen cells an A* step improves
-            fresh = np.sort(vertices[missing])
-            fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
+            fresh = vertices[missing]
+            if fresh.size > 1:
+                # one sorted check; the A* searches mostly pass distinct
+                # cells, so the compression seldom runs (np.unique costs
+                # several times as much on the few dozen cells of a step)
+                fresh.sort()
+                repeat = fresh[1:] == fresh[:-1]
+                if repeat.any():
+                    fresh = np.delete(fresh, np.flatnonzero(repeat) + 1)
             self.values[fresh] = self._compute(fresh)
         return self.values[vertices]
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import FrozenInstanceError, replace
 
@@ -132,6 +133,32 @@ def test_mirror_closed_matches_arc_counter(arcs, spread):
     assert mirror_closed(g) == want
 
 
+BLOCK = steppath.graph._BLOCK  # entries per block of the blockwise passes
+
+
+def _loop_and_pairs(count):
+    """A self-loop at 0, then vertices 2i+1 and 2i+2 joined both ways, weight 1.
+
+    Each vertex has one arc, so arc k is stored at position k, and the odd
+    arc k and arc k + 1 are mirrors.
+    """
+    a = np.arange(1, 2 * count, 2)
+    u = np.concatenate([[0], np.column_stack([a, a + 1]).ravel()])
+    v = np.concatenate([[0], np.column_stack([a + 1, a]).ravel()])
+    return np.column_stack([u, v, np.ones(u.size)])
+
+
+# arc 65,535 and its mirror straddle the end of the first block; arc
+# 80,000 and its mirror sit in the last, partial block
+@pytest.mark.parametrize("arc", [BLOCK - 1, 80_000])
+def test_mirror_closed_finds_a_mismatch_by_the_block_edges(arc):
+    edges = _loop_and_pairs(40_000)  # 80,001 arcs: one whole block and a partial one
+    n = 80_001
+    assert mirror_closed(build_csr(n, edges))
+    edges[arc, 2] = 2.0
+    assert not mirror_closed(build_csr(n, edges))
+
+
 _BOUNDS = (1, 2**16, 2**16 + 1, 2**31)
 
 
@@ -150,12 +177,23 @@ def _sort_keys(draw):
     return np.array(keys, dtype=draw(st.sampled_from([np.int32, np.int64]))), bound
 
 
+def _tied_keys(size, bound):
+    """``size`` seeded keys below ``bound``, each drawn from 50 values, so most are tied."""
+    values = np.random.default_rng(size).integers(0, bound, 50)
+    return values[np.random.default_rng(size + 1).integers(0, 50, size)], bound
+
+
 @settings(max_examples=300, deadline=None)
 @given(_sort_keys())
 @example((np.array([], dtype=np.int64), 2**31))
 @example((np.array([2**31 - 1], dtype=np.int32), 2**31))
 @example((np.full(9, 70_000, dtype=np.int64), 2**16 + 1 + 70_000))
 @example((np.full(9, 2**16, dtype=np.int32), 2**16 + 1))
+# positions are packed block by block: sizes around one block, and past three
+@example(_tied_keys(BLOCK - 1, 7))
+@example(_tied_keys(BLOCK, 2**16 + 1))
+@example(_tied_keys(BLOCK + 1, 2**31))
+@example(_tied_keys(200_001, 2**31))
 def test_stable_argsort_matches_numpy(case):
     keys, bound = case
     got = steppath.graph._stable_argsort(keys, bound)
@@ -185,14 +223,21 @@ def _symmetrized_by_loop(edges):
     mirrors, which follow the input in the order of their originals.
     """
     edges = [tuple(e) for e in edges]
+    lone = _lone_by_loop(edges)
+    return edges + [(v, u, w) for k, (u, v, w) in enumerate(edges) if lone[k]]
+
+
+def _lone_by_loop(edges):
+    """Mask of the arcs that occurrence-rank pairing leaves without a mirror."""
+    edges = [tuple(e) for e in edges]
     given = defaultdict(list)
     for k, arc in enumerate(edges):
         given[arc].append(k)
-    lone = set()
+    lone = np.zeros(len(edges), dtype=bool)
     for (u, v, w), mine in given.items():
         if u != v:
-            lone.update(mine[len(given.get((v, u, w), ())) :])
-    return edges + [(v, u, w) for k, (u, v, w) in enumerate(edges) if k in lone]
+            lone[mine[len(given.get((v, u, w), ())) :]] = True
+    return lone
 
 
 def test_build_csr_order_past_16_bit_ids():
@@ -241,6 +286,65 @@ def test_symmetrize_is_the_smallest_mirror_closed_multiset(edges):
         assert np.array_equal(heap_dijkstra(g, s), heap_dijkstra(doubled, s))
 
 
+def _by_reference_sort(n, edges):
+    """The CSR arrays of ``edges`` in their given order, by numpy's stable argsort."""
+    src, tgt, w = np.asarray(edges, dtype=np.float64).reshape(-1, 3).T
+    order = np.argsort(src, kind="stable")
+    offsets = np.searchsorted(src[order], np.arange(n + 1)).astype(np.int64)
+    return offsets, tgt[order].astype(np.int32), w[order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edges_with_copies(), st.booleans(), st.booleans())
+@example([(0, 0, 1.0), (0, 1, 2.0), (0, 1, 2.0), (1, 0, 2.0), (3, 3, 0.0)], True, False)
+def test_build_csr_matches_a_reference_sort(edges, symmetrize, spread):
+    # self-loops, parallel arcs and mirrored pairs; ids past 16 bits when spread
+    n = 5
+    if spread:
+        n = SPREAD_N
+        edges = [(int(_spread(u)), int(_spread(v)), w) for u, v, w in edges]
+    g = build_csr(n, edges, symmetrize=symmetrize)
+    want = _by_reference_sort(n, _symmetrized_by_loop(edges) if symmetrize else edges)
+    for got, ref, dtype in zip((g.offsets, g.targets, g.weights), want, (np.int64, np.int32, np.float64)):
+        assert got.dtype == dtype and np.array_equal(got, ref)
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _random_edges(n, m, seed):
+    rng = np.random.default_rng(seed)
+    u, v = rng.integers(0, n, (2, m))
+    return np.column_stack([u, v, rng.integers(1, 2**18 + 1, m)]).astype(np.float64)
+
+
+def _graph_bytes(g):
+    return g.offsets.nbytes + g.targets.nbytes + g.weights.nbytes
+
+
+def test_build_csr_memory_stays_near_the_graph_size():
+    # the peak, result included, against the finished graph's bytes: the
+    # bound build_csr documents (mirror_closed's is checked below)
+    edges = _random_edges(50_000, 200_000, 1)
+    g, peak = _traced_peak(lambda: build_csr(50_000, edges, symmetrize=True))
+    assert peak <= 2.5 * _graph_bytes(g)
+
+
+def test_mirror_check_memory_stays_near_the_graph_size():
+    g = build_csr(50_000, _random_edges(50_000, 200_000, 1), symmetrize=True)
+    symmetric, peak = _traced_peak(lambda: g.symmetric)
+    assert symmetric and peak <= 1.75 * _graph_bytes(g)
+
+
 def test_unmatched_arcs_with_ids_past_packed_keys():
     # ids near 2**31 leave key and position no room in 64 bits, so the
     # helper sorts by max and then stably by min; a few arcs reach that path
@@ -253,6 +357,21 @@ def test_unmatched_arcs_with_ids_past_packed_keys():
     n = 2**31
     assert not steppath.graph._packs(n * n, src.size)
     assert steppath.graph._unmatched_arcs(n - 1 - src, n - 1 - tgt, w, n).tolist() == want
+
+
+def test_unmatched_arcs_across_blocks():
+    # more arcs than three blocks on 1,000 vertices: keys held by one, two
+    # and more arcs, given one way or both, straddle the block edges
+    rng = np.random.default_rng(5)
+    m = 3 * BLOCK + 7
+    src, tgt = rng.integers(0, 1_000, (2, m)).astype(np.int32)
+    w = rng.integers(1, 3, m).astype(np.float64)
+    want = _lone_by_loop(np.column_stack([src, tgt, w]).tolist())
+    assert np.array_equal(steppath.graph._unmatched_arcs(src, tgt, w, 1_000), want)
+    # ids mirrored near 2**31, where key and position do not pack
+    n = 2**31
+    assert not steppath.graph._packs(n * n, m)
+    assert np.array_equal(steppath.graph._unmatched_arcs(n - 1 - src, n - 1 - tgt, w, n), want)
 
 
 def test_uniform_weights_past_16_bit_ids():

@@ -206,6 +206,22 @@ def test_memo_computes_once():
     assert len(seen) == len(np.unique(seen))
 
 
+def test_memo_computes_a_vertex_given_twice_in_one_call_once():
+    calls = []
+
+    def h(v):
+        calls.append(v.tolist())
+        return v.astype(np.float64) + 0.5
+
+    memo = MemoTable(10, h)
+    assert memo.get_many(np.array([7, 2, 7, 9, 2])).tolist() == [7.5, 2.5, 7.5, 9.5, 2.5]
+    assert memo.computations == 3 and memo.requests == 5
+    # a known vertex among the repeats computes only the fresh ones
+    assert memo.get_many(np.array([4, 9, 4])).tolist() == [4.5, 9.5, 4.5]
+    assert memo.computations == 4 and memo.requests == 8
+    assert sorted(calls) == [[2, 7, 9], [4]]
+
+
 def test_consistency_of_geometric_heuristic():
     g = geometric_graph(150, 4, 2)
     h = sp.heuristic_for_graph(g, 7)
