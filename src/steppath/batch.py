@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import INF, Search, StepPolicy, _arc_ranges, _scatter_min, run_search, sssp
-from .graph import CsrGraph
+from .engine import INF, Search, StepPolicy, _gather_rows, _scatter_min, run_search, sssp
+from .graph import CsrGraph, _row_view
 from .io import as_pairs
 from .ppsp import ppsp
 
@@ -146,6 +146,7 @@ class MultiBidsSearch(Search):
         self.closed = np.zeros(len(qg.edges), dtype=bool)
         self.radius = _radius(qg, self.edge_best, self.closed)
         self._stamp = np.empty(len(qg.edges), dtype=np.int64)  # for _scatter_min
+        self._q_rows = _query_rows(qg)
 
     def seeds(self):
         c = self.copies
@@ -157,14 +158,14 @@ class MultiBidsSearch(Search):
         return self.dist[cells] >= 0.5 * self.radius[idx]
 
     def on_improved(self, cells):
-        qg, c = self.qg, self.copies
+        c = self.copies
         verts, endpoint = np.divmod(cells, c)
-        slots, deg = _arc_ranges(qg.q_offsets, endpoint)
+        neighbors, edges, deg = _gather_rows(self._q_rows, endpoint)
         mates = (verts * c).repeat(deg)
-        mates += qg.q_neighbors[slots]
+        mates += neighbors
         sums = self.dist[cells].repeat(deg)
         sums += self.dist[mates]
-        if not _scatter_min(self.edge_best, qg.q_edges[slots], sums, self._stamp).size:
+        if not _scatter_min(self.edge_best, edges, sums, self._stamp).size:
             return False
         return self._update_radius()
 
@@ -331,7 +332,18 @@ def _run_batch(graph: CsrGraph, qg: QueryGraph, algo: str, policy: StepPolicy | 
     return baseline_batch(graph, qg, algo, policy=policy)
 
 
+def _query_rows(qg: QueryGraph):
+    """The query graph's adjacency as a checked CSR view, with the edge ids as data."""
+    view = _row_view(qg.order, qg.q_offsets, qg.q_neighbors, qg.q_edges, np.int64, "query graph")
+    edge_ids = view[2]
+    if edge_ids.size and (edge_ids.min() < 0 or edge_ids.max() >= len(qg.edges)):
+        raise ValueError(f"query graph: edge id out of range for {len(qg.edges)} edges")
+    return view
+
+
 def _validate_batch(graph: CsrGraph, qg: QueryGraph) -> None:
+    graph._rows  # refuses a malformed graph before its arcs are read
+    _query_rows(qg)
     # every algorithm reads dist(t -> s) as dist(s -> t), true only undirected
     if not graph.symmetric:
         raise ValueError("batch queries need a symmetrized graph")

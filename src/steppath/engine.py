@@ -54,6 +54,14 @@ sums at meeting points (the bidirectional strategies and batches on float
 weights) may differ in the last bit between schedules, because a schedule
 decides which meeting points get offered.
 
+A step's arcs are the CSR rows of its extracted vertices, copied out
+back to back by scipy's compiled ``csr_row_index`` (a private function
+of ``scipy.sparse._sparsetools``, the loop behind ``csr_matrix[rows]``;
+``tests/test_row_gather.py`` pins its contract).  It reads without
+bounds checks, so it only ever sees the graph's checked view
+(``CsrGraph._rows``), which every :class:`Search` builds on
+construction: a malformed graph raises ValueError there.
+
 The frontier mask, the settled mask and the int64 scatter-min stamp of a
 search are this module's scratch, kept under ``_scratch`` in the graph
 object's ``__dict__`` and reused by the next search there; each search
@@ -68,6 +76,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_row_index
 
 from .graph import CsrGraph
 from .io import as_vertex
@@ -238,6 +247,7 @@ class Search:
     def __init__(self, graph: CsrGraph, copies: int = 1):
         self.graph = graph
         self.copies = copies
+        graph._rows  # refuses a malformed graph before the loop reads its arcs
         self.dist = np.full(graph.n * copies, INF)  # cell v * copies + i
 
     def seeds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -274,19 +284,24 @@ class SearchStats:
     settled_copies: int = 0
 
 
-def _arc_ranges(offsets: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten the arc index ranges of ``verts`` (grouped, in order)."""
-    start = offsets[verts]
-    deg = offsets[verts + 1] - start
-    ends = deg.cumsum()
-    total = int(ends[-1]) if ends.size else 0
-    if total == 0:
-        return np.empty(0, dtype=np.int64), deg
-    start += deg  # start - (ends - deg): each range's first index, less its output offset
-    start -= ends
-    idx = start.repeat(deg)
-    idx += np.arange(total, dtype=np.int64)
-    return idx, deg
+def _gather_rows(view, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns and data of ``rows`` in a checked CSR view, and each row's length.
+
+    ``view`` is ``(offsets, cols, data)`` from :func:`graph._row_view`
+    and ``rows`` are int64 row ids in range, in any order and repeated at
+    will.  The rows' slices come back concatenated in the order given, as
+    one call to scipy's compiled ``csr_row_index``, which copies them
+    without bounds checks.
+    """
+    offsets, cols, data = view
+    deg = offsets[rows + 1] - offsets[rows]
+    total = int(deg.sum())
+    out_cols = np.empty(total, dtype=cols.dtype)
+    out_data = np.empty(total, dtype=data.dtype)
+    if total:
+        # every index array must share the offsets' type, or scipy converts them all
+        csr_row_index(rows.size, rows.astype(offsets.dtype), offsets, cols, data, out_cols, out_data)
+    return out_cols, out_data, deg
 
 
 def _candidates(graph, dist, cells, copies):
@@ -295,16 +310,16 @@ def _candidates(graph, dist, cells, copies):
         verts = cells
     else:
         verts, slots = np.divmod(cells, copies)
-    arc_idx, deg = _arc_ranges(graph.offsets, verts)
-    if arc_idx.size == 0:
+    targets, weights, deg = _gather_rows(graph._rows, verts)
+    if targets.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0), 0
-    tgt_cells = graph.targets[arc_idx].astype(np.int64)
+    tgt_cells = targets.astype(np.int64)
     cand = dist[cells].repeat(deg)
-    cand += graph.weights[arc_idx]
+    cand += weights
     if copies > 1:
         tgt_cells *= copies
         tgt_cells += slots.repeat(deg)
-    return tgt_cells, cand, int(arc_idx.size)
+    return tgt_cells, cand, int(targets.size)
 
 
 def _scatter_min(values: np.ndarray, keys: np.ndarray, cand: np.ndarray, stamp: np.ndarray) -> np.ndarray:

@@ -29,10 +29,12 @@ class CsrGraph:
 
     Instances are frozen; derive changed graphs with
     :func:`dataclasses.replace` or the helpers in this module.  Facts
-    derived from the arcs (``symmetric``, ``max_weight``, ``coord_scale``
-    and the component labels behind :func:`largest_component`) are
-    computed once per graph object, on first use; a derived graph works
-    them out afresh.
+    derived from the arcs (``symmetric``, ``max_weight``, ``coord_scale``,
+    the component labels behind :func:`largest_component` and the checked
+    view of the arcs that the engine gathers from) are computed once per
+    graph object, on first use; a derived graph works them out afresh.
+    A search refuses, with ValueError, arrays that do not form a CSR
+    adjacency (see :func:`_row_view`).
     """
 
     n: int
@@ -104,6 +106,11 @@ class CsrGraph:
     @cached_property
     def _components(self) -> ComponentInfo:
         return _label_components(self)
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The arcs as a checked CSR view for the engine's compiled row gather."""
+        return _row_view(self.n, self.offsets, self.targets, self.weights, np.float64, "graph")
 
     def with_coords(self, coords, kind: str) -> "CsrGraph":
         """This graph with float64 ``coords`` of ``kind`` (checked as on construction)."""
@@ -333,6 +340,33 @@ def _packs(bound: int, size: int) -> bool:
 def _index_type(size: int):
     """The narrowest integer type that holds every position below ``size``."""
     return np.int32 if size <= 2**31 else np.int64
+
+
+def _row_view(n: int, offsets, cols, data, data_type, what: str):
+    """``(offsets, cols, data)`` of an ``n``-vertex CSR adjacency, checked
+    for a compiled row gather.
+
+    The gather reads without bounds checks, so this is where a malformed
+    adjacency stops: ``offsets`` must be ``n + 1`` integers that start at
+    0, never decrease and end at ``len(cols) == len(data)``, and every
+    column must lie in ``[0, n)``.  Anything else raises ValueError
+    naming ``what``.  The offsets come back as a copy in the narrowest
+    index type that holds their last entry, m (int32 below ``2**31``
+    arcs); the columns in that same type and the data in ``data_type``,
+    each contiguous and copied only when it is not already so.
+    """
+    offsets, cols, data = np.asarray(offsets), np.asarray(cols), np.asarray(data)
+    if offsets.shape != (n + 1,) or offsets.dtype.kind not in "iu":
+        raise ValueError(f"{what}: offsets must be {n + 1} integers, got shape {offsets.shape} of {offsets.dtype}")
+    if cols.ndim != 1 or cols.dtype.kind not in "iu" or data.shape != cols.shape:
+        raise ValueError(f"{what}: arcs need 1-D integer targets and data of one length")
+    m = cols.size
+    if offsets[0] != 0 or offsets[-1] != m or np.any(offsets[1:] < offsets[:-1]):
+        raise ValueError(f"{what}: offsets must rise from 0 to the {m} arcs without decreasing")
+    if m and (cols.min() < 0 or cols.max() >= n):
+        raise ValueError(f"{what}: arc target out of range for {n} vertices")
+    index = _index_type(m + 1)  # the offsets hold m itself
+    return offsets.astype(index), np.ascontiguousarray(cols, dtype=index), np.ascontiguousarray(data, dtype=data_type)
 
 
 def _mirror_orders(graph: CsrGraph):

@@ -100,9 +100,9 @@ class BidsSearch(Search):
     """
 
     def __init__(self, graph: CsrGraph, source: int, target: int):
+        super().__init__(graph, copies=2)
         if not graph.symmetric:
             raise ValueError("bidirectional search needs a symmetrized graph")
-        super().__init__(graph, copies=2)
         self.source = source
         self.target = target
         self.best = INF

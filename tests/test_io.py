@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,3 +400,21 @@ def test_load_coords_fuzz(tmp_path_factory, case):
     described = _described_coords(text)
     assert described is not None, "a damaged coordinate file was loaded"
     assert kind == described[1] and np.array_equal(coords, described[0])
+
+
+def test_edge_list_loader_peak_memory(tmp_path):
+    rng = np.random.default_rng(8)
+    n, m = 5_000, 20_000
+    u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+    w = rng.random(m).tolist()
+    p = tmp_path / "g.txt"
+    p.write_text(f"{n} {m}\n" + "".join(f"{a} {b} {c!r}\n" for a, b, c in zip(u, v, w)))
+    tracemalloc.start()
+    try:
+        g = sp.load_edge_list(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    graph_bytes = g.offsets.nbytes + g.targets.nbytes + g.weights.nbytes
+    assert g.m == 2 * m - np.count_nonzero(u == v)
+    assert peak <= 4 * graph_bytes, f"loader peaked at {peak / graph_bytes:.2f}x the graph's bytes"

@@ -1,0 +1,205 @@
+"""The compiled row gather behind relaxation, and the checks that guard it.
+
+The engine copies each step's arcs with scipy's private
+``scipy.sparse._sparsetools.csr_row_index``, which reads without bounds
+checks.  These tests pin that kernel's contract, the refusal of malformed
+adjacency before it reaches the kernel, and the work counters of a fixed
+set of searches.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+import scipy
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import _sparsetools
+
+import steppath as sp
+from steppath.batch import MultiBidsSearch
+from steppath.engine import _gather_rows
+from steppath.graph import CsrGraph, _row_view
+from helpers import geometric_graph, random_graph
+
+
+def test_scipy_ships_the_row_kernel():
+    assert hasattr(_sparsetools, "csr_row_index"), (
+        f"scipy {scipy.__version__} has no scipy.sparse._sparsetools.csr_row_index, "
+        "which the engine gathers each step's arcs with"
+    )
+
+
+@st.composite
+def _csr_and_rows(draw):
+    n = draw(st.integers(0, 8))
+    degrees = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))  # zeros give empty rows
+    m = sum(degrees)
+    cols = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=m, max_size=m))
+    values = draw(st.lists(st.integers(-(2**40), 2**40), min_size=m, max_size=m))
+    rows = draw(st.lists(st.integers(0, n - 1), max_size=12)) if n else []  # repeated, unsorted, or none
+    index = draw(st.sampled_from([np.int32, np.int64]))
+    data = draw(st.sampled_from([np.float64, np.int64]))
+    offsets = np.zeros(n + 1, dtype=index)
+    np.cumsum(degrees, out=offsets[1:])
+    view = (offsets, np.array(cols, dtype=index), np.array(values, dtype=data))
+    return view, np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csr_and_rows())
+def test_gather_rows_matches_concatenated_slices(case):
+    (offsets, cols, data), rows = case
+    got_cols, got_data, deg = _gather_rows((offsets, cols, data), rows)
+    spans = [slice(offsets[r], offsets[r + 1]) for r in rows]
+    want_cols = np.concatenate([cols[s] for s in spans] + [cols[:0]])
+    want_data = np.concatenate([data[s] for s in spans] + [data[:0]])
+    assert got_cols.dtype == cols.dtype and got_data.dtype == data.dtype
+    assert got_cols.tolist() == want_cols.tolist()
+    assert got_data.tolist() == want_data.tolist()
+    assert deg.tolist() == [s.stop - s.start for s in spans]
+
+
+def test_row_view_types():
+    offsets = np.array([0, 2, 3], dtype=np.uint64)
+    view_offsets, cols, data = _row_view(2, offsets, np.array([1, 0, 0]), [1, 2, 3], np.float64, "graph")
+    assert view_offsets.dtype == cols.dtype == np.int32 and data.dtype == np.float64
+    assert view_offsets is not offsets and view_offsets.tolist() == [0, 2, 3]
+    # arrays already in their types are used as they are
+    targets, weights = np.array([1, 0, 0], dtype=np.int32), np.array([1.0, 2.0, 3.0])
+    _, cols, data = _row_view(2, offsets, targets, weights, np.float64, "graph")
+    assert cols is targets and data is weights
+
+
+_W = np.array([1.0, 1.0])
+MALFORMED = {
+    "decreasing": CsrGraph(3, np.array([0, 2, 1, 2]), np.array([1, 0], dtype=np.int32), _W),
+    "last offset is not m": CsrGraph(3, np.array([0, 1, 1, 1]), np.array([1, 0], dtype=np.int32), _W),
+    "short offsets": CsrGraph(3, np.array([0, 1, 2]), np.array([1, 0], dtype=np.int32), _W),
+    "offsets past m": CsrGraph(3, np.array([0, 1, 2, 3]), np.array([1, 0], dtype=np.int32), _W),
+    "nonzero start": CsrGraph(2, np.array([1, 1, 2]), np.array([1, 0], dtype=np.int32), _W),
+    "target out of range": CsrGraph(2, np.array([0, 1, 2]), np.array([1, 2], dtype=np.int32), _W),
+    "negative target": CsrGraph(2, np.array([0, 1, 2]), np.array([1, -1], dtype=np.int32), _W),
+    "weights too short": CsrGraph(2, np.array([0, 1, 2]), np.array([1, 0], dtype=np.int32), _W[:1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_graph_is_refused_before_the_kernel(name):
+    g = MALFORMED[name]
+    zero = sp.zero_heuristic()
+    calls = [
+        lambda: sp.sssp(g, 0),
+        lambda: sp.ppsp(g, 0, 1, "sssp"),
+        lambda: sp.ppsp(g, 0, 1, "et"),
+        lambda: sp.ppsp(g, 0, 1, "bids"),
+        lambda: sp.ppsp(g, 0, 1, "astar", heuristic=zero),
+        lambda: sp.ppsp(g, 0, 1, "bidastar", heuristic=(zero, zero)),
+        lambda: sp.multi_bids(g, sp.build_query_graph([(0, 1)], g.n)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^graph: "):
+            call()
+
+
+def test_int64_targets_answer_as_the_int32_twin():
+    g = random_graph(400, 3, 5)
+    wide = CsrGraph(g.n, g.offsets, g.targets.astype(np.int64), g.weights)
+    assert wide.targets.dtype == np.int64
+    assert sp.sssp(wide, 3, return_stats=True)[0].tolist() == sp.sssp(g, 3).tolist()
+    assert sp.sssp(wide, 3, return_stats=True)[1] == sp.sssp(g, 3, return_stats=True)[1]
+    for strategy in ("et", "bids"):
+        assert sp.ppsp(wide, 3, 250, strategy) == sp.ppsp(g, 3, 250, strategy)
+    qg = sp.build_query_graph([(1, 2), (3, 300), (250, 7)], g.n)
+    want, got = sp.multi_bids(g, qg), sp.multi_bids(wide, qg)
+    assert got.distances.tolist() == want.distances.tolist()
+    assert (got.steps, got.relaxations, got.settled_copies) == (want.steps, want.relaxations, want.settled_copies)
+
+
+def test_malformed_query_graph_is_refused():
+    g = random_graph(50, 3, 1)
+    qg = sp.build_query_graph([(0, 1), (1, 2), (3, 4)], g.n)
+    assert sp.multi_bids(g, qg).distances.size == 3
+    bad = {
+        "short offsets": replace(qg, q_offsets=qg.q_offsets[:-1]),
+        "last offset is not the arc count": replace(qg, q_neighbors=qg.q_neighbors[:-1], q_edges=qg.q_edges[:-1]),
+        "decreasing": replace(qg, q_offsets=qg.q_offsets[[0, 2, 1, 3, 4, 5]]),
+        "edge ids too short": replace(qg, q_edges=qg.q_edges[:-1]),
+        "neighbor out of range": replace(qg, q_neighbors=qg.q_neighbors + qg.order),
+        "negative edge id": replace(qg, q_edges=qg.q_edges - len(qg.edges)),
+        "edge id out of range": replace(qg, q_edges=qg.q_edges + 1),
+    }
+    for name, q in bad.items():
+        for call in (lambda: sp.multi_bids(g, q), lambda: MultiBidsSearch(g, q)):
+            with pytest.raises(ValueError, match="^query graph: "):
+                call()
+
+
+# answers and (steps, relaxations, settled copies), recorded before the
+# engine gathered arcs with the compiled kernel; sssp answers are the
+# first 16 hex digits of the sha256 of the little-endian distances
+PINNED = {
+    ("random", "sssp"): ("c642a8f4da8e722d", 22, 25191, 3000),
+    ("random", "et"): (269620.0, 21, 17344, 1882),
+    ("random", "bids"): (269620.0, 10, 970, 105),
+    ("random", "multi"): ([257468.0, 242762.0, 242762.0, 250975.0, 288979.0, 0.0, 354273.0, 258110.0], 11, 7258, 796),
+    ("random", "plain-bids"): (
+        [257468.0, 242762.0, 242762.0, 250975.0, 288979.0, 0.0, 354273.0, 258110.0],
+        56,
+        9855,
+        1074,
+    ),
+    ("geometric", "sssp"): ("29e8fdafb0da0f25", 50, 23723, 3000),
+    ("geometric", "et"): (0.8253503133499207, 45, 17965, 2075),
+    ("geometric", "bids"): (0.8253503133499207, 28, 14059, 1823),
+    ("geometric", "astar"): (0.8253503133499207, 39, 12427, 766),
+    ("geometric", "bidastar"): (0.8253503133499207, 22, 6882, 664),
+    ("geometric", "multi"): (
+        [
+            0.21126716223449926,
+            0.751368324954975,
+            0.751368324954975,
+            0.31212876487797225,
+            0.8810357661834052,
+            0.0,
+            0.2710844633186057,
+            0.2882030120805774,
+        ],
+        34,
+        32602,
+        4346,
+    ),
+    ("geometric", "plain-bids"): (
+        [
+            0.21126716223449926,
+            0.751368324954975,
+            0.751368324954975,
+            0.31212876487797225,
+            0.8810357661834052,
+            0.0,
+            0.2710844633186057,
+            0.2882030120805774,
+        ],
+        85,
+        35373,
+        4543,
+    ),
+}
+PIN_PAIRS = [(1, 2), (3, 400), (400, 3), (17, 2999), (2500, 17), (9, 9), (1200, 800), (5, 2000)]
+
+
+def test_answers_and_counters_stay_pinned():
+    graphs = {"random": random_graph(3_000, 4, 11), "geometric": geometric_graph(3_000, 6, 12)}
+    got = {}
+    for name, g in graphs.items():
+        dist, stats = sp.sssp(g, 7, return_stats=True)
+        digest = hashlib.sha256(dist.astype("<f8").tobytes()).hexdigest()[:16]
+        got[name, "sssp"] = (digest, stats.steps, stats.relaxations, stats.settled_copies)
+        strategies = ("et", "bids", "astar", "bidastar") if g.coords is not None else ("et", "bids")
+        for strategy in strategies:
+            a = sp.ppsp(g, 5, g.n - 9, strategy)
+            got[name, strategy] = (a.distance, a.steps, a.relaxations, a.settled_copies)
+        qg = sp.build_query_graph(PIN_PAIRS, g.n)
+        for algo, b in (("multi", sp.multi_bids(g, qg)), ("plain-bids", sp.baseline_batch(g, qg, "plain-bids"))):
+            got[name, algo] = (b.distances.tolist(), b.steps, b.relaxations, b.settled_copies)
+    assert got == PINNED
