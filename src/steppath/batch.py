@@ -27,7 +27,8 @@ from .ppsp import ppsp
 BATCH_ALGOS = ("multi", "vc", "plain-bids", "plain-sssp")
 
 # a cell costs 18 B in a joint search (8 B distance, 8 B scatter-min stamp,
-# 1 B frontier mask, 1 B settled mask), so the default cap comes to 4.5 GiB
+# 1 B frontier mask, 1 B settled mask), so the default cap comes to 4.5 GiB;
+# the meeting filter adds 5 B per vertex, whatever the number of copies
 DEFAULT_CELL_CAP = 2**28
 # largest query graph (in endpoints) whose vertex cover is found exactly
 EXACT_COVER_LIMIT = 20
@@ -125,10 +126,11 @@ class MultiBidsSearch(Search):
 
     Copy i explores from endpoint q_i.  When copy i of vertex v improves,
     every incident query edge (i, j) is offered the candidate sum
-    dist(v, i) + dist(v, j).  An endpoint's radius is the largest pending
-    answer over its open edges (+inf while one of them has none) and its
-    copies are pruned at half of it; it is recomputed whenever an edge
-    improves.  An endpoint with no open edge (it only appears in
+    dist(v, i) + dist(v, j), once a second copy has reached v (before
+    that, every such sum is +inf).  An endpoint's radius is the largest
+    pending answer over its open edges (+inf while one of them has none)
+    and its copies are pruned at half of it; it is recomputed whenever
+    an edge improves.  An endpoint with no open edge (it only appears in
     self-pairs, or all its pairs are disconnected) has radius -inf, so
     none of its copies is ever extracted.
 
@@ -147,11 +149,16 @@ class MultiBidsSearch(Search):
         self.radius = _radius(qg, self.edge_best, self.closed)
         self._stamp = np.empty(len(qg.edges), dtype=np.int64)  # for _scatter_min
         self._q_rows = _query_rows(qg)
+        # per vertex: a copy known finite there (-1: none yet), and whether
+        # two copies are; only then can a meeting sum there be finite
+        self._owner = np.full(graph.n, -1, dtype=np.int32)
+        self._shared = np.zeros(graph.n, dtype=bool)
 
     def seeds(self):
         c = self.copies
-        cells = self.qg.endpoints * c + np.arange(c, dtype=np.int64)
-        return cells, np.zeros(c)
+        own = np.arange(c, dtype=np.int64)
+        self._owner[self.qg.endpoints] = own
+        return self.qg.endpoints * c + own, np.zeros(c)
 
     def prune(self, cells):
         idx = cells % self.copies
@@ -160,6 +167,16 @@ class MultiBidsSearch(Search):
     def on_improved(self, cells):
         c = self.copies
         verts, endpoint = np.divmod(cells, c)
+        # a vertex is shared once its owner is another copy, or another
+        # cell of this call wrote a different copy there
+        owner = self._owner[verts]
+        self._owner[verts] = endpoint
+        met = (owner != endpoint) & (owner >= 0)
+        met |= self._owner[verts] != endpoint
+        self._shared[verts[met]] = True
+        # elsewhere no other copy is finite, so every sum would be inf
+        keep = self._shared[verts]
+        cells, verts, endpoint = cells[keep], verts[keep], endpoint[keep]
         neighbors, edges, deg = _gather_rows(self._q_rows, endpoint)
         mates = (verts * c).repeat(deg)
         mates += neighbors

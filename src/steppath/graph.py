@@ -7,6 +7,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse._sparsetools import coo_tocsr as _coo_tocsr
 from scipy.sparse.csgraph import connected_components as _cc
 
 EUCLIDEAN = "euclidean"
@@ -151,17 +152,19 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     simply picks the cheapest).  The arcs of a vertex are stored in
     input order with originals before the added mirrors, which fixes
     the canonical arc order that :func:`generate_uniform_weights` draws
-    in.  That order is a stable
-    sort by source, made by one in-place sort of packed values
-    (:func:`_stable_argsort`).  The graph's ``symmetric`` is derived
-    from the arcs on first use, however they were made.
+    in.  That order is a stable sort by source: scipy's compiled
+    ``coo_tocsr``, a counting sort that keeps the input order within
+    each row, writes the arcs straight into the returned arrays.  The
+    graph's ``symmetric`` is derived from the arcs on first use, however
+    they were made.
 
-    Memory: the ids are int32 once checked, and each working array is
-    dropped at its last use.  Besides the input, everything allocated,
-    the returned arrays included, peaks at about 28 bytes per stored arc
-    plus 8 per vertex: under 2.5 times the bytes of the returned graph.
-    The peak is the weight gather, with the sort order (8 bytes per arc)
-    and the unsorted weights alive next to the result.
+    Memory: the ids are int32 once checked (while ``n`` and the arc
+    count stay below ``2**31``).  Besides the input, everything
+    allocated, the returned arrays included, peaks at about 28 bytes per
+    stored arc plus 12 per vertex: under 2.5 times the bytes of the
+    returned graph.  The peak is the counting sort, with the unsorted
+    ids and contiguous weights (16 bytes per arc) alive next to the
+    result.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -192,13 +195,11 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
         w = np.concatenate([w, w[lone]])  # after the ids: fewer arrays are alive at once
         del lone
 
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    order = _stable_argsort(src, n)
-    del src
-    targets = tgt[order]
-    del tgt
-    return CsrGraph(n=n, offsets=offsets, targets=targets, weights=w[order])
+    # the kernel takes n, m and every id in one index type, and the offsets hold m
+    m, index = src.size, _index_type(max(n, src.size) + 1)
+    offsets, targets, weights = np.empty(n + 1, dtype=index), np.empty(m, dtype=index), np.empty(m)
+    _coo_tocsr(n, n, m, src.astype(index, copy=False), tgt.astype(index, copy=False), w, offsets, targets, weights)
+    return CsrGraph(n, offsets.astype(np.int64), targets.astype(np.int32, copy=False), weights)
 
 
 def _unmatched_arcs(src: np.ndarray, tgt: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
@@ -400,33 +401,15 @@ def _mirror_orders(graph: CsrGraph):
 def mirror_closed(graph: CsrGraph) -> bool:
     """True iff the arc multiset is closed under (u, v, w) -> (v, u, w).
 
-    Memory: the two orders of :func:`_mirror_orders` take 4 bytes per
-    arc each (8 past ``2**31`` arcs), and their sort peaks at 20 bytes
-    per arc, under 1.75 times the graph's bytes.  The weights of the two
-    orders are compared block by block.
+    That is, no arc is left unmatched when arcs pair with their mirrors
+    by occurrence rank (:func:`_unmatched_arcs`, one packed sort).
+
+    Memory: the int32 arc sources (4 bytes per arc) and the pairing's
+    sorted keys, positions and masks, under 1.75 times the graph's
+    bytes.
     """
-    orders = _mirror_orders(graph)
-    if orders is None:
-        return False
-    fwd, bwd = orders
-    weights, offsets = graph.weights, graph.offsets
-    # the rows that hold a weight mismatch (the (u, v) order keeps every
-    # arc in its row)
-    rows = np.zeros(graph.n, dtype=bool)
-    for lo in range(0, graph.m, _BLOCK):
-        arcs = slice(lo, lo + _BLOCK)
-        differ = lo + np.flatnonzero(weights[fwd[arcs]] != weights[bwd[arcs]])
-        rows[np.searchsorted(offsets, differ, side="right") - 1] = True
-    if not rows.any():
-        return True
-    # parallel arcs may store their weights in another order on the two
-    # sides: compare the sorted weights of each (u, v) key in those rows
-    degrees = graph.degrees
-    sel = np.flatnonzero(np.repeat(rows, degrees))
-    fwd, bwd = fwd[sel], bwd[sel]
-    key = np.repeat(np.flatnonzero(rows), degrees[rows]) * graph.n + graph.targets[fwd]
-    w_f, w_b = weights[fwd], weights[bwd]
-    return np.array_equal(w_f[np.lexsort((w_f, key))], w_b[np.lexsort((w_b, key))])
+    sources = np.repeat(np.arange(graph.n, dtype=np.int32), graph.degrees)
+    return not _unmatched_arcs(sources, graph.targets, graph.weights, graph.n).any()
 
 
 def _mirror_permutation(graph: CsrGraph) -> np.ndarray:
@@ -487,14 +470,17 @@ class ComponentInfo:
 def largest_component(graph: CsrGraph) -> ComponentInfo:
     """Label connected components (ties for largest go to the smaller label).
 
-    Components are weak: arc directions are ignored.  A graph whose
-    ``symmetric`` holds (derived here, if not yet read) is labelled by
-    scipy's single-pass strong-component search (Pearce's algorithm),
-    which needs no symmetrized copy of the arcs; any other graph by its
-    undirected search.  Labels are canonical:
+    Components are weak: arc directions are ignored.  They come from one
+    weak pass of scipy's labelling over a matrix built on the graph's own
+    arrays, with no copy of the arcs; only the structure is read, so
+    parallel arcs, self-loops and any weight values label alike, and
+    ``symmetric`` is not derived.  Labels are canonical:
     components are numbered by the smallest vertex id they contain, so
     vertex 0 is always in component 0.  They are computed once per graph
     object; later calls return the same :class:`ComponentInfo`.
+
+    Memory: beside the labels (8 bytes per vertex), scipy's transpose of
+    the arcs, about the graph's bytes.
     """
     return graph._components
 
@@ -502,24 +488,10 @@ def largest_component(graph: CsrGraph) -> ComponentInfo:
 def _label_components(graph: CsrGraph) -> ComponentInfo:
     if graph.n == 0:
         return ComponentInfo(np.empty(0, dtype=np.int64), 0, 0, 0)
-    # read before the matrix is built, so the mirror check's temporaries
-    # and the matrix's copies are never alive together
-    strong = graph.symmetric
-    # summing duplicate entries sorts the indices in place, so the matrix
-    # gets copies; float64 is the type scipy labels, so it copies no more
-    mat = csr_matrix(
-        (np.ones(graph.m), graph.targets.copy(), graph.offsets.copy()),
-        shape=(graph.n, graph.n),
-    )
-    mat.sum_duplicates()
-    if strong:
-        # every arc has its mirror, so the strong components are the
-        # connected ones, found without forming mat + mat.T.  scipy's
-        # strong pass needs the duplicates summed: parallel arcs make it
-        # hang or split components
-        count, raw = _cc(mat, directed=True, connection="strong")
-    else:
-        count, raw = _cc(mat, directed=False)
+    # the weights are a placeholder of scipy's data type: labelling reads
+    # the structure alone
+    mat = csr_matrix((graph.weights, graph.targets, graph.offsets), shape=(graph.n, graph.n))
+    count, raw = _cc(mat, directed=True, connection="weak")
     raw = raw.astype(np.int64)
     first = np.full(count, graph.n, dtype=np.int64)  # first vertex of each raw label
     np.minimum.at(first, raw, np.arange(graph.n))

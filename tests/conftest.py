@@ -1,27 +1,24 @@
-import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
 import steppath.graph
 
 
-def _no_duplicate_entries(*args, **kwargs):
-    """scipy's labelling, refusing a strong pass over duplicate entries.
+def _weak_only(*args, **kwargs):
+    """scipy's labelling, refusing any strong pass.
 
-    scipy's strong-component pass loops forever on the symmetrized doubled
-    edge and splits components of multigraphs, so a matrix with duplicate
-    (row, column) entries fails here instead of reaching it.
+    The set-up labels weak components in one pass.  scipy's strong pass
+    loops forever on the symmetrized doubled edge and splits components
+    of multigraphs, so a return to it fails here instead of hanging the
+    suite.
     """
-    mat = args[0]
-    if kwargs.get("connection") == "strong":
-        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-        cells = rows * mat.shape[0] + mat.indices
-        assert np.unique(cells).size == cells.size, "duplicate entries reach the strong pass"
+    connection = kwargs.get("connection", args[2] if len(args) > 2 else "weak")
+    assert connection != "strong", "the labelling takes scipy's strong pass"
     return connected_components(*args, **kwargs)
 
 
 @pytest.fixture(autouse=True)
-def _labelling_refuses_duplicates(monkeypatch):
-    # every test that labels a graph checks the dedupe, so losing it fails
-    # the first such test instead of hanging the suite
-    monkeypatch.setattr(steppath.graph, "_cc", _no_duplicate_entries)
+def _labelling_refuses_the_strong_pass(monkeypatch):
+    # every test that labels a graph checks the pass, so a return to the
+    # strong one fails the first such test instead of hanging the suite
+    monkeypatch.setattr(steppath.graph, "_cc", _weak_only)

@@ -140,6 +140,8 @@ def test_multi_bids_reports_a_tighter_radius_only():
     # chain 0-1-2-3 of endpoints: cell v * 4 + i is copy i of vertex v
     g = g1()
     search = MultiBidsSearch(g, sp.build_query_graph([(0, 1), (1, 2), (2, 3)], g.n))
+    cells, values = search.seeds()
+    search.dist[cells] = values
     search.dist[1 * 4 + 1] = 0.0
     search.dist[1 * 4 + 2] = 2.0
     # edge (1, 2) gets an answer, but endpoints 1 and 2 each keep an
@@ -152,6 +154,31 @@ def test_multi_bids_reports_a_tighter_radius_only():
     # edge (0, 1) is endpoint 0's only edge: its radius falls to 1
     assert search.on_improved(np.array([0 * 4 + 1])) is True
     assert search.radius.tolist() == [1.0, 2.0, np.inf, np.inf]
+
+
+def test_multi_bids_offers_a_sum_once_two_copies_meet():
+    # endpoints 0 and 3 (copies 0 and 1): cell v * 2 + i is copy i of vertex v
+    g = g1()
+    search = MultiBidsSearch(g, sp.build_query_graph([(0, 3)], g.n))
+    cells, values = search.seeds()
+    search.dist[cells] = values
+    # copy 0 alone at vertex 1 offers nothing
+    search.dist[1 * 2 + 0] = 1.0
+    search.on_improved(np.array([1 * 2 + 0]))
+    assert search.edge_best.tolist() == [np.inf]
+    # both copies first reach vertex 2 in one call: they meet there
+    search.dist[2 * 2 + 0] = 3.0
+    search.dist[2 * 2 + 1] = 2.0
+    search.on_improved(np.array([2 * 2 + 0, 2 * 2 + 1]))
+    assert search.edge_best.tolist() == [5.0]
+    # either copy improving vertex 2 alone later offers the new sum
+    search.dist[2 * 2 + 1] = 1.0
+    search.on_improved(np.array([2 * 2 + 1]))
+    assert search.edge_best.tolist() == [4.0]
+    # copy 1 reaching vertex 1, where copy 0 already is, meets it
+    search.dist[1 * 2 + 1] = 2.5
+    search.on_improved(np.array([1 * 2 + 1]))
+    assert search.edge_best.tolist() == [3.5]
 
 
 def _isolated_pair(g):

@@ -345,6 +345,12 @@ def test_mirror_check_memory_stays_near_the_graph_size():
     assert symmetric and peak <= 1.75 * _graph_bytes(g)
 
 
+def test_labelling_memory_stays_near_the_graph_size():
+    g = build_csr(50_000, _random_edges(50_000, 200_000, 1), symmetrize=True)
+    info, peak = _traced_peak(lambda: largest_component(g))
+    assert info.count >= 1 and peak <= 1.25 * _graph_bytes(g)
+
+
 def test_unmatched_arcs_with_ids_past_packed_keys():
     # ids near 2**31 leave key and position no room in 64 bits, so the
     # helper sorts by max and then stably by min; a few arcs reach that path
@@ -502,15 +508,15 @@ def test_component_labels_match_reachability():
 @example((4, [(0, 1), (1, 2)]), "directed", 1)  # weak: 0 -> 1 -> 2 is one component
 def test_component_labels_match_sort_based_ranking(case, form, copies):
     # copies and repeated pairs give parallel arcs; arcs given both ways
-    # are flagged symmetric by the mirror check, so both symmetric forms
-    # take the strong pass
+    # are flagged symmetric by the mirror check; every form takes the
+    # one weak pass
     n, pairs = case
     edges = [(u, v, 1.0) for u, v in pairs] * copies
     if form == "both ways":
         edges += [(v, u, w) for u, v, w in edges]
     g = build_csr(n, edges, symmetrize=form == "symmetrized")
     assert g.symmetric or form == "directed"
-    info = largest_component(g)  # conftest refuses duplicates in the strong pass
+    info = largest_component(g)  # conftest refuses the strong pass
     if n == 0:
         assert (info.labels.size, info.count, info.largest, info.largest_size) == (0, 0, 0, 0)
         return
@@ -529,7 +535,8 @@ def test_component_labels_match_sort_based_ranking(case, form, copies):
 
 def test_set_up_never_writes_into_a_graph(tmp_path):
     # read-only arrays make any in-place write raise: the labelling's
-    # matrix, the mirror orders and the weight draw must all work on copies
+    # matrix shares the graph's arrays, and it, the mirror check and the
+    # weight draw must never write into them
     directed = build_csr(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (3, 4, 2.0)])
     graphs = [random_graph(300, 3, 7), _two_sided([3.0, 7.0, 7.0, 3.0]), directed]
     for g in graphs:
@@ -649,6 +656,26 @@ def _path_by_hand():
     # 0 -> 1 -> 2, each arc one way only
     offsets = np.array([0, 1, 2, 2], dtype=np.int64)
     return CsrGraph(3, offsets, np.array([1, 2], dtype=np.int32), np.array([1.0, 1.0]))
+
+
+def test_labelling_does_not_derive_symmetric():
+    for g in (random_graph(300, 3, 7), _path_by_hand()):
+        largest_component(g)
+        assert "symmetric" not in vars(g)
+
+
+def test_labels_do_not_depend_on_weight_values():
+    # 0 - 1 by a zero-weight arc, 1 -> 2 negative, 3 -> 4 NaN, a self-loop
+    # at 5, and 6 alone: the labelling reads the structure only
+    offsets = np.array([0, 1, 2, 2, 3, 3, 4, 4], dtype=np.int64)
+    targets = np.array([1, 2, 4, 5], dtype=np.int32)
+    odd = CsrGraph(7, offsets, targets, np.array([0.0, -1.0, np.nan, 3.0]))
+    ones = CsrGraph(7, offsets, targets, np.ones(4))
+    got, want = largest_component(odd), largest_component(ones)
+    assert got.labels.tolist() == want.labels.tolist() == [0, 0, 0, 1, 1, 2, 3]
+    assert (got.count, got.largest, got.largest_size) == (want.count, want.largest, want.largest_size) == (4, 0, 3)
+    zero = build_csr(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 0.0)], symmetrize=True)
+    assert largest_component(zero).count == 1
 
 
 def test_symmetric_is_derived_from_the_arcs():
