@@ -68,8 +68,8 @@ class CsrGraph:
         return np.diff(self.offsets)
 
     def arc_sources(self) -> np.ndarray:
-        """Source vertex of every arc, aligned with ``targets``."""
-        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        """Source vertex of every arc, aligned with ``targets`` and int32 like it."""
+        return np.repeat(np.arange(self.n, dtype=np.int32), self.degrees)
 
     @cached_property
     def symmetric(self) -> bool:
@@ -144,7 +144,8 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     With ``symmetrize`` the arcs are the smallest mirror-closed multiset
     that holds the input: a non-loop arc (u, v, w) gains a mirror
     (v, u, w) unless the input already holds one for it.  Arcs given
-    both ways pair up by occurrence rank, so each (u, v, w) is stored
+    both ways pair up by occurrence rank (:func:`_mirror_partners`, the
+    pairing that :func:`mirror_closed` checks), so each (u, v, w) is stored
     ``max(count(u, v, w), count(v, u, w))`` times: an edge given both
     ways is one undirected edge, stored once per direction.  A self-loop
     is its own mirror and is stored once.  Parallel arcs of different
@@ -190,7 +191,7 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
         raise ValueError("weights must be finite and nonnegative")
 
     if symmetrize and src.size:
-        lone = _unmatched_arcs(src, tgt, w, n)  # the arcs that gain a mirror
+        lone = _mirror_partners(src, tgt, w, n) < 0  # the arcs that gain a mirror
         src, tgt = np.concatenate([src, tgt[lone]]), np.concatenate([tgt, src[lone]])
         w = np.concatenate([w, w[lone]])  # after the ids: fewer arrays are alive at once
         del lone
@@ -202,23 +203,26 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     return CsrGraph(n, offsets.astype(np.int64), targets.astype(np.int32, copy=False), weights)
 
 
-def _unmatched_arcs(src: np.ndarray, tgt: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the non-loop arcs that the input holds no mirror for.
+def _mirror_partners(src: np.ndarray, tgt: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Each arc's mirror: the position of the arc it pairs with, or -1.
 
     The arcs (u, v, w) and (v, u, w) pair up by occurrence rank: the k-th
     given one way, in input order, pairs with the k-th given the other
-    way.  An arc is unmatched when its side of the pairing is the longer
-    one and its rank is past the shorter side's count.  The arcs are
-    ordered stably by their undirected key ``min * n + max``, with one
-    packed sort when key and position fit in 64 bits; a key held by two
-    arcs is matched directly, and only the arcs of keys held by three or
-    more are ordered further by weight and direction.  A self-loop is its
-    own key and never pairs.
+    way.  An arc gets -1 when its side of the pairing is the longer one
+    and its rank is past the shorter side's count.  A self-loop is its
+    own partner.  The arcs are ordered stably by their undirected key
+    ``min * n + max``, with one packed sort when key and position fit in
+    64 bits; a key held by two arcs is matched directly, and only the
+    arcs of keys held by three or more are ordered further by weight and
+    direction.  The partners are in the narrowest index type for the
+    arc count.
 
     Memory: the sorted keys (8 bytes per arc), their positions (4) and a
-    few masks (1 each); pairs are matched block by block.  When key and
-    position do not pack, the two sorts peak at 20 bytes per arc beside
-    the ids.
+    few masks (1 each).  The keys are freed, but for those held by three
+    or more arcs, before the partners (4) are allocated, and pairs are
+    matched block by block.  When key and position do not pack, numpy's
+    stable argsort orders the keys; tracemalloc then reads about 20 bytes
+    per arc beside the ids.
     """
     m, index = src.size, _index_type(src.size)
     if _packs(n * n, m):
@@ -229,31 +233,37 @@ def _unmatched_arcs(src: np.ndarray, tgt: np.ndarray, w: np.ndarray, n: int) -> 
         for lo in range(0, m, _BLOCK):
             order[lo : lo + _BLOCK] = key[lo : lo + _BLOCK] & np.uint64((1 << bits) - 1)
         key >>= np.uint64(bits)
-    else:  # by max, then stably by min, as _mirror_orders does
-        order = _stable_argsort(np.maximum(src, tgt), n).astype(index, copy=False)
-        order = order[_stable_argsort(np.minimum(src[order], tgt[order]), n)]
-        key = _edge_keys(src[order], tgt[order], n)
+    else:
+        key = _edge_keys(src, tgt, n)
+        order = np.argsort(key, kind="stable").astype(index, copy=False)
+        key = key[order]
     # new[i]: sorted arc i starts a key (new[m] closes the last one)
     new = np.ones(m + 1, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=new[1:m])
-    lone = src != tgt
-    # a key held by two arcs starts at i when i + 1 shares it and i + 2 does
-    # not; the two pair when they run opposite ways with one weight
+    # a key held by two arcs starts at i when i + 1 shares it and i + 2
+    # does not; many: the arcs of the keys held by three or more
     two = new[:-2] & ~new[1:-1] & new[2:]
+    many = ~(new[:-1] & new[1:])
+    del new
+    many[:-1] &= ~two
+    many[1:] &= ~two
+    many = np.flatnonzero(many)
+    key = key[many]
+    partner = np.full(m, -1, dtype=index)
+    for lo in range(0, m, _BLOCK):
+        loops = lo + np.flatnonzero(src[lo : lo + _BLOCK] == tgt[lo : lo + _BLOCK])
+        partner[loops] = loops
+    # the two arcs of a key pair when they run opposite ways with one weight
     for lo in range(0, two.size, _BLOCK):
         first = lo + np.flatnonzero(two[lo : lo + _BLOCK])
         a, b = order[first], order[first + 1]
         pair = (src[a] != src[b]) & (w[a] == w[b])
-        lone[a[pair]] = lone[b[pair]] = False
-    # the arcs of keys held by three or more: neither alone nor in a two
-    many = ~(new[:-1] & new[1:])
-    many[:-1] &= ~two
-    many[1:] &= ~two
-    many = np.flatnonzero(many)
+        partner[a[pair]], partner[b[pair]] = b[pair], a[pair]
     if many.size:
         a = order[many]
-        lone[a[_paired_by_rank(key[many], w[a], src[a] < tgt[a])]] = False
-    return lone
+        fwd, bwd = _paired_by_rank(key, w[a], src[a] < tgt[a])
+        partner[a[fwd]], partner[a[bwd]] = a[bwd], a[fwd]
+    return partner
 
 
 def _edge_keys(src: np.ndarray, tgt: np.ndarray, n: int) -> np.ndarray:
@@ -267,14 +277,15 @@ def _edge_keys(src: np.ndarray, tgt: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
-def _paired_by_rank(key: np.ndarray, w: np.ndarray, forward: np.ndarray) -> np.ndarray:
-    """Positions of the arcs that pair with a mirror, for arcs sorted by key.
+def _paired_by_rank(key: np.ndarray, w: np.ndarray, forward: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions ``(fwd, bwd)`` of the mirror pairs, for arcs sorted by key.
 
-    Within a key the arcs are in input order.  A stable sort by (key,
-    weight, direction) keeps that order within each direction, so an
-    arc's offset in its run of one key, weight and direction is its
-    occurrence rank.  In each run the arcs ranked below
-    ``min(forward, backward)`` of their key and weight pair up.
+    Backward arc ``bwd[k]`` pairs with forward arc ``fwd[k]``.  Within a
+    key the arcs are in input order.  A stable sort by (key, weight,
+    direction) keeps that order within each direction, so an arc's offset
+    in its run of one key, weight and direction is its occurrence rank.
+    In each run the arcs ranked below ``min(forward, backward)`` of their
+    key and weight pair up.
     """
     order = np.lexsort((~forward, w, key))
     key, w, forward = key[order], w[order], forward[order]
@@ -286,40 +297,19 @@ def _paired_by_rank(key: np.ndarray, w: np.ndarray, forward: np.ndarray) -> np.n
     rank = np.arange(order.size) - np.flatnonzero(new_run)[np.cumsum(new_run) - 1]
     ahead = np.bincount(group[forward], minlength=group[-1] + 1)
     pairs = np.minimum(ahead, np.bincount(group) - ahead)
-    return order[rank < pairs[group]]
-
-
-def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
-
-    Each key is packed with its position into one ``uint64``,
-    ``key << b | position`` with ``b`` bits for the positions, and the
-    packed values are sorted in place; the low bits then hold the order.
-    Positions are unique, so the packed values are distinct and any sort
-    is stable: numpy sorts them with its SIMD value sort, where a stable
-    argsort of keys wider than 16 bits is a merge sort.  Raises
-    ValueError when key and position bits do not fit in 64, which cannot
-    happen for ``bound <= 2**31`` with fewer than ``2**33`` keys.
-    """
-    packed, b = _packed_sort(keys, bound)
-    packed &= np.uint64((1 << b) - 1)
-    return packed.view(np.int64)
-
-
-def _packed_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
-    """The sorted ``uint64`` values ``key << b | position``, and ``b``.
-
-    The packed array, 8 bytes per key, is the only array this allocates
-    beyond one block: the positions are ORed in block by block, and
-    numpy sorts it in place.
-    """
-    if not _packs(bound, keys.size):
-        raise ValueError(f"{keys.size} keys below {bound} do not fit in 64 bits with their positions")
-    return _sort_packed(keys.astype(np.uint64))
+    # a group lists its forward arcs first: the k-th backward one follows
+    # the k-th forward one by the group's forward count
+    first = np.flatnonzero(forward & (rank < pairs[group]))
+    return order[first], order[first + ahead[group[first]]]
 
 
 def _sort_packed(packed: np.ndarray) -> tuple[np.ndarray, int]:
-    """:func:`_packed_sort` in place, on ``uint64`` keys known to fit."""
+    """The ``uint64`` keys, known to fit, as sorted ``key << b | position``, and ``b``.
+
+    The positions are ORed in block by block and numpy sorts in place.
+    Positions are unique, so the packed values are distinct and the sort
+    is stable in the keys.
+    """
     b = _position_bits(packed.size)
     packed <<= np.uint64(b)
     for lo in range(0, packed.size, _BLOCK):
@@ -370,57 +360,17 @@ def _row_view(n: int, offsets, cols, data, data_type, what: str):
     return offsets.astype(index), np.ascontiguousarray(cols, dtype=index), np.ascontiguousarray(data, dtype=data_type)
 
 
-def _mirror_orders(graph: CsrGraph):
-    """Stable orders of the arcs by (u, v) and of their mirrors by (v, u).
-
-    Returns ``(fwd, bwd)``, where ``bwd[k]`` is the mirror of arc
-    ``fwd[k]`` when weights are ignored, or None when the arcs, ignoring
-    weights, are not closed under mirroring.  Parallel arcs keep their
-    storage order within a key, so the k-th (u, v) arc pairs with the
-    k-th (v, u) arc.  Both orders hold positions in the narrowest index
-    type for ``m`` (int32 below ``2**31`` arcs).
-
-    CSR storage lists the sources in ascending order, so a stable sort of
-    the targets gives the (v, u) order; a stable sort of that order by
-    source gives the (u, v) one.  The arcs are closed iff, position by
-    position, the (u, v) order's targets equal the (v, u) order's
-    sources.  Equal sequences hold each vertex as often, so every
-    in-degree equals its out-degree: both orders then give each vertex
-    the same positions, its sorted out-neighbours on one side and its
-    sorted in-neighbours on the other.
-    """
-    n, targets = graph.n, graph.targets
-    bwd = _stable_argsort(targets, n).astype(_index_type(graph.m), copy=False)
-    mirror_sources = np.repeat(np.arange(n, dtype=np.int32), graph.degrees)[bwd]
-    fwd = bwd[_stable_argsort(mirror_sources, n)]
-    if not np.array_equal(targets[fwd], mirror_sources):
-        return None
-    return fwd, bwd
-
-
 def mirror_closed(graph: CsrGraph) -> bool:
     """True iff the arc multiset is closed under (u, v, w) -> (v, u, w).
 
-    That is, no arc is left unmatched when arcs pair with their mirrors
-    by occurrence rank (:func:`_unmatched_arcs`, one packed sort).
+    That is, every arc has a partner when arcs pair with their mirrors by
+    occurrence rank (:func:`_mirror_partners`, one packed sort).
 
     Memory: the int32 arc sources (4 bytes per arc) and the pairing's
-    sorted keys, positions and masks, under 1.75 times the graph's
-    bytes.
+    sorted keys, positions and masks, about 19 bytes per arc in all: under
+    1.75 times the graph's bytes.
     """
-    sources = np.repeat(np.arange(graph.n, dtype=np.int32), graph.degrees)
-    return not _unmatched_arcs(sources, graph.targets, graph.weights, graph.n).any()
-
-
-def _mirror_permutation(graph: CsrGraph) -> np.ndarray:
-    """Map each arc to its mirror, pairing parallel arcs by occurrence rank."""
-    orders = _mirror_orders(graph)
-    if orders is None:
-        raise ValueError("graph is not symmetrized: arc multiset is not mirror-closed")
-    fwd, bwd = orders
-    mirror = np.empty_like(bwd)
-    mirror[fwd] = bwd
-    return mirror
+    return not (_mirror_partners(graph.arc_sources(), graph.targets, graph.weights, graph.n) < 0).any()
 
 
 def generate_uniform_weights(graph: CsrGraph, seed: int, lo: float, hi: float) -> CsrGraph:
@@ -430,13 +380,20 @@ def generate_uniform_weights(graph: CsrGraph, seed: int, lo: float, hi: float) -
     arcs, so the result stays symmetric.  The draw stream is pinned for
     reproducibility: a NumPy PCG64 generator seeded with ``seed`` produces
     one uniform per arc with ``source <= target``, visited in CSR storage
-    order (each self-loop counts as its own edge).  A port that lays out
-    arcs the same way and uses PCG64 reproduces the stream exactly.
+    order (each self-loop counts as its own edge).  Each draw also goes
+    to the arc's mirror, weights ignored: the k-th (u, v) arc in storage
+    order pairs with the k-th (v, u) arc.  A port that lays out arcs the
+    same way and uses PCG64 reproduces the weights exactly.  Raises
+    ValueError when, weights ignored, some arc has no mirror.
     """
     if not (0 <= lo <= hi) or not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("need finite weight bounds with 0 <= lo <= hi")
-    mirror = _mirror_permutation(graph)
-    canonical = np.flatnonzero(graph.arc_sources() <= graph.targets)
+    src = graph.arc_sources()
+    # one weight for every arc pairs the arcs on their ends alone
+    mirror = _mirror_partners(src, graph.targets, np.broadcast_to(0.0, (graph.m,)), graph.n)
+    if (mirror < 0).any():
+        raise ValueError("graph is not symmetrized: arc multiset is not mirror-closed")
+    canonical = np.flatnonzero(src <= graph.targets)
     rng = np.random.default_rng(seed)
     draws = rng.uniform(lo, hi, size=canonical.size)
     weights = np.empty(graph.m, dtype=np.float64)

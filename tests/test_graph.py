@@ -159,55 +159,6 @@ def test_mirror_closed_finds_a_mismatch_by_the_block_edges(arc):
     assert not mirror_closed(build_csr(n, edges))
 
 
-_BOUNDS = (1, 2**16, 2**16 + 1, 2**31)
-
-
-@st.composite
-def _sort_keys(draw):
-    """Integer keys below a bound: arbitrary, drawn from a few values, or all tied."""
-    bound = draw(st.sampled_from(_BOUNDS))
-    edges = [k for k in (0, 2**16 - 1, 2**16, bound - 1) if k < bound]
-    value = st.one_of(st.integers(0, bound - 1), st.sampled_from(edges))
-    kind = draw(st.sampled_from(["any", "few", "tied"]))
-    if kind == "few":
-        value = st.sampled_from(draw(st.lists(value, min_size=1, max_size=3)))
-    keys = draw(st.lists(value, max_size=40))
-    if kind == "tied" and keys:
-        keys = [keys[0]] * len(keys)
-    return np.array(keys, dtype=draw(st.sampled_from([np.int32, np.int64]))), bound
-
-
-def _tied_keys(size, bound):
-    """``size`` seeded keys below ``bound``, each drawn from 50 values, so most are tied."""
-    values = np.random.default_rng(size).integers(0, bound, 50)
-    return values[np.random.default_rng(size + 1).integers(0, 50, size)], bound
-
-
-@settings(max_examples=300, deadline=None)
-@given(_sort_keys())
-@example((np.array([], dtype=np.int64), 2**31))
-@example((np.array([2**31 - 1], dtype=np.int32), 2**31))
-@example((np.full(9, 70_000, dtype=np.int64), 2**16 + 1 + 70_000))
-@example((np.full(9, 2**16, dtype=np.int32), 2**16 + 1))
-# positions are packed block by block: sizes around one block, and past three
-@example(_tied_keys(BLOCK - 1, 7))
-@example(_tied_keys(BLOCK, 2**16 + 1))
-@example(_tied_keys(BLOCK + 1, 2**31))
-@example(_tied_keys(200_001, 2**31))
-def test_stable_argsort_matches_numpy(case):
-    keys, bound = case
-    got = steppath.graph._stable_argsort(keys, bound)
-    assert np.array_equal(got, np.argsort(keys, kind="stable"))
-
-
-def test_stable_argsort_refuses_keys_that_do_not_fit():
-    # two keys take one position bit: a 63-bit key fits, a 64-bit one does not
-    keys = np.array([2**63 - 1, 0], dtype=np.uint64)
-    assert steppath.graph._stable_argsort(keys, 2**63).tolist() == [1, 0]
-    with pytest.raises(ValueError, match="64 bits"):
-        steppath.graph._stable_argsort(keys, 2**64)
-
-
 def _spread_multigraph(seed, m=3_000):
     """(u, v, w) rows on 40 spread vertex ids: parallel arcs and self-loops."""
     rng = np.random.default_rng(seed)
@@ -351,33 +302,47 @@ def test_labelling_memory_stays_near_the_graph_size():
     assert info.count >= 1 and peak <= 1.25 * _graph_bytes(g)
 
 
+def _check_partners(src, tgt, w, n, lone):
+    """The pairing's partners: mutual, mirrored, loops their own, -1 exactly where ``lone``."""
+    partner = steppath.graph._mirror_partners(src, tgt, w, n)
+    assert partner.dtype == np.int32 and np.array_equal(partner < 0, lone)
+    a = np.flatnonzero(partner >= 0)
+    b = partner[a]
+    assert np.array_equal(partner[b], a)
+    assert np.array_equal(src[a], tgt[b]) and np.array_equal(tgt[a], src[b]) and np.array_equal(w[a], w[b])
+    loops = np.flatnonzero(src == tgt)
+    assert np.array_equal(partner[loops], loops)
+
+
 def test_unmatched_arcs_with_ids_past_packed_keys():
     # ids near 2**31 leave key and position no room in 64 bits, so the
-    # helper sorts by max and then stably by min; a few arcs reach that path
+    # pairing falls back to a stable argsort; a few arcs reach that path
     rows = np.array(
         [(0, 1, 1.0), (1, 0, 1.0), (0, 1, 1.0), (2, 2, 0.0), (1, 2, 2.0), (2, 1, 3.0), (0, 1, 1.0), (1, 0, 1.0)]
     )
     src, tgt, w = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64), rows[:, 2]
     want = [False, False, False, False, True, True, True, False]
-    assert steppath.graph._unmatched_arcs(src, tgt, w, 3).tolist() == want
+    assert _lone_by_loop(rows.tolist()).tolist() == want
+    _check_partners(src, tgt, w, 3, want)
     n = 2**31
     assert not steppath.graph._packs(n * n, src.size)
-    assert steppath.graph._unmatched_arcs(n - 1 - src, n - 1 - tgt, w, n).tolist() == want
+    _check_partners(n - 1 - src, n - 1 - tgt, w, n, want)
 
 
 def test_unmatched_arcs_across_blocks():
     # more arcs than three blocks on 1,000 vertices: keys held by one, two
-    # and more arcs, given one way or both, straddle the block edges
+    # and more arcs, given one way or both, straddle the block edges; on
+    # one weight column the arcs pair on their ends alone
     rng = np.random.default_rng(5)
     m = 3 * BLOCK + 7
     src, tgt = rng.integers(0, 1_000, (2, m)).astype(np.int32)
-    w = rng.integers(1, 3, m).astype(np.float64)
-    want = _lone_by_loop(np.column_stack([src, tgt, w]).tolist())
-    assert np.array_equal(steppath.graph._unmatched_arcs(src, tgt, w, 1_000), want)
-    # ids mirrored near 2**31, where key and position do not pack
     n = 2**31
     assert not steppath.graph._packs(n * n, m)
-    assert np.array_equal(steppath.graph._unmatched_arcs(n - 1 - src, n - 1 - tgt, w, n), want)
+    for w in (rng.integers(1, 3, m).astype(np.float64), np.broadcast_to(0.0, (m,))):
+        want = _lone_by_loop(np.column_stack([src, tgt, w]).tolist())
+        _check_partners(src, tgt, w, 1_000, want)
+        # ids mirrored near 2**31, where key and position do not pack
+        _check_partners(n - 1 - src, n - 1 - tgt, w, n, want)
 
 
 def test_uniform_weights_past_16_bit_ids():
@@ -437,6 +402,18 @@ def test_uniform_weights_range_and_mirrors():
     g = generate_uniform_weights(g1(), seed=7, lo=1, hi=2**18)
     assert np.all(g.weights >= 1) and np.all(g.weights <= 2**18)
     assert mirror_closed(g)
+
+
+def test_uniform_weights_pair_arcs_on_their_ends_alone():
+    # a directed cycle has no mirrors, whatever its weights
+    with pytest.raises(ValueError, match="not symmetrized"):
+        generate_uniform_weights(build_csr(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]), seed=1, lo=1, hi=9)
+    # mirrors of different weights: not symmetric, yet one shared draw
+    g = build_csr(2, [(0, 1, 3.0), (1, 0, 4.0)])
+    assert not g.symmetric
+    h = generate_uniform_weights(g, seed=1, lo=1, hi=9)
+    assert h.weights.tolist() == 2 * np.random.default_rng(1).uniform(1, 9, size=1).tolist()
+    assert h.symmetric
 
 
 def test_uniform_weights_degenerate_range():
