@@ -1,8 +1,9 @@
 """Batch point-to-point queries over a query graph.
 
-A batch of (s, t) pairs is deduplicated into a query graph: its vertices
-are the distinct endpoints, its edges the distinct pairs.  Three ways to
-answer it are provided, all exact:
+A batch of (s, t) pairs is deduplicated into a query graph, held as its
+edge list: its vertices are the distinct endpoints, its edges the
+distinct pairs.  Three exact ways to answer it are provided; each checks
+the query graph first and answers one without edges with zeros:
 
 * :func:`multi_bids` runs one joint search with a copy per endpoint and a
   per-endpoint pruning radius of half its largest pending answer.
@@ -15,12 +16,12 @@ answer it are provided, all exact:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import INF, Search, StepPolicy, _gather_rows, _scatter_min, run_search, sssp
-from .graph import CsrGraph, _row_view
+from .graph import CsrGraph
 from .io import as_pairs
 from .ppsp import ppsp
 
@@ -40,15 +41,13 @@ class BatchTooLarge(ValueError):
 
 @dataclass
 class QueryGraph:
-    """Deduplicated batch: endpoints, distinct edges, and the pair mapping."""
+    """Deduplicated batch as three int64 arrays.  Every batch algorithm,
+    and :class:`MultiBidsSearch`, refuses one that breaks the rules below
+    with ``ValueError("query graph: ...")``."""
 
-    endpoints: np.ndarray  # sorted distinct endpoint vertex ids
-    edges: np.ndarray  # (E, 2) endpoint-index pairs, i < j, sorted
-    pair_edge: np.ndarray  # per input pair: edge index, or -1 for s == t
-    # flat CSR adjacency over endpoint indices
-    q_offsets: np.ndarray = field(repr=False)
-    q_neighbors: np.ndarray = field(repr=False)
-    q_edges: np.ndarray = field(repr=False)
+    endpoints: np.ndarray  # vertex ids of the graph, rising strictly
+    edges: np.ndarray  # (E, 2) endpoint-index pairs (i, j), 0 <= i < j < order
+    pair_edge: np.ndarray  # per input pair: edge index in -1..E-1, -1 for s == t
 
     @property
     def order(self) -> int:
@@ -65,9 +64,9 @@ def build_query_graph(pairs, n_vertices: int | None = None) -> QueryGraph:
     ``pairs`` is empty or a ``(k, 2)`` array of integral vertex ids.
     Duplicate and mirrored pairs map to one edge; self-pairs produce no
     edge (they are answered 0 directly) but their endpoint still joins
-    the vertex set.  In :class:`MultiBidsSearch` an endpoint's radius is
-    its largest edge answer, -inf with no edge: a self-pair alone is never
-    searched.
+    the vertex set.  The edges are distinct and sorted.  In
+    :class:`MultiBidsSearch` an endpoint's radius is its largest edge
+    answer, -inf with no edge: a self-pair alone is never searched.
     """
     pairs = as_pairs(pairs)
     if pairs.size and (pairs.min() < 0 or (n_vertices is not None and pairs.max() >= n_vertices)):
@@ -79,20 +78,24 @@ def build_query_graph(pairs, n_vertices: int | None = None) -> QueryGraph:
     edges, inverse = np.unique(np.column_stack([lo, hi])[proper], axis=0, return_inverse=True)
     pair_edge = np.full(lo.size, -1, dtype=np.int64)
     pair_edge[proper] = inverse.reshape(-1)
+    return QueryGraph(endpoints, edges, pair_edge)
 
-    ends = np.concatenate([edges[:, 0], edges[:, 1]])
-    mates = np.concatenate([edges[:, 1], edges[:, 0]])
-    eids = np.tile(np.arange(len(edges), dtype=np.int64), 2)
-    srt = np.argsort(ends, kind="stable")
-    q_offsets = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=endpoints.size))])
-    return QueryGraph(
-        endpoints=endpoints,
-        edges=edges,
-        pair_edge=pair_edge,
-        q_offsets=q_offsets,
-        q_neighbors=mates[srt],
-        q_edges=eids[srt],
-    )
+
+def _check_query_graph(qg: QueryGraph, n: int) -> None:
+    """Refuse, with ValueError, a query graph that breaks :class:`QueryGraph`'s rules on ``n`` vertices."""
+    ends, edges, pair_edge = qg.endpoints, qg.edges, qg.pair_edge
+    # int64, as build_query_graph makes them: cell ids v * copies + i stay exact
+    if not all(isinstance(a, np.ndarray) and a.dtype == np.int64 for a in (ends, edges, pair_edge)):
+        raise ValueError("query graph: endpoints, edges and pair_edge must be int64 arrays")
+    if ends.ndim != 1 or np.any(ends[1:] <= ends[:-1]) or np.any((ends < 0) | (ends >= n)):
+        raise ValueError(f"query graph: endpoints must rise strictly within 0..{n - 1}")
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError(f"query graph: edges must form an (E, 2) array, got shape {edges.shape}")
+    i, j = edges.T
+    if np.any((i < 0) | (i >= j) | (j >= ends.size)):
+        raise ValueError(f"query graph: every edge (i, j) needs 0 <= i < j < {ends.size}")
+    if pair_edge.ndim != 1 or np.any((pair_edge < -1) | (pair_edge >= len(edges))):
+        raise ValueError(f"query graph: pair_edge must lie within -1..{len(edges) - 1}")
 
 
 @dataclass
@@ -138,17 +141,24 @@ class MultiBidsSearch(Search):
     with radius +inf, copy i explored its whole component unpruned and
     never reached q_j, so the pair is disconnected.  Its answer stays
     +inf and it no longer holds either radius open.  The graph must be
-    symmetric; :func:`multi_bids` checks it.
+    symmetric (:func:`multi_bids` checks it); the query graph is checked here.
     """
 
     def __init__(self, graph: CsrGraph, qg: QueryGraph):
+        _check_query_graph(qg, graph.n)
         super().__init__(graph, copies=qg.order)
         self.qg = qg
         self.edge_best = np.full(len(qg.edges), INF)
         self.closed = np.zeros(len(qg.edges), dtype=bool)
         self.radius = _radius(qg, self.edge_best, self.closed)
         self._stamp = np.empty(len(qg.edges), dtype=np.int64)  # for _scatter_min
-        self._q_rows = _query_rows(qg)
+        # ends holds every edge's i, then every j: entry k's mate is k - E (mod 2E)
+        e = len(qg.edges)
+        ends = qg.edges.T.ravel()
+        order = np.argsort(ends, kind="stable")
+        offsets = np.zeros(qg.order + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=qg.order), out=offsets[1:])
+        self._q_rows = (offsets, ends[order - e], order % e)
         # per vertex: a copy known finite there (-1: none yet), and whether
         # two copies are; only then can a meeting sum there be finite
         self._owner = np.full(graph.n, -1, dtype=np.int32)
@@ -212,15 +222,14 @@ def multi_bids(
     policy: StepPolicy | None = None,
 ) -> BatchAnswer:
     """Answer the whole batch with one joint pruned search."""
-    _validate_batch(graph, qg)
+    if (edgeless := _validate_batch(graph, qg)) is not None:
+        return edgeless
     cells = qg.order * graph.n
     if cells > DEFAULT_CELL_CAP:
         raise BatchTooLarge(
             f"joint search needs {cells} cells > cap {DEFAULT_CELL_CAP}; "
             "split the batch into smaller query sets"
         )
-    if len(qg.edges) == 0:
-        return BatchAnswer(np.zeros(qg.n_pairs), 0, 0, 0, 0)
     search = MultiBidsSearch(graph, qg)
     stats = run_search(graph, search, policy=policy)
     return BatchAnswer(
@@ -284,9 +293,8 @@ def vc_sssp_batch(
     beyond.  An edge with both endpoints covered is answered from the
     smaller index.
     """
-    _validate_batch(graph, qg)
-    if len(qg.edges) == 0:
-        return BatchAnswer(np.zeros(qg.n_pairs), 0, 0, 0, 0, cover=np.empty(0, np.int64))
+    if (edgeless := _validate_batch(graph, qg, cover=np.empty(0, np.int64))) is not None:
+        return edgeless
     cover = exact_vertex_cover(qg) if qg.order <= EXACT_COVER_LIMIT else greedy_vertex_cover(qg)
     return _cover_sssp(graph, qg, cover, policy)
 
@@ -321,11 +329,10 @@ def baseline_batch(
     """Per-edge baselines: one bidirectional search per edge, or one SSSP
     per oriented source (each edge is oriented from its smaller endpoint
     index)."""
-    _validate_batch(graph, qg)
     if mode not in ("plain-bids", "plain-sssp"):
         raise ValueError(f"unknown baseline mode {mode!r}")
-    if len(qg.edges) == 0:
-        return BatchAnswer(np.zeros(qg.n_pairs), 0, 0, 0, 0)
+    if (edgeless := _validate_batch(graph, qg)) is not None:
+        return edgeless
     if mode == "plain-sssp":
         # covering every edge's smaller endpoint makes each edge read that row
         return _cover_sssp(graph, qg, np.unique(qg.edges[:, 0]), policy)
@@ -349,20 +356,12 @@ def _run_batch(graph: CsrGraph, qg: QueryGraph, algo: str, policy: StepPolicy | 
     return baseline_batch(graph, qg, algo, policy=policy)
 
 
-def _query_rows(qg: QueryGraph):
-    """The query graph's adjacency as a checked CSR view, with the edge ids as data."""
-    view = _row_view(qg.order, qg.q_offsets, qg.q_neighbors, qg.q_edges, np.int64, "query graph")
-    edge_ids = view[2]
-    if edge_ids.size and (edge_ids.min() < 0 or edge_ids.max() >= len(qg.edges)):
-        raise ValueError(f"query graph: edge id out of range for {len(qg.edges)} edges")
-    return view
-
-
-def _validate_batch(graph: CsrGraph, qg: QueryGraph) -> None:
+def _validate_batch(graph: CsrGraph, qg: QueryGraph, cover: np.ndarray | None = None) -> BatchAnswer | None:
+    """Refuse a malformed batch; answer one without edges with zeros (and ``cover``)."""
     graph._rows  # refuses a malformed graph before its arcs are read
-    _query_rows(qg)
     # every algorithm reads dist(t -> s) as dist(s -> t), true only undirected
     if not graph.symmetric:
         raise ValueError("batch queries need a symmetrized graph")
-    if qg.endpoints.size and (qg.endpoints.min() < 0 or qg.endpoints.max() >= graph.n):
-        raise ValueError("query endpoint out of range for this graph")
+    _check_query_graph(qg, graph.n)
+    if len(qg.edges) == 0:
+        return BatchAnswer(np.zeros(qg.n_pairs), 0, 0, 0, 0, cover=cover)

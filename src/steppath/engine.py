@@ -287,11 +287,12 @@ class SearchStats:
 def _gather_rows(view, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The columns and data of ``rows`` in a checked CSR view, and each row's length.
 
-    ``view`` is ``(offsets, cols, data)`` from :func:`graph._row_view`
-    and ``rows`` are int64 row ids in range, in any order and repeated at
-    will.  The rows' slices come back concatenated in the order given, as
-    one call to scipy's compiled ``csr_row_index``, which copies them
-    without bounds checks.
+    ``view`` is a checked ``(offsets, cols, data)`` whose offsets and cols
+    share one integer type (the graph's :func:`graph._row_view`, or a
+    joint search's query rows), and ``rows`` are int64 row ids in range,
+    in any order and repeated at will.  The rows' slices come back
+    concatenated in the order given, as one call to scipy's compiled
+    ``csr_row_index``, which copies them without bounds checks.
     """
     offsets, cols, data = view
     deg = offsets[rows + 1] - offsets[rows]

@@ -111,7 +111,7 @@ class CsrGraph:
     @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The arcs as a checked CSR view for the engine's compiled row gather."""
-        return _row_view(self.n, self.offsets, self.targets, self.weights, np.float64, "graph")
+        return _row_view(self.n, self.offsets, self.targets, self.weights)
 
     def with_coords(self, coords, kind: str) -> "CsrGraph":
         """This graph with float64 ``coords`` of ``kind`` (checked as on construction)."""
@@ -333,31 +333,31 @@ def _index_type(size: int):
     return np.int32 if size <= 2**31 else np.int64
 
 
-def _row_view(n: int, offsets, cols, data, data_type, what: str):
-    """``(offsets, cols, data)`` of an ``n``-vertex CSR adjacency, checked
-    for a compiled row gather.
+def _row_view(n: int, offsets, targets, weights):
+    """``(offsets, targets, weights)`` of an ``n``-vertex graph, checked
+    for the engine's compiled row gather.
 
     The gather reads without bounds checks, so this is where a malformed
-    adjacency stops: ``offsets`` must be ``n + 1`` integers that start at
-    0, never decrease and end at ``len(cols) == len(data)``, and every
-    column must lie in ``[0, n)``.  Anything else raises ValueError
-    naming ``what``.  The offsets come back as a copy in the narrowest
+    graph stops: ``offsets`` must be ``n + 1`` integers that start at 0,
+    never decrease and end at ``len(targets) == len(weights)``, and every
+    target must lie in ``[0, n)``.  Anything else raises ValueError
+    starting ``graph:``.  The offsets come back as a copy in the narrowest
     index type that holds their last entry, m (int32 below ``2**31``
-    arcs); the columns in that same type and the data in ``data_type``,
+    arcs); the targets in that same type and the weights as float64,
     each contiguous and copied only when it is not already so.
     """
-    offsets, cols, data = np.asarray(offsets), np.asarray(cols), np.asarray(data)
+    offsets, targets, weights = np.asarray(offsets), np.asarray(targets), np.asarray(weights)
     if offsets.shape != (n + 1,) or offsets.dtype.kind not in "iu":
-        raise ValueError(f"{what}: offsets must be {n + 1} integers, got shape {offsets.shape} of {offsets.dtype}")
-    if cols.ndim != 1 or cols.dtype.kind not in "iu" or data.shape != cols.shape:
-        raise ValueError(f"{what}: arcs need 1-D integer targets and data of one length")
-    m = cols.size
+        raise ValueError(f"graph: offsets must be {n + 1} integers, got shape {offsets.shape} of {offsets.dtype}")
+    if targets.ndim != 1 or targets.dtype.kind not in "iu" or weights.shape != targets.shape:
+        raise ValueError("graph: arcs need 1-D integer targets and weights of one length")
+    m = targets.size
     if offsets[0] != 0 or offsets[-1] != m or np.any(offsets[1:] < offsets[:-1]):
-        raise ValueError(f"{what}: offsets must rise from 0 to the {m} arcs without decreasing")
-    if m and (cols.min() < 0 or cols.max() >= n):
-        raise ValueError(f"{what}: arc target out of range for {n} vertices")
+        raise ValueError(f"graph: offsets must rise from 0 to the {m} arcs without decreasing")
+    if m and (targets.min() < 0 or targets.max() >= n):
+        raise ValueError(f"graph: arc target out of range for {n} vertices")
     index = _index_type(m + 1)  # the offsets hold m itself
-    return offsets.astype(index), np.ascontiguousarray(cols, dtype=index), np.ascontiguousarray(data, dtype=data_type)
+    return offsets.astype(index), np.ascontiguousarray(targets, dtype=index), np.ascontiguousarray(weights, dtype=float)
 
 
 def mirror_closed(graph: CsrGraph) -> bool:

@@ -87,9 +87,11 @@ def test_query_graph_matches_reference(pairs, n_vertices):
     assert qg.edges.shape == (len(keys), 2)
     assert [tuple(e) for e in qg.edges.tolist()] == keys
     assert qg.pair_edge.tolist() == pair_edge
-    assert qg.q_offsets.tolist() == offsets.tolist()
-    assert qg.q_neighbors.tolist() == neighbors
-    assert qg.q_edges.tolist() == edge_ids
+    # the joint search derives each endpoint's (mate, edge id) rows from the edges
+    q_offsets, q_neighbors, q_edges = MultiBidsSearch(sp.build_csr(8, []), qg)._q_rows
+    assert q_offsets.tolist() == offsets.tolist()
+    assert q_neighbors.tolist() == neighbors
+    assert q_edges.tolist() == edge_ids
 
 
 def test_multi_bids_star_on_g1():
@@ -225,6 +227,18 @@ def test_multi_bids_cell_budget(monkeypatch):
     monkeypatch.setattr(steppath.batch, "DEFAULT_CELL_CAP", qg.order * g.n - 1)
     with pytest.raises(sp.BatchTooLarge):
         sp.multi_bids(g, qg)
+
+
+def test_edgeless_batch_is_answered_before_the_cap(monkeypatch):
+    # five self-pairs on 300 vertices would take 1,500 cells in a joint
+    # search; without an edge there is nothing to search
+    g = sp.build_csr(300, [(v, v + 1, 1.0) for v in range(299)], symmetrize=True)
+    qg = sp.build_query_graph([(v, v) for v in range(0, 250, 50)], g.n)
+    monkeypatch.setattr(steppath.batch, "DEFAULT_CELL_CAP", 1_000)
+    for algo in sp.BATCH_ALGOS:
+        ans = _run_batch(g, qg, algo, None)
+        assert ans.distances.tolist() == [0.0] * 5 and ans.runs == ans.steps == 0, algo
+    assert _run_batch(g, qg, "vc", None).cover.tolist() == []
 
 
 def test_multi_bids_default_cap_fires_before_allocating():

@@ -6,7 +6,7 @@ import inspect
 import pytest
 
 import steppath as sp
-from steppath.batch import BatchAnswer
+from steppath.batch import BatchAnswer, QueryGraph
 from steppath.bench import BenchConfig
 from steppath.cli import _build_parser
 from steppath.graph import ComponentInfo, CsrGraph
@@ -48,7 +48,17 @@ def test_removed_parameters(fn, param):
     assert param not in inspect.signature(fn).parameters
 
 
-@pytest.mark.parametrize("cls, name", [(BenchConfig, "label"), (BenchConfig, "radius"), (BatchAnswer, "extras")])
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        (BenchConfig, "label"),
+        (BenchConfig, "radius"),
+        (BatchAnswer, "extras"),
+        (QueryGraph, "q_offsets"),
+        (QueryGraph, "q_neighbors"),
+        (QueryGraph, "q_edges"),
+    ],
+)
 def test_removed_fields(cls, name):
     assert name not in {f.name for f in dataclasses.fields(cls)}
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import _sparsetools
 
 import steppath as sp
-from steppath.batch import MultiBidsSearch
+from steppath.batch import MultiBidsSearch, _run_batch
 from steppath.engine import _gather_rows
 from steppath.graph import CsrGraph, _row_view
 from helpers import geometric_graph, random_graph
@@ -62,12 +62,12 @@ def test_gather_rows_matches_concatenated_slices(case):
 
 def test_row_view_types():
     offsets = np.array([0, 2, 3], dtype=np.uint64)
-    view_offsets, cols, data = _row_view(2, offsets, np.array([1, 0, 0]), [1, 2, 3], np.float64, "graph")
+    view_offsets, cols, data = _row_view(2, offsets, np.array([1, 0, 0]), [1, 2, 3])
     assert view_offsets.dtype == cols.dtype == np.int32 and data.dtype == np.float64
     assert view_offsets is not offsets and view_offsets.tolist() == [0, 2, 3]
     # arrays already in their types are used as they are
     targets, weights = np.array([1, 0, 0], dtype=np.int32), np.array([1.0, 2.0, 3.0])
-    _, cols, data = _row_view(2, offsets, targets, weights, np.float64, "graph")
+    _, cols, data = _row_view(2, offsets, targets, weights)
     assert cols is targets and data is weights
 
 
@@ -116,21 +116,32 @@ def test_int64_targets_answer_as_the_int32_twin():
     assert (got.steps, got.relaxations, got.settled_copies) == (want.steps, want.relaxations, want.settled_copies)
 
 
+def _int64(rows):
+    return np.array(rows, dtype=np.int64)
+
+
 def test_malformed_query_graph_is_refused():
-    g = random_graph(50, 3, 1)
-    qg = sp.build_query_graph([(0, 1), (1, 2), (3, 4)], g.n)
-    assert sp.multi_bids(g, qg).distances.size == 3
+    # the path 0-1-2-3; some of these once answered a wrong distance
+    # (duplicate endpoint, edge (i, i), negative edge id) or raised IndexError
+    g = sp.build_csr(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], symmetrize=True)
+    qg = sp.build_query_graph([(0, 1), (1, 2), (3, 0)], g.n)
+    assert qg.edges.tolist() == [[0, 1], [0, 3], [1, 2]] and qg.pair_edge.tolist() == [0, 2, 1]
     bad = {
-        "short offsets": replace(qg, q_offsets=qg.q_offsets[:-1]),
-        "last offset is not the arc count": replace(qg, q_neighbors=qg.q_neighbors[:-1], q_edges=qg.q_edges[:-1]),
-        "decreasing": replace(qg, q_offsets=qg.q_offsets[[0, 2, 1, 3, 4, 5]]),
-        "edge ids too short": replace(qg, q_edges=qg.q_edges[:-1]),
-        "neighbor out of range": replace(qg, q_neighbors=qg.q_neighbors + qg.order),
-        "negative edge id": replace(qg, q_edges=qg.q_edges - len(qg.edges)),
-        "edge id out of range": replace(qg, q_edges=qg.q_edges + 1),
+        "duplicate endpoint": replace(qg, endpoints=_int64([0, 1, 3, 3])),
+        "unsorted endpoints": replace(qg, endpoints=_int64([1, 0, 2, 3])),
+        "endpoint past the graph": replace(qg, endpoints=_int64([0, 1, 2, 4])),
+        "float edges": replace(qg, edges=qg.edges.astype(np.float64)),
+        "edge (i, i)": replace(qg, edges=_int64([[0, 0], [0, 3], [1, 2]])),
+        "negative edge id": replace(qg, edges=qg.edges - 2),
+        "edge id past the order": replace(qg, edges=_int64([[0, 1], [0, 4], [1, 2]])),
+        "pair edge -2": replace(qg, pair_edge=_int64([0, -2, 1])),
+        "pair edge E": replace(qg, pair_edge=_int64([0, 3, 1])),
     }
+    for algo in sp.BATCH_ALGOS:
+        assert _run_batch(g, qg, algo, None).distances.tolist() == [1.0, 1.0, 3.0]
     for name, q in bad.items():
-        for call in (lambda: sp.multi_bids(g, q), lambda: MultiBidsSearch(g, q)):
+        calls = [lambda algo=algo: _run_batch(g, q, algo, None) for algo in sp.BATCH_ALGOS]
+        for call in calls + [lambda: MultiBidsSearch(g, q)]:
             with pytest.raises(ValueError, match="^query graph: "):
                 call()
 
