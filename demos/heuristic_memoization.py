@@ -43,7 +43,7 @@ def main():
           f"({lookups / computed:.1f}x fewer evaluations than uncached lookups)")
 
     potential = 0.5 * (h_target(np.arange(g.n)) - sp.heuristic_for_graph(g, source)(np.arange(g.n)))
-    fwd, _ = sp.induced_arc_weights(g, potential)
+    fwd = sp.induced_arc_weights(g, potential)
     print(f"\naveraged potential reweights arcs into [{fwd.min():.3e}, {fwd.max():.3e}] forward")
     reweighted = sp.build_csr(g.n, np.column_stack([g.arc_sources(), g.targets, fwd]))
     shifted = sp.sssp(reweighted, source)[target]

@@ -29,27 +29,14 @@ from .graph import (
     build_csr,
     generate_uniform_weights,
     largest_component,
-    mirror_closed,
 )
 from .heuristics import (
     check_consistent,
     consistency_violation,
     heuristic_for_graph,
     induced_arc_weights,
-    make_bidirectional_heuristics,
-    zero_heuristic,
 )
-from .io import (
-    load_binary,
-    load_coords,
-    load_edge_list,
-    load_graph,
-    load_pairs,
-    save_binary,
-    save_coords,
-    save_edge_list,
-    save_pairs,
-)
+from .io import load_coords, load_graph, load_pairs, save_coords, save_graph, save_pairs
 from .oracle import dijkstra, percentile_target
 from .ppsp import STRATEGIES, PpspAnswer, ppsp
 from .workloads import PATTERNS, pattern_pairs, percentile_pairs
@@ -83,13 +70,9 @@ __all__ = [
     "heuristic_for_graph",
     "induced_arc_weights",
     "largest_component",
-    "load_binary",
     "load_coords",
-    "load_edge_list",
     "load_graph",
     "load_pairs",
-    "make_bidirectional_heuristics",
-    "mirror_closed",
     "multi_bids",
     "pattern_pairs",
     "percentile_pairs",
@@ -97,11 +80,9 @@ __all__ = [
     "ppsp",
     "run_bench",
     "run_search",
-    "save_binary",
     "save_coords",
-    "save_edge_list",
+    "save_graph",
     "save_pairs",
     "sssp",
     "vc_sssp_batch",
-    "zero_heuristic",
 ]

@@ -56,7 +56,12 @@ def _load(args):
 
 
 def _delta_arg(raw: str):
-    return "auto" if raw == "auto" else float(raw)
+    if raw == "auto":
+        return raw
+    try:
+        return float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {raw!r}") from None
 
 
 def _out_pairs(pairs, args):
@@ -184,8 +189,7 @@ def cmd_bench(args):
     elif args.source is not None and args.target is not None:
         pairs = np.asarray([[args.source, args.target]], dtype=np.int64)
     else:
-        print("bench: give --queries, --pattern, --percentile, or --source/--target", file=sys.stderr)
-        return 2
+        raise ValueError("give --queries, --pattern, --percentile, or --source/--target")
     cfg = BenchConfig(
         mode=args.mode,
         pairs=pairs,
@@ -291,8 +295,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    return args.fn(args)
+    """Run one subcommand; a refused input is one error line and exit status 2.
+
+    ``ValueError`` and ``OSError`` are refused inputs (a bad value, a
+    missing or malformed file) and are reported in argparse's format; any
+    other exception, such as ``BenchError``, is a fault and propagates.
+    """
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

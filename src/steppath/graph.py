@@ -1,4 +1,10 @@
-"""CSR graph container, construction, synthetic weights, and connectivity."""
+"""CSR graph container, construction, synthetic weights, and connectivity.
+
+:func:`build_csr` makes a :class:`CsrGraph`; whether its arcs are closed
+under mirroring is :attr:`CsrGraph.symmetric`, derived on first use.
+:func:`generate_uniform_weights` redraws the weights of a symmetric graph
+and :func:`largest_component` labels its weak components.
+"""
 
 from __future__ import annotations
 
@@ -73,8 +79,16 @@ class CsrGraph:
 
     @cached_property
     def symmetric(self) -> bool:
-        """True iff the arcs are closed under mirroring (:func:`mirror_closed`)."""
-        return mirror_closed(self)
+        """True iff the arc multiset is closed under (u, v, w) -> (v, u, w).
+
+        That is, every arc has a partner when arcs pair with their mirrors
+        by occurrence rank (:func:`_mirror_partners`, one packed sort).
+
+        Memory: the int32 arc sources (4 bytes per arc) and the pairing's
+        sorted keys, positions and masks, about 19 bytes per arc in all:
+        under 1.75 times the graph's bytes.
+        """
+        return not (_mirror_partners(self.arc_sources(), self.targets, self.weights, self.n) < 0).any()
 
     @cached_property
     def max_weight(self) -> float:
@@ -145,7 +159,7 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     that holds the input: a non-loop arc (u, v, w) gains a mirror
     (v, u, w) unless the input already holds one for it.  Arcs given
     both ways pair up by occurrence rank (:func:`_mirror_partners`, the
-    pairing that :func:`mirror_closed` checks), so each (u, v, w) is stored
+    pairing that ``symmetric`` checks), so each (u, v, w) is stored
     ``max(count(u, v, w), count(v, u, w))`` times: an edge given both
     ways is one undirected edge, stored once per direction.  A self-loop
     is its own mirror and is stored once.  Parallel arcs of different
@@ -339,8 +353,10 @@ def _row_view(n: int, offsets, targets, weights):
 
     The gather reads without bounds checks, so this is where a malformed
     graph stops: ``offsets`` must be ``n + 1`` integers that start at 0,
-    never decrease and end at ``len(targets) == len(weights)``, and every
-    target must lie in ``[0, n)``.  Anything else raises ValueError
+    never decrease and end at ``len(targets) == len(weights)``, every
+    target must lie in ``[0, n)``, and every weight must be finite and
+    nonnegative (the rule of :func:`build_csr`; a negative weight keeps
+    the loop stepping for ever).  Anything else raises ValueError
     starting ``graph:``.  The offsets come back as a copy in the narrowest
     index type that holds their last entry, m (int32 below ``2**31``
     arcs); the targets in that same type and the weights as float64,
@@ -356,21 +372,12 @@ def _row_view(n: int, offsets, targets, weights):
         raise ValueError(f"graph: offsets must rise from 0 to the {m} arcs without decreasing")
     if m and (targets.min() < 0 or targets.max() >= n):
         raise ValueError(f"graph: arc target out of range for {n} vertices")
+    weights = np.ascontiguousarray(weights, dtype=float)
+    # min and max propagate NaN, so a NaN weight fails too
+    if m and not (weights.min() >= 0 and np.isfinite(weights.max())):
+        raise ValueError("graph: weights must be finite and nonnegative")
     index = _index_type(m + 1)  # the offsets hold m itself
-    return offsets.astype(index), np.ascontiguousarray(targets, dtype=index), np.ascontiguousarray(weights, dtype=float)
-
-
-def mirror_closed(graph: CsrGraph) -> bool:
-    """True iff the arc multiset is closed under (u, v, w) -> (v, u, w).
-
-    That is, every arc has a partner when arcs pair with their mirrors by
-    occurrence rank (:func:`_mirror_partners`, one packed sort).
-
-    Memory: the int32 arc sources (4 bytes per arc) and the pairing's
-    sorted keys, positions and masks, about 19 bytes per arc in all: under
-    1.75 times the graph's bytes.
-    """
-    return not (_mirror_partners(graph.arc_sources(), graph.targets, graph.weights, graph.n) < 0).any()
+    return offsets.astype(index), np.ascontiguousarray(targets, dtype=index), weights
 
 
 def generate_uniform_weights(graph: CsrGraph, seed: int, lo: float, hi: float) -> CsrGraph:

@@ -3,9 +3,12 @@
 A heuristic here is a vectorized callable mapping an int array of vertex
 ids to float64 estimates.  Searches only ever evaluate heuristics through
 :class:`MemoTable`, which computes each vertex at most once.  The
-coordinate heuristic is :attr:`~steppath.graph.CsrGraph.coord_scale`
-times the coordinate length, so it is consistent on every graph whatever
-units its weights use.
+coordinate heuristic (:func:`heuristic_for_graph`) is
+:attr:`~steppath.graph.CsrGraph.coord_scale` times the coordinate
+length, so it is consistent on every graph whatever units its weights
+use.  :func:`check_consistent` and :func:`consistency_violation` check
+any other heuristic, and :func:`induced_arc_weights` reweights the arcs
+by a potential.
 """
 
 from __future__ import annotations
@@ -19,15 +22,6 @@ from .io import as_vertex
 
 # largest arc violation check_consistent forgives (float rounding)
 CONSISTENCY_TOL = 1e-9
-
-
-def zero_heuristic():
-    """The trivial (always consistent) heuristic."""
-
-    def h(vertices: np.ndarray) -> np.ndarray:
-        return np.zeros(np.shape(vertices), dtype=np.float64)
-
-    return h
 
 
 def heuristic_for_graph(graph: CsrGraph, anchor: int):
@@ -49,24 +43,6 @@ def heuristic_for_graph(graph: CsrGraph, anchor: int):
         return estimate
 
     return h
-
-
-def make_bidirectional_heuristics(h_source, h_target):
-    """Average a consistent pair into opposing forward/backward heuristics.
-
-    Returns (forward, backward) with forward(v) = (h_target(v) -
-    h_source(v)) / 2 and backward = -forward, so the two directions' key
-    spaces stay aligned.  If both inputs are consistent the outputs are
-    too.
-    """
-
-    def forward(vertices: np.ndarray) -> np.ndarray:
-        return 0.5 * (h_target(vertices) - h_source(vertices))
-
-    def backward(vertices: np.ndarray) -> np.ndarray:
-        return 0.5 * (h_source(vertices) - h_target(vertices))
-
-    return forward, backward
 
 
 class MemoTable:
@@ -145,22 +121,18 @@ def check_consistent(graph: CsrGraph, h) -> None:
         raise ValueError(f"heuristic is inconsistent: worst arc violation {worst:.3e} > {CONSISTENCY_TOL:.1e}")
 
 
-def induced_arc_weights(graph: CsrGraph, potential: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reweight arcs by a vertex potential, for both travel directions.
+def induced_arc_weights(graph: CsrGraph, potential: np.ndarray) -> np.ndarray:
+    """Reweight each arc (u, v) by a vertex potential: w - potential[u] + potential[v].
 
-    A forward arc (u, v) gets w - potential[u] + potential[v]; the
-    backward view gets w + potential[u] - potential[v], which equals the
-    forward weight of the mirror arc.  With a consistent potential both
-    arrays are nonnegative (tiny float undershoots are clipped to zero).
+    With a consistent potential every weight is nonnegative (tiny float
+    undershoots are clipped to zero); the mirror arc's reweighting serves
+    the backward direction, so one array covers both.
     """
     potential = np.asarray(potential, dtype=np.float64)
     if potential.shape != (graph.n,):
         raise ValueError("need one potential value per vertex")
-    src = graph.arc_sources()
-    delta = potential[graph.targets] - potential[src]
-    fwd = graph.weights + delta
-    bwd = graph.weights - delta
-    low = min(fwd.min(), bwd.min()) if graph.m else 0.0
+    fwd = graph.weights + (potential[graph.targets] - potential[graph.arc_sources()])
+    low = fwd.min() if graph.m else 0.0
     if low < -1e-9:
         raise ValueError(f"potential is not consistent with the weights (arc at {low:.3e})")
-    return np.maximum(fwd, 0.0), np.maximum(bwd, 0.0)
+    return np.maximum(fwd, 0.0)

@@ -12,6 +12,12 @@ Three on-disk formats are supported:
 * coordinates: a header line ``euclidean`` or ``spherical`` followed by
   ``n`` lines ``id c1 c2``.
 
+:func:`load_graph` (which sniffs the binary magic) and :func:`save_graph`
+(which picks the format by the path's suffix) are the graph file pair
+the package exports; the per-format readers and writers behind them
+(``load_edge_list``, ``load_binary``, ``save_edge_list``,
+``save_binary``) stay importable from this module.
+
 The fields of the text formats are ASCII numbers; a data line holding an
 underscore, a non-ASCII character or a field that is not a number is
 refused with the path and the line.  Every data line ends in a

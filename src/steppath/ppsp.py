@@ -10,7 +10,8 @@ prune, and answer-update rules:
   best answer; the answer is the best forward+backward sum seen at any
   vertex relaxed by either side.
 * ``bidastar`` is ``bids`` with opposing averaged heuristics layered on
-  the keys and prune checks.
+  the keys and prune checks: ``(h_target - h_source) / 2`` forward and
+  its negation backward, built inline by :class:`BidAstarSearch`.
 
 Every strategy returns the exact distance (+inf when disconnected); the
 pruning only shrinks how much of the graph gets expanded.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .engine import INF, Search, SsspSearch, StepPolicy, run_search
 from .graph import CsrGraph
-from .heuristics import MemoTable, heuristic_for_graph, make_bidirectional_heuristics
+from .heuristics import MemoTable, heuristic_for_graph
 from .io import as_vertex
 
 STRATEGIES = ("sssp", "et", "bids", "astar", "bidastar")
@@ -135,14 +136,20 @@ class BidsSearch(Search):
 class BidAstarSearch(BidsSearch):
     """Bidirectional search steered by opposing averaged heuristics.
 
-    Each cell's signed heuristic (+h forward, -h backward) is stored in a
-    per-cell array when the cell is seeded or improved, so a key is one
-    gather from it.
+    The forward heuristic is h(v) = (h_target(v) - h_source(v)) / 2 and
+    the backward one is -h, so the two sides' key spaces stay aligned;
+    with both inputs consistent, so are both of these.  Each cell's
+    signed heuristic (+h forward, -h backward) is stored in a per-cell
+    array when the cell is seeded or improved, so a key is one gather
+    from it.
     """
 
     def __init__(self, graph, source, target, h_source, h_target):
         super().__init__(graph, source, target)
-        forward_h, _ = make_bidirectional_heuristics(h_source, h_target)
+
+        def forward_h(vertices):
+            return 0.5 * (h_target(vertices) - h_source(vertices))
+
         self.memo = MemoTable(graph.n, forward_h)
         self._signed_h = np.full(graph.n * 2, np.nan)  # cell 2v: +h(v), 2v + 1: -h(v)
 

@@ -163,6 +163,15 @@ def random_pairs_same_component(graph, count, seed):
     return np.column_stack([s, t]).astype(np.int64)
 
 
+def zero_heuristic():
+    """The trivial (always consistent) heuristic."""
+
+    def h(vertices):
+        return np.zeros(np.shape(vertices), dtype=np.float64)
+
+    return h
+
+
 def watch_hook(search, hook, see):
     """Make ``see(arg)`` run right after each call of one ``Search`` hook.
 

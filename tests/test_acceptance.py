@@ -132,7 +132,7 @@ def test_criterion_03_reweighted_graph_equivalence():
             potential = 0.5 * (at_target - at_source)
             on_g = sp.ppsp(g, s, t, "bidastar").distance
             # the directed graph of the forward reweighted arcs
-            fwd, _ = sp.induced_arc_weights(g, potential)
+            fwd = sp.induced_arc_weights(g, potential)
             shifted = sp.build_csr(g.n, np.column_stack([g.arc_sources(), g.targets, fwd]))
             on_shifted = sp.sssp(shifted, s)[t]
             worst = max(worst, abs(on_g - (on_shifted - potential[t] + potential[s])))

@@ -247,3 +247,29 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "steppath" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--delta", "0"], "delta must be finite and positive"),
+        (["--delta", "abc"], "argument --delta: expected a number or 'auto', got 'abc'"),
+        (["--target", "9"], "target 9 out of range for n=3"),
+        (["--graph", "missing.txt"], "No such file or directory"),
+    ],
+    ids=["delta-zero", "delta-unparsable", "target-past-n", "missing-graph"],
+)
+def test_refused_input_is_one_error_line(tmp_path, monkeypatch, capsys, extra, message):
+    gio.save_edge_list(sp.build_csr(3, [(0, 1, 1.0), (1, 2, 2.0)], symmetrize=True), tmp_path / "path.txt")
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(["query", "-g", "path.txt", "--source", "0", "--target", "2", *extra])
+    except SystemExit as exc:  # argparse refuses an unparsable value itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    # argparse's own refusals print its usage lines first, as for any other flag
+    (line,) = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+    assert line.startswith("steppath query: error: ") and message in line
+    if "abc" not in extra:
+        assert err.splitlines() == [line]

@@ -10,17 +10,17 @@ from scipy.sparse.csgraph import connected_components
 
 import steppath as sp
 import steppath.graph
+from steppath import io as gio
 from steppath import (
     PATTERNS,
     CsrGraph,
     build_csr,
     generate_uniform_weights,
     largest_component,
-    mirror_closed,
     pattern_pairs,
     percentile_pairs,
 )
-from helpers import g1, heap_dijkstra, random_graph, reachable_mask, two_triangles
+from helpers import g1, heap_dijkstra, random_graph, reachable_mask, two_triangles, zero_heuristic
 
 
 def test_g1_shape():
@@ -53,7 +53,6 @@ def test_endpoint_out_of_range_rejected():
 def test_symmetrize_closes_arc_multiset():
     for seed in range(6):
         g = random_graph(40, 3, seed)
-        assert mirror_closed(g)
         assert g.symmetric
 
 
@@ -61,7 +60,7 @@ def test_self_loop_is_its_own_mirror():
     g = build_csr(3, [(0, 0, 2.0), (0, 1, 1.0)], symmetrize=True)
     # one loop arc plus the mirrored pair
     assert g.m == 3
-    assert mirror_closed(g)
+    assert g.symmetric
 
 
 def _two_sided(weights):
@@ -73,12 +72,12 @@ def _two_sided(weights):
 
 def test_mirror_closed_pairs_parallel_arcs_by_weight():
     # weights 3 and 7 stored in opposite orders on the two sides
-    assert mirror_closed(_two_sided([3.0, 7.0, 7.0, 3.0]))
+    assert _two_sided([3.0, 7.0, 7.0, 3.0]).symmetric
 
 
 def test_mirror_closed_rejects_weight_mismatch():
     # the same arcs both ways, but one mirror weighs 4 instead of 3
-    assert not mirror_closed(_two_sided([3.0, 7.0, 7.0, 4.0]))
+    assert not _two_sided([3.0, 7.0, 7.0, 4.0]).symmetric
 
 
 def test_mirror_closed_compares_weights_per_arc_key():
@@ -86,7 +85,7 @@ def test_mirror_closed_compares_weights_per_arc_key():
     # sends and receives one 1 and one 3, so only weights compared per
     # (u, v) key, not per vertex, show that no arc matches its mirror
     arcs = [(0, 1, 3.0), (1, 2, 3.0), (2, 0, 3.0), (1, 0, 1.0), (2, 1, 1.0), (0, 2, 1.0)]
-    assert not mirror_closed(build_csr(3, arcs))
+    assert not build_csr(3, arcs).symmetric
 
 
 _ARC = st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from([0.0, -0.0, 1.0, 2.5, 3.0]))
@@ -130,7 +129,7 @@ def test_mirror_closed_matches_arc_counter(arcs, spread):
         arcs = [(int(_spread(u)), int(_spread(v)), w) for u, v, w in arcs]
     g = build_csr(n, arcs)
     want = Counter(arcs) == Counter((v, u, w) for u, v, w in arcs)
-    assert mirror_closed(g) == want
+    assert g.symmetric == want
 
 
 BLOCK = steppath.graph._BLOCK  # entries per block of the blockwise passes
@@ -154,9 +153,9 @@ def _loop_and_pairs(count):
 def test_mirror_closed_finds_a_mismatch_by_the_block_edges(arc):
     edges = _loop_and_pairs(40_000)  # 80,001 arcs: one whole block and a partial one
     n = 80_001
-    assert mirror_closed(build_csr(n, edges))
+    assert build_csr(n, edges).symmetric
     edges[arc, 2] = 2.0
-    assert not mirror_closed(build_csr(n, edges))
+    assert not build_csr(n, edges).symmetric
 
 
 def _spread_multigraph(seed, m=3_000):
@@ -226,7 +225,7 @@ def test_symmetrize_is_the_smallest_mirror_closed_multiset(edges):
     for u, v, w in count | Counter((v, u, w) for u, v, w in edges):
         want[u, v, w] = count[u, v, w] if u == v else max(count[u, v, w], count[v, u, w])
     assert Counter(zip(g.arc_sources().tolist(), g.targets.tolist(), g.weights.tolist())) == want
-    assert mirror_closed(g)
+    assert g.symmetric
     # the input first, in input order within each row, then the added mirrors
     src, tgt, w = np.array(_symmetrized_by_loop(edges), dtype=np.float64).reshape(-1, 3).T
     order = np.argsort(src, kind="stable")
@@ -284,7 +283,7 @@ def _graph_bytes(g):
 
 def test_build_csr_memory_stays_near_the_graph_size():
     # the peak, result included, against the finished graph's bytes: the
-    # bound build_csr documents (mirror_closed's is checked below)
+    # bound build_csr documents (the mirror check's is checked below)
     edges = _random_edges(50_000, 200_000, 1)
     g, peak = _traced_peak(lambda: build_csr(50_000, edges, symmetrize=True))
     assert peak <= 2.5 * _graph_bytes(g)
@@ -362,7 +361,7 @@ def test_uniform_weights_past_16_bit_ids():
     assert np.array_equal(h.weights, want)
     for (u, v), mine in arcs.items():
         assert np.array_equal(h.weights[mine], h.weights[arcs[v, u]])
-    assert mirror_closed(h) and h.symmetric
+    assert h.symmetric
 
 
 def test_build_csr_input_forms():
@@ -401,7 +400,7 @@ def test_neighbors_and_degrees():
 def test_uniform_weights_range_and_mirrors():
     g = generate_uniform_weights(g1(), seed=7, lo=1, hi=2**18)
     assert np.all(g.weights >= 1) and np.all(g.weights <= 2**18)
-    assert mirror_closed(g)
+    assert g.symmetric
 
 
 def test_uniform_weights_pair_arcs_on_their_ends_alone():
@@ -521,10 +520,10 @@ def test_set_up_never_writes_into_a_graph(tmp_path):
         for a in (g.offsets, g.targets, g.weights):
             a.flags.writeable = False
         largest_component(g)
-        assert mirror_closed(g) is (g is not directed)
+        assert g.symmetric is (g is not directed)
         if g is not directed:
             generate_uniform_weights(g, seed=3, lo=1.0, hi=2.0)
-        sp.save_binary(g, tmp_path / "g.bin")
+        gio.save_binary(g, tmp_path / "g.bin")
         for a, before in zip((g.offsets, g.targets, g.weights), saved):
             assert np.array_equal(a, before)
 
@@ -613,20 +612,20 @@ def test_symmetric_flag_agrees_with_binary_round_trip(tmp_path):
     cycle = build_csr(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)], symmetrize=False)
     for g, want in ((both_ways, True), (edgeless, True), (directed, False), (cycle, False)):
         path = tmp_path / "g.bin"
-        sp.save_binary(g, path)
-        assert g.symmetric is want and mirror_closed(g) is want
+        gio.save_binary(g, path)
+        assert g.symmetric is want
         loaded = sp.load_graph(path)
         assert "symmetric" not in vars(loaded)  # derived on first use, not on load
-        assert loaded.symmetric is want and mirror_closed(loaded) is want
+        assert loaded.symmetric is want
     assert sp.ppsp(both_ways, 0, 1, "bids").distance == 1.0
     assert sp.multi_bids(edgeless, sp.build_query_graph([(0, 5)], edgeless.n)).distances.tolist() == [np.inf]
-    sp.save_edge_list(both_ways, tmp_path / "g.txt")
+    gio.save_edge_list(both_ways, tmp_path / "g.txt")
     with pytest.raises(ValueError, match="symmetrized"):
         sp.ppsp(directed, 0, 2, "bids")
     with pytest.raises(ValueError, match="symmetrized"):
         sp.multi_bids(directed, sp.build_query_graph([(0, 2)], directed.n))
     with pytest.raises(ValueError, match="not symmetric"):
-        sp.save_edge_list(directed, tmp_path / "d.txt")
+        gio.save_edge_list(directed, tmp_path / "d.txt")
 
 
 def _path_by_hand():
@@ -661,7 +660,7 @@ def test_symmetric_is_derived_from_the_arcs():
     info = largest_component(g)
     assert info.count == 1 and info.labels.tolist() == [0, 0, 0]
     assert sp.ppsp(g, 0, 2, "et").distance == sp.dijkstra(g, 0)[2] == 2.0
-    zero = sp.zero_heuristic()
+    zero = zero_heuristic()
     qg = sp.build_query_graph([(0, 2)], g.n)
     refused = [
         lambda: sp.ppsp(g, 0, 2, "bids"),
@@ -709,4 +708,4 @@ def test_derived_graph_derives_symmetric_afresh():
 def test_uniform_weights_output_is_symmetric():
     h = generate_uniform_weights(random_graph(60, 3, 2), seed=4, lo=1.0, hi=9.0)
     assert "symmetric" not in vars(h)
-    assert h.symmetric and mirror_closed(h)
+    assert h.symmetric

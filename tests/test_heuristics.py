@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import steppath as sp
 from steppath.heuristics import MemoTable
-from helpers import g1, geometric_graph
+from helpers import g1, geometric_graph, zero_heuristic
 
 
 def _placed(coords, kind, edges):
@@ -93,7 +93,7 @@ def test_coords_checked_on_every_construction():
 
 
 def test_zero_heuristic():
-    h = sp.zero_heuristic()
+    h = zero_heuristic()
     assert np.array_equal(h(np.arange(5)), np.zeros(5))
 
 
@@ -160,33 +160,6 @@ def test_coordinate_heuristic_is_consistent(case):
     sp.check_consistent(g, sp.heuristic_for_graph(g, anchor))
 
 
-def test_bidirectional_pair_values():
-    at_source = lambda v: np.full(np.shape(v), 4.0)
-    at_target = lambda v: np.full(np.shape(v), 10.0)
-    fwd, bwd = sp.make_bidirectional_heuristics(at_source, at_target)
-    v = np.array([0])
-    assert fwd(v)[0] == 3.0
-    assert bwd(v)[0] == -3.0
-
-
-def test_bidirectional_pair_sums_to_zero():
-    rng = np.random.default_rng(3)
-    a = rng.random(50)
-    b = rng.random(50)
-    fwd, bwd = sp.make_bidirectional_heuristics(lambda v: a[v], lambda v: b[v])
-    v = np.arange(50)
-    assert np.allclose(fwd(v) + bwd(v), 0.0, atol=0)
-
-
-def test_bidirectional_at_source():
-    # a zero source estimate and a target estimate of D put the forward
-    # estimate at D/2
-    fwd, _ = sp.make_bidirectional_heuristics(
-        lambda v: np.zeros(np.shape(v)), lambda v: np.full(np.shape(v), 8.0)
-    )
-    assert fwd(np.array([0]))[0] == 4.0
-
-
 def test_memo_computes_once():
     calls = []
 
@@ -250,9 +223,10 @@ def test_non_finite_heuristic_is_inconsistent(value):
 def test_induced_weights_nonnegative_and_mirrored():
     g = geometric_graph(120, 4, 9)
     h = sp.heuristic_for_graph(g, 11)
-    fwd, bwd = sp.induced_arc_weights(g, h(np.arange(g.n)))
-    assert fwd.min() >= 0 and bwd.min() >= 0
-    # the backward weight of an arc equals the forward weight of its mirror
+    potential = h(np.arange(g.n))
+    fwd = sp.induced_arc_weights(g, potential)
+    assert fwd.shape == (g.m,) and fwd.min() >= 0
+    # an arc's backward reweighting, w + p(u) - p(v), is its mirror's forward weight
     src = g.arc_sources()
     order = {}
     for a, (u, v) in enumerate(zip(src.tolist(), g.targets.tolist())):
@@ -260,7 +234,7 @@ def test_induced_weights_nonnegative_and_mirrored():
     for (u, v), arcs in order.items():
         mirrors = order[(v, u)]
         for a, b in zip(arcs, mirrors):
-            assert abs(bwd[a] - fwd[b]) < 1e-12
+            assert abs(g.weights[a] + potential[u] - potential[v] - fwd[b]) < 1e-12
 
 
 def test_induced_weights_reject_wild_potential():

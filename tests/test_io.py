@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import steppath as sp
+from steppath import io as gio
 from steppath.graph import COORD_KINDS
 from helpers import g1, geometric_graph, random_graph
 
@@ -21,8 +22,8 @@ def _arc_multiset(g):
 def test_edge_list_round_trip(tmp_path):
     g = g1()
     p = tmp_path / "g.txt"
-    sp.save_edge_list(g, p)
-    h = sp.load_edge_list(p)
+    gio.save_edge_list(g, p)
+    h = gio.load_edge_list(p)
     assert h.n == g.n and h.m == g.m
     assert np.array_equal(h.offsets, g.offsets)
     assert np.array_equal(_arc_multiset(h), _arc_multiset(g))
@@ -31,7 +32,7 @@ def test_edge_list_round_trip(tmp_path):
 def test_edge_list_comments_and_blank_lines(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("# a comment\n\n3 2\n0 1 1.5\n# another\n1 2 2.5\n")
-    g = sp.load_edge_list(p)
+    g = gio.load_edge_list(p)
     assert g.n == 3 and g.m == 4  # loader symmetrizes
     assert g.symmetric
 
@@ -44,7 +45,7 @@ def test_edge_list_given_both_ways_loads_as_given_once(tmp_path):
     for name, lines in (("once", edges), ("both", both)):
         p = tmp_path / f"{name}.txt"
         p.write_text(f"4 {len(lines)}\n" + "".join(f"{u} {v} {w}\n" for u, v, w in lines))
-        graphs.append(sp.load_edge_list(p))
+        graphs.append(gio.load_edge_list(p))
     once, twice = graphs
     assert once.m == twice.m == 9
     for name in ("offsets", "targets", "weights"):
@@ -55,27 +56,27 @@ def test_edge_list_bad_header(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("3\n0 1 1.0\n")
     with pytest.raises(ValueError):
-        sp.load_edge_list(p)
+        gio.load_edge_list(p)
 
 
 def test_edge_list_bad_line(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("2 1\n0 1\n")
     with pytest.raises(ValueError):
-        sp.load_edge_list(p)
+        gio.load_edge_list(p)
 
 
 def test_save_edge_list_rejects_asymmetric(tmp_path):
     g = sp.build_csr(2, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
-        sp.save_edge_list(g, tmp_path / "g.txt")
+        gio.save_edge_list(g, tmp_path / "g.txt")
 
 
 def test_binary_round_trip_exact(tmp_path):
     g = random_graph(60, 4, 5)
     p = tmp_path / "g.bin"
-    sp.save_binary(g, p)
-    h = sp.load_binary(p)
+    gio.save_binary(g, p)
+    h = gio.load_binary(p)
     assert h.n == g.n and h.m == g.m
     assert np.array_equal(h.offsets, g.offsets)
     assert np.array_equal(h.targets, g.targets)
@@ -87,17 +88,17 @@ def test_binary_magic_rejected(tmp_path):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ValueError):
-        sp.load_binary(p)
+        gio.load_binary(p)
 
 
 def test_binary_truncation_rejected(tmp_path):
     g = g1()
     p = tmp_path / "g.bin"
-    sp.save_binary(g, p)
+    gio.save_binary(g, p)
     data = p.read_bytes()
     p.write_bytes(data[:-8])
     with pytest.raises(ValueError):
-        sp.load_binary(p)
+        gio.load_binary(p)
 
 
 @pytest.mark.parametrize("n, m", [(2**40, 0), (0, 2**40), (2**64 - 1, 0)])
@@ -107,15 +108,15 @@ def test_binary_forged_header_rejected_before_allocating(tmp_path, n, m):
     p = tmp_path / "forged.bin"
     p.write_bytes(sp.io.MAGIC + struct.pack("<IQQ", sp.io.FORMAT_VERSION, n, m) + b"\x00" * 8)
     with pytest.raises(ValueError, match="truncated|size mismatch"):
-        sp.load_binary(p)
+        gio.load_binary(p)
 
 
 def test_binary_trailing_bytes_rejected(tmp_path):
     p = tmp_path / "g.bin"
-    sp.save_binary(g1(), p)
+    gio.save_binary(g1(), p)
     p.write_bytes(p.read_bytes() + b"\x00" * 12)
     with pytest.raises(ValueError, match="size mismatch"):
-        sp.load_binary(p)
+        gio.load_binary(p)
 
 
 def _layout(n, offsets, targets, weights):
@@ -135,7 +136,7 @@ def test_binary_bytes_match_layout(tmp_path):
     wide = sp.CsrGraph(2, np.array([0, 1, 2], dtype=np.int64), np.array([1, 0]), np.array([2.5, 2.5]))
     assert wide.targets.dtype == np.int64  # written as u32 all the same
     for g in (g1(), random_graph(50, 3, 2), sp.build_csr(3, []), wide):
-        sp.save_binary(g, p)
+        gio.save_binary(g, p)
         assert p.read_bytes() == _layout(g.n, g.offsets.tolist(), g.targets.tolist(), g.weights.tolist())
 
 
@@ -153,14 +154,14 @@ def test_binary_bad_arrays_rejected(tmp_path, offsets, targets, error):
     p = tmp_path / "g.bin"
     p.write_bytes(_layout(2, offsets, targets, [1.0, 1.0]))
     with pytest.raises(ValueError, match=error):
-        sp.load_binary(p)
+        gio.load_binary(p)
 
 
 @pytest.mark.parametrize(
     "loader, text",
     [
-        (sp.load_edge_list, "2 1\n0 1 2"),  # cut from "0 1 2.5"
-        (sp.load_edge_list, "2 0"),
+        (gio.load_edge_list, "2 1\n0 1 2"),  # cut from "0 1 2.5"
+        (gio.load_edge_list, "2 0"),
         (sp.load_pairs, "0 1\n2 3"),  # cut from "2 31"
         (sp.load_coords, "euclidean\n0 0.0 1.5\n1 2.0 3.2"),  # cut from "3.25"
     ],
@@ -179,8 +180,8 @@ def test_cut_text_file_refused(tmp_path, loader, text):
 
 def test_load_graph_sniffs_format(tmp_path):
     g = g1()
-    sp.save_edge_list(g, tmp_path / "g.txt")
-    sp.save_binary(g, tmp_path / "g.bin")
+    gio.save_edge_list(g, tmp_path / "g.txt")
+    gio.save_binary(g, tmp_path / "g.bin")
     assert sp.load_graph(tmp_path / "g.txt").m == g.m
     assert sp.load_graph(tmp_path / "g.bin").m == g.m
 
@@ -241,8 +242,8 @@ def test_pairs_bad_line(tmp_path):
 @pytest.mark.parametrize(
     "loader, text, line",
     [
-        (sp.load_edge_list, "x 1\n0 1 1.0\n", "x 1"),
-        (sp.load_edge_list, "2 1\n0 y 1.0\n", "0 y 1.0"),
+        (gio.load_edge_list, "x 1\n0 1 1.0\n", "x 1"),
+        (gio.load_edge_list, "2 1\n0 y 1.0\n", "0 y 1.0"),
         (sp.load_coords, "euclidean\n0 x 1.0\n", "0 x 1.0"),
         (sp.load_pairs, "0 1\n0 z\n", "0 z"),
     ],
@@ -337,10 +338,10 @@ def test_load_edge_list_fuzz(tmp_path_factory, case):
     p.write_text(text, encoding="utf-8")
     if _cut(text):
         with pytest.raises(ValueError):  # here, or at an earlier damaged line
-            sp.load_edge_list(p)
+            gio.load_edge_list(p)
         return
     try:
-        g = sp.load_edge_list(p)
+        g = gio.load_edge_list(p)
     except ValueError:
         assert damaged, "an intact edge list was refused"
         return
@@ -411,7 +412,7 @@ def test_edge_list_loader_peak_memory(tmp_path):
     p.write_text(f"{n} {m}\n" + "".join(f"{a} {b} {c!r}\n" for a, b, c in zip(u, v, w)))
     tracemalloc.start()
     try:
-        g = sp.load_edge_list(p)
+        g = gio.load_edge_list(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

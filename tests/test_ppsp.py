@@ -15,6 +15,7 @@ from helpers import (
     random_pairs_same_component,
     two_triangles,
     watch_hook,
+    zero_heuristic,
 )
 
 
@@ -24,7 +25,7 @@ def test_et_on_g1():
 
 def test_all_strategies_match_oracle_on_g1():
     g = g1()
-    zero = sp.zero_heuristic()
+    zero = zero_heuristic()
     want = {s: sp.dijkstra(g, s) for s in range(4)}
     for s in range(4):
         for t in range(4):
@@ -58,7 +59,7 @@ def test_vertex_out_of_range():
 def test_vertex_id_must_be_integral(bad):
     # 0.5 used to answer inf under bids and vertex 0's distance under et,
     # sssp(g, 1.5) returned vertex 1's row and True passed as vertex 1
-    g, zero = g1(), sp.zero_heuristic()
+    g, zero = g1(), zero_heuristic()
     heuristics = {"astar": {"heuristic": zero}, "bidastar": {"heuristic": (zero, zero)}}
     for strategy in sp.STRATEGIES:
         kw = heuristics.get(strategy, {})
@@ -100,7 +101,7 @@ def test_astar_requires_coordinates_or_heuristic():
     with pytest.raises(ValueError):
         sp.ppsp(g1(), 0, 3, "astar")
     with pytest.raises(ValueError):
-        sp.ppsp(g1(), 0, 3, "bidastar", heuristic=sp.zero_heuristic())
+        sp.ppsp(g1(), 0, 3, "bidastar", heuristic=zero_heuristic())
 
 
 def test_disconnected_bids_early_out():
@@ -368,7 +369,7 @@ def test_non_finite_heuristic_rejected(strategy, at_seed, bad):
     def broken(vertices):
         return np.where(vertices == where, bad, 0.0)
 
-    zero = sp.zero_heuristic()
+    zero = zero_heuristic()
     heuristic = broken if strategy == "astar" else (zero, broken)
     with pytest.raises(ValueError, match="heuristic .* non-finite"):
         sp.ppsp(g1(), 0, 3, strategy, heuristic=heuristic)

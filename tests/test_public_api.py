@@ -16,7 +16,8 @@ from steppath.ppsp import AstarSearch, BidAstarSearch
 
 def test_all_is_sorted_unique_and_resolves():
     assert sp.__all__ == sorted(set(sp.__all__))
-    assert len(sp.__all__) == 47
+    assert len(sp.__all__) == 41
+    assert "save_graph" in sp.__all__
     for name in sp.__all__:
         assert getattr(sp, name) is not None, name
 
@@ -26,9 +27,27 @@ def test_internal_names_not_exported(name):
     assert name not in sp.__all__
 
 
-@pytest.mark.parametrize("name", ["EARTH_RADIUS_KM", "euclidean_heuristic", "spherical_heuristic", "great_circle"])
+# per-format file functions: load_graph and save_graph are the exported pair
+_FORMAT_IO = ["load_binary", "load_edge_list", "save_binary", "save_edge_list"]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "EARTH_RADIUS_KM",
+        "euclidean_heuristic",
+        "spherical_heuristic",
+        "great_circle",
+        "make_bidirectional_heuristics",
+        "zero_heuristic",
+        "mirror_closed",
+        *_FORMAT_IO,
+    ],
+)
 def test_removed_names(name):
-    assert not hasattr(sp, name) and not hasattr(sp.heuristics, name)
+    assert not hasattr(sp, name)
+    if name not in _FORMAT_IO:  # those stay in steppath.io
+        assert not hasattr(sp.heuristics, name) and not hasattr(sp.graph, name)
 
 
 @pytest.mark.parametrize(

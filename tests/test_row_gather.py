@@ -20,7 +20,7 @@ import steppath as sp
 from steppath.batch import MultiBidsSearch, _run_batch
 from steppath.engine import _gather_rows
 from steppath.graph import CsrGraph, _row_view
-from helpers import geometric_graph, random_graph
+from helpers import geometric_graph, random_graph, zero_heuristic
 
 
 def test_scipy_ships_the_row_kernel():
@@ -71,6 +71,11 @@ def test_row_view_types():
     assert cols is targets and data is weights
 
 
+def _path_weighing(w):
+    """The path 0-1-2 built by hand: arcs 0<->1 weigh ``w``, arcs 1<->2 weigh 2."""
+    return CsrGraph(3, np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1], dtype=np.int32), np.array([w, w, 2.0, 2.0]))
+
+
 _W = np.array([1.0, 1.0])
 MALFORMED = {
     "decreasing": CsrGraph(3, np.array([0, 2, 1, 2]), np.array([1, 0], dtype=np.int32), _W),
@@ -81,13 +86,18 @@ MALFORMED = {
     "target out of range": CsrGraph(2, np.array([0, 1, 2]), np.array([1, 2], dtype=np.int32), _W),
     "negative target": CsrGraph(2, np.array([0, 1, 2]), np.array([1, -1], dtype=np.int32), _W),
     "weights too short": CsrGraph(2, np.array([0, 1, 2]), np.array([1, 0], dtype=np.int32), _W[:1]),
+    # a negative weight once kept every search stepping for ever; NaN got
+    # wrong answers or a symmetry complaint, and infinity a step-width one
+    "negative weight": _path_weighing(-1.0),
+    "NaN weight": _path_weighing(np.nan),
+    "infinite weight": _path_weighing(np.inf),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_graph_is_refused_before_the_kernel(name):
     g = MALFORMED[name]
-    zero = sp.zero_heuristic()
+    zero = zero_heuristic()
     calls = [
         lambda: sp.sssp(g, 0),
         lambda: sp.ppsp(g, 0, 1, "sssp"),
