@@ -2,8 +2,9 @@
 
 A batch of (s, t) pairs is deduplicated into a query graph, held as its
 edge list: its vertices are the distinct endpoints, its edges the
-distinct pairs.  Three exact ways to answer it are provided; each checks
-the query graph first and answers one without edges with zeros:
+distinct pairs, and it checks its arrays when it is made.  Three exact
+ways to answer it are provided; each first checks that its endpoints
+lie in the graph, and answers one without edges with zeros:
 
 * :func:`multi_bids` runs one joint search with a copy per endpoint and a
   per-endpoint pruning radius of half its largest pending answer.
@@ -39,15 +40,31 @@ class BatchTooLarge(ValueError):
     """The joint search would allocate more than DEFAULT_CELL_CAP cells."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryGraph:
-    """Deduplicated batch as three int64 arrays.  Every batch algorithm,
-    and :class:`MultiBidsSearch`, refuses one that breaks the rules below
-    with ``ValueError("query graph: ...")``."""
+    """Deduplicated batch as three int64 arrays, checked against the rules
+    below whenever one is made (``dataclasses.replace`` too): a breach
+    raises ``ValueError("query graph: ...")``.  Every batch algorithm, and
+    :class:`MultiBidsSearch`, also refuses an endpoint past ``graph.n``."""
 
-    endpoints: np.ndarray  # vertex ids of the graph, rising strictly
+    endpoints: np.ndarray  # vertex ids, nonnegative and rising strictly
     edges: np.ndarray  # (E, 2) endpoint-index pairs (i, j), 0 <= i < j < order
     pair_edge: np.ndarray  # per input pair: edge index in -1..E-1, -1 for s == t
+
+    def __post_init__(self):
+        ends, edges, pair_edge = self.endpoints, self.edges, self.pair_edge
+        # int64, as build_query_graph makes them: cell ids v * copies + i stay exact
+        if not all(isinstance(a, np.ndarray) and a.dtype == np.int64 for a in (ends, edges, pair_edge)):
+            raise ValueError("query graph: endpoints, edges and pair_edge must be int64 arrays")
+        if ends.ndim != 1 or np.any(ends[1:] <= ends[:-1]) or np.any(ends[:1] < 0):
+            raise ValueError("query graph: endpoints must be nonnegative and rise strictly")
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"query graph: edges must form an (E, 2) array, got shape {edges.shape}")
+        i, j = edges.T
+        if np.any((i < 0) | (i >= j) | (j >= ends.size)):
+            raise ValueError(f"query graph: every edge (i, j) needs 0 <= i < j < {ends.size}")
+        if pair_edge.ndim != 1 or np.any((pair_edge < -1) | (pair_edge >= len(edges))):
+            raise ValueError(f"query graph: pair_edge must lie within -1..{len(edges) - 1}")
 
     @property
     def order(self) -> int:
@@ -69,8 +86,6 @@ def build_query_graph(pairs, n_vertices: int | None = None) -> QueryGraph:
     answer, -inf with no edge: a self-pair alone is never searched.
     """
     pairs = as_pairs(pairs)
-    if pairs.size and (pairs.min() < 0 or (n_vertices is not None and pairs.max() >= n_vertices)):
-        raise ValueError("query endpoint out of range")
     endpoints = np.unique(pairs)
     idx = np.searchsorted(endpoints, pairs)
     lo, hi = idx.min(axis=1), idx.max(axis=1)
@@ -78,24 +93,16 @@ def build_query_graph(pairs, n_vertices: int | None = None) -> QueryGraph:
     edges, inverse = np.unique(np.column_stack([lo, hi])[proper], axis=0, return_inverse=True)
     pair_edge = np.full(lo.size, -1, dtype=np.int64)
     pair_edge[proper] = inverse.reshape(-1)
-    return QueryGraph(endpoints, edges, pair_edge)
+    qg = QueryGraph(endpoints, edges, pair_edge)  # refuses a negative id
+    if n_vertices is not None:
+        _check_endpoints(qg, n_vertices)
+    return qg
 
 
-def _check_query_graph(qg: QueryGraph, n: int) -> None:
-    """Refuse, with ValueError, a query graph that breaks :class:`QueryGraph`'s rules on ``n`` vertices."""
-    ends, edges, pair_edge = qg.endpoints, qg.edges, qg.pair_edge
-    # int64, as build_query_graph makes them: cell ids v * copies + i stay exact
-    if not all(isinstance(a, np.ndarray) and a.dtype == np.int64 for a in (ends, edges, pair_edge)):
-        raise ValueError("query graph: endpoints, edges and pair_edge must be int64 arrays")
-    if ends.ndim != 1 or np.any(ends[1:] <= ends[:-1]) or np.any((ends < 0) | (ends >= n)):
-        raise ValueError(f"query graph: endpoints must rise strictly within 0..{n - 1}")
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise ValueError(f"query graph: edges must form an (E, 2) array, got shape {edges.shape}")
-    i, j = edges.T
-    if np.any((i < 0) | (i >= j) | (j >= ends.size)):
-        raise ValueError(f"query graph: every edge (i, j) needs 0 <= i < j < {ends.size}")
-    if pair_edge.ndim != 1 or np.any((pair_edge < -1) | (pair_edge >= len(edges))):
-        raise ValueError(f"query graph: pair_edge must lie within -1..{len(edges) - 1}")
+def _check_endpoints(qg: QueryGraph, n: int) -> None:
+    """Refuse, with ValueError, an endpoint past ``n`` vertices (the last is the largest)."""
+    if qg.order and qg.endpoints[-1] >= n:
+        raise ValueError(f"query graph: endpoint {qg.endpoints[-1]} out of range for {n} vertices")
 
 
 @dataclass
@@ -141,11 +148,11 @@ class MultiBidsSearch(Search):
     with radius +inf, copy i explored its whole component unpruned and
     never reached q_j, so the pair is disconnected.  Its answer stays
     +inf and it no longer holds either radius open.  The graph must be
-    symmetric (:func:`multi_bids` checks it); the query graph is checked here.
+    symmetric (:func:`multi_bids` checks it); the endpoints are checked here.
     """
 
     def __init__(self, graph: CsrGraph, qg: QueryGraph):
-        _check_query_graph(qg, graph.n)
+        _check_endpoints(qg, graph.n)
         super().__init__(graph, copies=qg.order)
         self.qg = qg
         self.edge_best = np.full(len(qg.edges), INF)
@@ -357,11 +364,10 @@ def _run_batch(graph: CsrGraph, qg: QueryGraph, algo: str, policy: StepPolicy | 
 
 
 def _validate_batch(graph: CsrGraph, qg: QueryGraph, cover: np.ndarray | None = None) -> BatchAnswer | None:
-    """Refuse a malformed batch; answer one without edges with zeros (and ``cover``)."""
-    graph._rows  # refuses a malformed graph before its arcs are read
+    """Refuse a batch the graph cannot answer; answer one without edges with zeros (and ``cover``)."""
     # every algorithm reads dist(t -> s) as dist(s -> t), true only undirected
     if not graph.symmetric:
         raise ValueError("batch queries need a symmetrized graph")
-    _check_query_graph(qg, graph.n)
+    _check_endpoints(qg, graph.n)
     if len(qg.edges) == 0:
         return BatchAnswer(np.zeros(qg.n_pairs), 0, 0, 0, 0, cover=cover)

@@ -58,9 +58,7 @@ A step's arcs are the CSR rows of its extracted vertices, copied out
 back to back by scipy's compiled ``csr_row_index`` (a private function
 of ``scipy.sparse._sparsetools``, the loop behind ``csr_matrix[rows]``;
 ``tests/test_row_gather.py`` pins its contract).  It reads without
-bounds checks, so it only ever sees the graph's checked view
-(``CsrGraph._rows``), which every :class:`Search` builds on
-construction: a malformed graph raises ValueError there.
+bounds checks: every ``CsrGraph`` is checked when it is made.
 
 The frontier mask, the settled mask and the int64 scatter-min stamp of a
 search are this module's scratch, kept under ``_scratch`` in the graph
@@ -115,8 +113,9 @@ class StepPolicy:
     min_copies: int = 1
 
     def __post_init__(self):
-        if not (np.isfinite(self.delta) and self.delta > 0):
-            raise ValueError("delta must be finite and positive")
+        d = self.delta
+        if isinstance(d, (bool, np.bool_)) or not (np.isfinite(d) and d > 0):
+            raise ValueError(f"delta must be finite and positive, got {d!r}")
         m = self.min_copies
         if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
             raise ValueError(f"min_copies must be an integer >= 1, got {m!r}")
@@ -247,7 +246,6 @@ class Search:
     def __init__(self, graph: CsrGraph, copies: int = 1):
         self.graph = graph
         self.copies = copies
-        graph._rows  # refuses a malformed graph before the loop reads its arcs
         self.dist = np.full(graph.n * copies, INF)  # cell v * copies + i
 
     def seeds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -285,10 +283,10 @@ class SearchStats:
 
 
 def _gather_rows(view, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The columns and data of ``rows`` in a checked CSR view, and each row's length.
+    """The columns and data of ``rows`` in a well-formed CSR view, and each row's length.
 
-    ``view`` is a checked ``(offsets, cols, data)`` whose offsets and cols
-    share one integer type (the graph's :func:`graph._row_view`, or a
+    ``view`` is a well-formed ``(offsets, cols, data)`` whose offsets and
+    cols share one integer type (the graph's ``CsrGraph._rows``, or a
     joint search's query rows), and ``rows`` are int64 row ids in range,
     in any order and repeated at will.  The rows' slices come back
     concatenated in the order given, as one call to scipy's compiled

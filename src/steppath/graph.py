@@ -1,14 +1,15 @@
 """CSR graph container, construction, synthetic weights, and connectivity.
 
-:func:`build_csr` makes a :class:`CsrGraph`; whether its arcs are closed
-under mirroring is :attr:`CsrGraph.symmetric`, derived on first use.
+:func:`build_csr` makes a :class:`CsrGraph`, which checks its arrays
+however it is made; whether its arcs are closed under mirroring is
+:attr:`CsrGraph.symmetric`, derived on first use.
 :func:`generate_uniform_weights` redraws the weights of a symmetric graph
 and :func:`largest_component` labels its weak components.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -30,18 +31,23 @@ class CsrGraph:
     with equal weight.  Vertices are dense ids ``0..n-1``.  ``coords``
     optionally holds one 2-D point per vertex, tagged by ``coord_kind``:
     ``"euclidean"`` rows are (x, y), and ``"spherical"`` rows are
-    (latitude, longitude) in degrees.  Every construction checks them:
-    the shape, the kind, finiteness and, for spherical rows,
-    ``|latitude| <= 90`` and ``|longitude| <= 180``.
+    (latitude, longitude) in degrees.
 
-    Instances are frozen; derive changed graphs with
-    :func:`dataclasses.replace` or the helpers in this module.  Facts
-    derived from the arcs (``symmetric``, ``max_weight``, ``coord_scale``,
-    the component labels behind :func:`largest_component` and the checked
-    view of the arcs that the engine gathers from) are computed once per
-    graph object, on first use; a derived graph works them out afresh.
-    A search refuses, with ValueError, arrays that do not form a CSR
-    adjacency (see :func:`_row_view`).
+    Every construction, :func:`dataclasses.replace` and :meth:`with_coords`
+    included, checks the graph, so no function that takes one meets a
+    malformed graph: ``n`` is a nonnegative int; ``offsets`` are ``n + 1``
+    integers rising from 0 to ``m = len(targets) == len(weights)``; every
+    target lies in ``[0, n)``; every weight is finite and nonnegative (a
+    negative one would keep a search stepping for ever); coordinates have
+    shape ``(n, 2)``, a known kind, finite values and, for spherical rows,
+    ``|latitude| <= 90`` and ``|longitude| <= 180``.  A broken arc rule
+    raises ValueError starting ``graph:``.
+
+    Instances are frozen.  The check finds ``max_weight``; the other facts
+    derived from the arcs (``symmetric``, ``coord_scale``, the component
+    labels behind :func:`largest_component` and the arc view the engine
+    gathers from) are computed once per graph object, on first use; a
+    derived graph works them out afresh.
     """
 
     n: int
@@ -50,8 +56,30 @@ class CsrGraph:
     weights: np.ndarray  # float64, length m
     coords: np.ndarray | None = None
     coord_kind: str | None = None
+    max_weight: float = field(init=False, repr=False, compare=False)  # largest arc weight, 0 without arcs
 
     def __post_init__(self):
+        n, offsets, targets, weights = self.n, self.offsets, self.targets, self.weights
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"graph: n must be a nonnegative int, got {n!r}")
+        if not all(isinstance(a, np.ndarray) for a in (offsets, targets, weights)):
+            raise ValueError("graph: offsets, targets and weights must be numpy arrays")
+        if offsets.shape != (n + 1,) or offsets.dtype.kind not in "iu":
+            raise ValueError(f"graph: offsets must be {n + 1} integers, got shape {offsets.shape} of {offsets.dtype}")
+        if targets.ndim != 1 or targets.dtype.kind not in "iu" or weights.dtype.kind not in "iuf":
+            raise ValueError("graph: arcs need 1-D integer targets and numeric weights")
+        if weights.shape != targets.shape:
+            raise ValueError(f"graph: {targets.size} targets but weights of shape {weights.shape}")
+        m = targets.size
+        if offsets[0] != 0 or offsets[-1] != m or np.any(offsets[1:] < offsets[:-1]):
+            raise ValueError(f"graph: offsets must rise from 0 to the {m} arcs without decreasing")
+        if m and (targets.min() < 0 or targets.max() >= n):
+            raise ValueError(f"graph: arc target out of range for {n} vertices")
+        # min and max propagate NaN, so a NaN weight fails too
+        top = float(weights.max()) if m else 0.0
+        if m and not (weights.min() >= 0 and np.isfinite(top)):
+            raise ValueError("graph: weights must be finite and nonnegative")
+        object.__setattr__(self, "max_weight", top)
         if self.coords is None and self.coord_kind is None:
             return
         if self.coord_kind not in COORD_KINDS:
@@ -91,11 +119,6 @@ class CsrGraph:
         return not (_mirror_partners(self.arc_sources(), self.targets, self.weights, self.n) < 0).any()
 
     @cached_property
-    def max_weight(self) -> float:
-        """Largest arc weight (0 without arcs)."""
-        return float(self.weights.max()) if self.m else 0.0
-
-    @cached_property
     def coord_scale(self) -> float:
         """Largest ``k`` with ``k * coord_length(u, v) <= w(u, v)`` on every arc.
 
@@ -124,8 +147,12 @@ class CsrGraph:
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The arcs as a checked CSR view for the engine's compiled row gather."""
-        return _row_view(self.n, self.offsets, self.targets, self.weights)
+        """The arcs for the engine's compiled row gather: the offsets copied to the
+        narrowest index type that holds m (int32 below ``2**31`` arcs), the targets
+        in that type and the weights as float64, contiguous, copied only if need be."""
+        index = _index_type(self.m + 1)  # the offsets hold m itself
+        targets = np.ascontiguousarray(self.targets, dtype=index)
+        return self.offsets.astype(index), targets, np.ascontiguousarray(self.weights, dtype=float)
 
     def with_coords(self, coords, kind: str) -> "CsrGraph":
         """This graph with float64 ``coords`` of ``kind`` (checked as on construction)."""
@@ -201,8 +228,6 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
         raise ValueError("edge endpoint out of range")
     if np.any((src < 0) | (src >= n) | (tgt < 0) | (tgt >= n)):
         raise ValueError("edge endpoint out of range")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValueError("weights must be finite and nonnegative")
 
     if symmetrize and src.size:
         lone = _mirror_partners(src, tgt, w, n) < 0  # the arcs that gain a mirror
@@ -345,39 +370,6 @@ def _packs(bound: int, size: int) -> bool:
 def _index_type(size: int):
     """The narrowest integer type that holds every position below ``size``."""
     return np.int32 if size <= 2**31 else np.int64
-
-
-def _row_view(n: int, offsets, targets, weights):
-    """``(offsets, targets, weights)`` of an ``n``-vertex graph, checked
-    for the engine's compiled row gather.
-
-    The gather reads without bounds checks, so this is where a malformed
-    graph stops: ``offsets`` must be ``n + 1`` integers that start at 0,
-    never decrease and end at ``len(targets) == len(weights)``, every
-    target must lie in ``[0, n)``, and every weight must be finite and
-    nonnegative (the rule of :func:`build_csr`; a negative weight keeps
-    the loop stepping for ever).  Anything else raises ValueError
-    starting ``graph:``.  The offsets come back as a copy in the narrowest
-    index type that holds their last entry, m (int32 below ``2**31``
-    arcs); the targets in that same type and the weights as float64,
-    each contiguous and copied only when it is not already so.
-    """
-    offsets, targets, weights = np.asarray(offsets), np.asarray(targets), np.asarray(weights)
-    if offsets.shape != (n + 1,) or offsets.dtype.kind not in "iu":
-        raise ValueError(f"graph: offsets must be {n + 1} integers, got shape {offsets.shape} of {offsets.dtype}")
-    if targets.ndim != 1 or targets.dtype.kind not in "iu" or weights.shape != targets.shape:
-        raise ValueError("graph: arcs need 1-D integer targets and weights of one length")
-    m = targets.size
-    if offsets[0] != 0 or offsets[-1] != m or np.any(offsets[1:] < offsets[:-1]):
-        raise ValueError(f"graph: offsets must rise from 0 to the {m} arcs without decreasing")
-    if m and (targets.min() < 0 or targets.max() >= n):
-        raise ValueError(f"graph: arc target out of range for {n} vertices")
-    weights = np.ascontiguousarray(weights, dtype=float)
-    # min and max propagate NaN, so a NaN weight fails too
-    if m and not (weights.min() >= 0 and np.isfinite(weights.max())):
-        raise ValueError("graph: weights must be finite and nonnegative")
-    index = _index_type(m + 1)  # the offsets hold m itself
-    return offsets.astype(index), np.ascontiguousarray(targets, dtype=index), weights
 
 
 def generate_uniform_weights(graph: CsrGraph, seed: int, lo: float, hi: float) -> CsrGraph:

@@ -21,7 +21,9 @@ the package exports; the per-format readers and writers behind them
 The fields of the text formats are ASCII numbers; a data line holding an
 underscore, a non-ASCII character or a field that is not a number is
 refused with the path and the line.  Every data line ends in a
-newline, so a file cut inside its last line is refused too.
+newline, so a file cut inside its last line is refused too.  A binary
+file's arrays are checked as every :class:`CsrGraph` is, with the path
+in front of the graph's error.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def save_edge_list(graph: CsrGraph, path) -> None:
 
 
 def load_binary(path) -> CsrGraph:
-    """Read a binary CSR graph, checking the header and arrays first.
+    """Read a binary CSR graph, checking the header against the file size first.
 
     The file holds no symmetric flag: the graph derives it from its arcs
     on first use (:attr:`CsrGraph.symmetric`).
@@ -124,19 +126,16 @@ def load_binary(path) -> CsrGraph:
         if size > expected:
             raise ValueError(f"{path}: size mismatch ({size} bytes, header needs {expected})")
         # the u64 offsets and u32 targets are read as signed, so a value past
-        # int64 or int32 reads negative and fails the checks below
+        # int64 or int32 reads negative and fails the graph's check
         offsets = np.fromfile(fh, dtype="<i8", count=n + 1)
         targets = np.fromfile(fh, dtype="<i4", count=m)
         weights = np.fromfile(fh, dtype="<f8", count=m)
     if offsets.size != n + 1 or targets.size != m or weights.size != m:
         raise ValueError(f"{path}: truncated binary CSR graph")
-    if offsets[0] != 0 or offsets[-1] != m or np.any(np.diff(offsets) < 0):
-        raise ValueError(f"{path}: corrupt offsets array")
-    if m and (targets.min() < 0 or targets.max() >= n):
-        raise ValueError(f"{path}: arc target out of range")
-    if m and (not np.all(np.isfinite(weights)) or np.any(weights < 0)):
-        raise ValueError(f"{path}: weights must be finite and nonnegative")
-    return CsrGraph(n=int(n), offsets=offsets, targets=targets, weights=weights)
+    try:
+        return CsrGraph(n=int(n), offsets=offsets, targets=targets, weights=weights)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def save_binary(graph: CsrGraph, path) -> None:

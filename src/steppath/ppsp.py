@@ -191,7 +191,8 @@ def ppsp(
 
     ``heuristic`` feeds the A* strategies: a single vectorized callable
     estimating distance *to the target* for ``astar``, or a
-    ``(h_source, h_target)`` pair for ``bidastar``.  When omitted the
+    ``(h_source, h_target)`` pair of them for ``bidastar``; anything else
+    raises ValueError, whatever the strategy.  When omitted the
     heuristics come from the graph's coordinates
     (:func:`~steppath.heuristics.heuristic_for_graph`), scaled to the arc
     weights so they are consistent whatever units the weights use.  A
@@ -207,6 +208,9 @@ def ppsp(
     target = as_vertex(target, graph.n, "target")
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    pair = isinstance(heuristic, tuple) and len(heuristic) == 2 and all(map(callable, heuristic))
+    if not (heuristic is None or callable(heuristic) or pair):
+        raise ValueError(f"heuristic must be None, one callable or a pair of callables, got {heuristic!r}")
     if source == target:
         return PpspAnswer(0.0, 0, 0, 0)
 

@@ -50,6 +50,11 @@ def test_query_graph_rejects_malformed_pairs():
         sp.build_query_graph([0, 1], 4)
     with pytest.raises(ValueError, match="dtype"):
         sp.build_query_graph([("0", "1")], 4)
+    # ids outside the graph, by the rules of QueryGraph and the batch algorithms
+    with pytest.raises(ValueError, match="^query graph: endpoint 4 out of range for 4 vertices"):
+        sp.build_query_graph([(0, 4)], 4)
+    with pytest.raises(ValueError, match="^query graph: endpoints must be nonnegative"):
+        sp.build_query_graph([(-1, 2)], 4)
     # integral floats and empty input are fine
     assert sp.build_query_graph([(0.0, 2.0)], 4).endpoints.tolist() == [0, 2]
     assert sp.build_query_graph([], 4).edges.shape == (0, 2)

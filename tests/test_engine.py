@@ -97,6 +97,10 @@ def test_step_policy_thresholds():
         sp.StepPolicy(-1.0)
     with pytest.raises(ValueError):
         sp.StepPolicy(np.inf)
+    # a bool delta once ran as Δ = 1
+    for bad in (True, np.True_):
+        with pytest.raises(ValueError, match="delta must be finite and positive, got (np.)?True"):
+            sp.StepPolicy(bad)
     assert sp.StepPolicy(2.0).min_copies == 1
     assert sp.StepPolicy(2.0, min_copies=np.int64(64)).min_copies == 64
     for bad in (0, -3, 2.5, True):

@@ -39,8 +39,11 @@ def test_single_vertex_graph():
 
 
 def test_negative_weight_rejected():
-    with pytest.raises(ValueError):
-        build_csr(3, [(0, 1, -2.0)])
+    # the graph build_csr makes refuses it, symmetrized or not
+    for weight in (-2.0, np.nan, np.inf):
+        for symmetrize in (False, True):
+            with pytest.raises(ValueError, match="^graph: weights must be finite and nonnegative"):
+                build_csr(3, [(0, 1, weight)], symmetrize=symmetrize)
 
 
 def test_endpoint_out_of_range_rejected():
@@ -641,11 +644,12 @@ def test_labelling_does_not_derive_symmetric():
 
 
 def test_labels_do_not_depend_on_weight_values():
-    # 0 - 1 by a zero-weight arc, 1 -> 2 negative, 3 -> 4 NaN, a self-loop
-    # at 5, and 6 alone: the labelling reads the structure only
+    # 0 - 1 by a zero-weight arc, 1 -> 2 near the float maximum, 3 -> 4
+    # tiny, a self-loop at 5, and 6 alone: the labelling reads the
+    # structure only (a negative or NaN weight no longer makes a graph)
     offsets = np.array([0, 1, 2, 2, 3, 3, 4, 4], dtype=np.int64)
     targets = np.array([1, 2, 4, 5], dtype=np.int32)
-    odd = CsrGraph(7, offsets, targets, np.array([0.0, -1.0, np.nan, 3.0]))
+    odd = CsrGraph(7, offsets, targets, np.array([0.0, 1e308, 5e-324, 3.0]))
     ones = CsrGraph(7, offsets, targets, np.ones(4))
     got, want = largest_component(odd), largest_component(ones)
     assert got.labels.tolist() == want.labels.tolist() == [0, 0, 0, 1, 1, 2, 3]

@@ -146,14 +146,23 @@ def test_binary_bytes_match_layout(tmp_path):
         ([0, 1, 2], [1, 2], "arc target out of range"),
         ([0, 1, 2], [1, 2**31], "arc target out of range"),
         ([0, 1, 2], [2**32 - 1, 0], "arc target out of range"),
-        ([0, 2**63, 2], [1, 0], "corrupt offsets"),
-        ([0, 2, 1], [1, 0], "corrupt offsets"),
+        ([0, 2**63, 2], [1, 0], "offsets must rise from 0"),
+        ([0, 2, 1], [1, 0], "offsets must rise from 0"),
     ],
 )
 def test_binary_bad_arrays_rejected(tmp_path, offsets, targets, error):
     p = tmp_path / "g.bin"
     p.write_bytes(_layout(2, offsets, targets, [1.0, 1.0]))
-    with pytest.raises(ValueError, match=error):
+    # the graph's own error, with the file's path in front
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: graph: {error}"):
+        gio.load_binary(p)
+
+
+@pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+def test_binary_bad_weights_rejected(tmp_path, weight):
+    p = tmp_path / "g.bin"
+    p.write_bytes(_layout(2, [0, 1, 2], [1, 0], [weight, weight]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: graph: weights must be finite and nonnegative"):
         gio.load_binary(p)
 
 

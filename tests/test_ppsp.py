@@ -104,6 +104,17 @@ def test_astar_requires_coordinates_or_heuristic():
         sp.ppsp(g1(), 0, 3, "bidastar", heuristic=zero_heuristic())
 
 
+def test_malformed_heuristic_is_refused():
+    # a triple once raised "too many values to unpack", and an int a
+    # TypeError from inside the search
+    zero = zero_heuristic()
+    for bad in (5, (zero, zero, None), (zero,), (zero, 5), (None, zero), [zero, zero]):
+        for strategy in ("et", "bids", "astar", "bidastar"):
+            with pytest.raises(ValueError, match="^heuristic must be None, one callable or a pair of callables, got "):
+                sp.ppsp(g1(), 0, 3, strategy, heuristic=bad)
+    assert sp.ppsp(g1(), 0, 3, "astar", heuristic=(zero, zero)).distance == sp.dijkstra(g1(), 0)[3]
+
+
 def test_disconnected_bids_early_out():
     # a triangle around the source and a 9-vertex path ending at the
     # target: at Δ = 1 the forward side is done after two steps, while

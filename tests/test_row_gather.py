@@ -3,8 +3,8 @@
 The engine copies each step's arcs with scipy's private
 ``scipy.sparse._sparsetools.csr_row_index``, which reads without bounds
 checks.  These tests pin that kernel's contract, the refusal of malformed
-adjacency before it reaches the kernel, and the work counters of a fixed
-set of searches.
+adjacency when a graph is made, long before it could reach the kernel,
+and the work counters of a fixed set of searches.
 """
 
 import hashlib
@@ -17,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import _sparsetools
 
 import steppath as sp
-from steppath.batch import MultiBidsSearch, _run_batch
+from steppath.batch import MultiBidsSearch, QueryGraph, _run_batch
 from steppath.engine import _gather_rows
-from steppath.graph import CsrGraph, _row_view
+from steppath.graph import CsrGraph
 from helpers import geometric_graph, random_graph, zero_heuristic
 
 
@@ -62,54 +62,56 @@ def test_gather_rows_matches_concatenated_slices(case):
 
 def test_row_view_types():
     offsets = np.array([0, 2, 3], dtype=np.uint64)
-    view_offsets, cols, data = _row_view(2, offsets, np.array([1, 0, 0]), [1, 2, 3])
+    g = CsrGraph(2, offsets, np.array([1, 0, 0]), np.array([1, 2, 3]))
+    view_offsets, cols, data = g._rows
     assert view_offsets.dtype == cols.dtype == np.int32 and data.dtype == np.float64
     assert view_offsets is not offsets and view_offsets.tolist() == [0, 2, 3]
     # arrays already in their types are used as they are
     targets, weights = np.array([1, 0, 0], dtype=np.int32), np.array([1.0, 2.0, 3.0])
-    _, cols, data = _row_view(2, offsets, targets, weights)
+    _, cols, data = CsrGraph(2, offsets, targets, weights)._rows
     assert cols is targets and data is weights
 
 
-def _path_weighing(w):
-    """The path 0-1-2 built by hand: arcs 0<->1 weigh ``w``, arcs 1<->2 weigh 2."""
-    return CsrGraph(3, np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1], dtype=np.int32), np.array([w, w, 2.0, 2.0]))
+def _path():
+    """The path 0-1-2 built by hand: arcs 0<->1 weigh 1, arcs 1<->2 weigh 2."""
+    return CsrGraph(3, np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1], dtype=np.int32), np.array([1.0, 1.0, 2.0, 2.0]))
 
 
-_W = np.array([1.0, 1.0])
+# fields that break the path's CSR rule, one case each
 MALFORMED = {
-    "decreasing": CsrGraph(3, np.array([0, 2, 1, 2]), np.array([1, 0], dtype=np.int32), _W),
-    "last offset is not m": CsrGraph(3, np.array([0, 1, 1, 1]), np.array([1, 0], dtype=np.int32), _W),
-    "short offsets": CsrGraph(3, np.array([0, 1, 2]), np.array([1, 0], dtype=np.int32), _W),
-    "offsets past m": CsrGraph(3, np.array([0, 1, 2, 3]), np.array([1, 0], dtype=np.int32), _W),
-    "nonzero start": CsrGraph(2, np.array([1, 1, 2]), np.array([1, 0], dtype=np.int32), _W),
-    "target out of range": CsrGraph(2, np.array([0, 1, 2]), np.array([1, 2], dtype=np.int32), _W),
-    "negative target": CsrGraph(2, np.array([0, 1, 2]), np.array([1, -1], dtype=np.int32), _W),
-    "weights too short": CsrGraph(2, np.array([0, 1, 2]), np.array([1, 0], dtype=np.int32), _W[:1]),
+    "decreasing": {"offsets": np.array([0, 3, 1, 4])},
+    "last offset is not m": {"offsets": np.array([0, 1, 3, 3])},
+    "short offsets": {"offsets": np.array([0, 1, 4])},
+    "offsets past m": {"offsets": np.array([0, 1, 3, 5])},
+    "nonzero start": {"offsets": np.array([1, 1, 3, 4])},
+    "float offsets": {"offsets": np.array([0.0, 1.0, 3.0, 4.0])},
+    "target out of range": {"targets": np.array([1, 0, 3, 1], dtype=np.int32)},
+    "negative target": {"targets": np.array([1, 0, -1, 1], dtype=np.int32)},
+    "list targets": {"targets": [1, 0, 2, 1]},
+    "weights too short": {"weights": np.array([1.0, 1.0, 2.0])},
     # a negative weight once kept every search stepping for ever; NaN got
     # wrong answers or a symmetry complaint, and infinity a step-width one
-    "negative weight": _path_weighing(-1.0),
-    "NaN weight": _path_weighing(np.nan),
-    "infinite weight": _path_weighing(np.inf),
+    "negative weight": {"weights": np.array([-1.0, -1.0, 2.0, 2.0])},
+    "NaN weight": {"weights": np.array([np.nan, np.nan, 2.0, 2.0])},
+    "infinite weight": {"weights": np.array([np.inf, np.inf, 2.0, 2.0])},
+    "string weights": {"weights": np.array(["1", "1", "2", "2"])},
+    # a float n once failed later with a numpy TypeError, and True was taken for 1
+    "n=2.0": {"n": 2.0},
+    "n=True": {"n": True},
+    "n=-1": {"n": -1},
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_graph_is_refused_before_the_kernel(name):
-    g = MALFORMED[name]
-    zero = zero_heuristic()
-    calls = [
-        lambda: sp.sssp(g, 0),
-        lambda: sp.ppsp(g, 0, 1, "sssp"),
-        lambda: sp.ppsp(g, 0, 1, "et"),
-        lambda: sp.ppsp(g, 0, 1, "bids"),
-        lambda: sp.ppsp(g, 0, 1, "astar", heuristic=zero),
-        lambda: sp.ppsp(g, 0, 1, "bidastar", heuristic=(zero, zero)),
-        lambda: sp.multi_bids(g, sp.build_query_graph([(0, 1)], g.n)),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="^graph: "):
-            call()
+    good, bad = _path(), MALFORMED[name]
+    fields = {f: getattr(good, f) for f in ("n", "offsets", "targets", "weights")}
+    with pytest.raises(ValueError, match="^graph: "):
+        CsrGraph(**{**fields, **bad})
+    with pytest.raises(ValueError, match="^graph: "):
+        replace(good, **bad)
+    # the path itself is well formed, with a numpy integer n as with an int
+    assert sp.sssp(good, 0).tolist() == sp.sssp(replace(good, n=np.int64(3)), 0).tolist() == [0.0, 1.0, 3.0]
 
 
 def test_int64_targets_answer_as_the_int32_twin():
@@ -137,22 +139,30 @@ def test_malformed_query_graph_is_refused():
     qg = sp.build_query_graph([(0, 1), (1, 2), (3, 0)], g.n)
     assert qg.edges.tolist() == [[0, 1], [0, 3], [1, 2]] and qg.pair_edge.tolist() == [0, 2, 1]
     bad = {
-        "duplicate endpoint": replace(qg, endpoints=_int64([0, 1, 3, 3])),
-        "unsorted endpoints": replace(qg, endpoints=_int64([1, 0, 2, 3])),
-        "endpoint past the graph": replace(qg, endpoints=_int64([0, 1, 2, 4])),
-        "float edges": replace(qg, edges=qg.edges.astype(np.float64)),
-        "edge (i, i)": replace(qg, edges=_int64([[0, 0], [0, 3], [1, 2]])),
-        "negative edge id": replace(qg, edges=qg.edges - 2),
-        "edge id past the order": replace(qg, edges=_int64([[0, 1], [0, 4], [1, 2]])),
-        "pair edge -2": replace(qg, pair_edge=_int64([0, -2, 1])),
-        "pair edge E": replace(qg, pair_edge=_int64([0, 3, 1])),
+        "duplicate endpoint": {"endpoints": _int64([0, 1, 3, 3])},
+        "unsorted endpoints": {"endpoints": _int64([1, 0, 2, 3])},
+        "negative endpoint": {"endpoints": _int64([-1, 1, 2, 3])},
+        "int32 endpoints": {"endpoints": qg.endpoints.astype(np.int32)},
+        "float edges": {"edges": qg.edges.astype(np.float64)},
+        "edge (i, i)": {"edges": _int64([[0, 0], [0, 3], [1, 2]])},
+        "negative edge id": {"edges": qg.edges - 2},
+        "edge id past the order": {"edges": _int64([[0, 1], [0, 4], [1, 2]])},
+        "pair edge -2": {"pair_edge": _int64([0, -2, 1])},
+        "pair edge E": {"pair_edge": _int64([0, 3, 1])},
     }
+    fields = {"endpoints": qg.endpoints, "edges": qg.edges, "pair_edge": qg.pair_edge}
+    for name, change in bad.items():
+        for make in (lambda: QueryGraph(**{**fields, **change}), lambda: replace(qg, **change)):
+            with pytest.raises(ValueError, match="^query graph: "):
+                make()
     for algo in sp.BATCH_ALGOS:
         assert _run_batch(g, qg, algo, None).distances.tolist() == [1.0, 1.0, 3.0]
-    for name, q in bad.items():
+    # whether the endpoints lie in the graph is checked by every batch
+    # algorithm, with edges or without, and by the joint search itself
+    for q in (replace(qg, endpoints=_int64([0, 1, 2, 4])), sp.build_query_graph([(4, 4)])):
         calls = [lambda algo=algo: _run_batch(g, q, algo, None) for algo in sp.BATCH_ALGOS]
         for call in calls + [lambda: MultiBidsSearch(g, q)]:
-            with pytest.raises(ValueError, match="^query graph: "):
+            with pytest.raises(ValueError, match="^query graph: endpoint 4 out of range for 4 vertices"):
                 call()
 
 
