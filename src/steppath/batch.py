@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import INF, Search, StepPolicy, _gather_rows, _scatter_min, run_search, sssp
+from .engine import INF, Search, StepPolicy, _gather_rows, _listed, _put, _reset, _scatter_min, _take, run_search, sssp
 from .graph import CsrGraph
 from .io import as_pairs
 from .ppsp import ppsp
@@ -30,7 +30,8 @@ BATCH_ALGOS = ("multi", "vc", "plain-bids", "plain-sssp")
 
 # a cell costs 18 B in a joint search (8 B distance, 8 B scatter-min stamp,
 # 1 B frontier mask, 1 B settled mask), so the default cap comes to 4.5 GiB;
-# the meeting filter adds 5 B per vertex, whatever the number of copies
+# the meeting filter adds 5 B per vertex, whatever the number of copies.
+# All of it stays pooled on the graph object for the next search there
 DEFAULT_CELL_CAP = 2**28
 # largest query graph (in endpoints) whose vertex cover is found exactly
 EXACT_COVER_LIMIT = 20
@@ -167,9 +168,10 @@ class MultiBidsSearch(Search):
         np.cumsum(np.bincount(ends, minlength=qg.order), out=offsets[1:])
         self._q_rows = (offsets, ends[order - e], order % e)
         # per vertex: a copy known finite there (-1: none yet), and whether
-        # two copies are; only then can a meeting sum there be finite
-        self._owner = np.full(graph.n, -1, dtype=np.int32)
-        self._shared = np.zeros(graph.n, dtype=bool)
+        # two copies are; only then can a meeting sum there be finite.
+        # Both come from the graph's pool, like the distances.
+        self._owner = _take(graph, "owner", graph.n, -1, np.int32)
+        self._shared = _take(graph, "shared", graph.n, False, bool)
 
     def seeds(self):
         c = self.copies
@@ -215,6 +217,13 @@ class MultiBidsSearch(Search):
                 frontier.discard(self.prune)
         return False
 
+    def _release(self):
+        cells = self._written
+        verts = cells // self.copies if _listed(cells, self._shared) else None
+        _put(self.graph, "owner", _reset(self._owner, verts, -1))
+        _put(self.graph, "shared", _reset(self._shared, verts, False))
+        super()._release()
+
     def _update_radius(self) -> bool:
         """Recompute the radii; True iff one fell."""
         radius = _radius(self.qg, self.edge_best, self.closed)
@@ -239,13 +248,9 @@ def multi_bids(
         )
     search = MultiBidsSearch(graph, qg)
     stats = run_search(graph, search, policy=policy)
-    return BatchAnswer(
-        _fan_out(qg, search.edge_best),
-        1,
-        stats.steps,
-        stats.relaxations,
-        stats.settled_copies,
-    )
+    distances = _fan_out(qg, search.edge_best)
+    search._release()  # the answer is read: the arrays go back to the pool
+    return BatchAnswer(distances, 1, stats.steps, stats.relaxations, stats.settled_copies)
 
 
 def exact_vertex_cover(qg: QueryGraph) -> np.ndarray:

@@ -23,6 +23,12 @@ COORD_KINDS = (EUCLIDEAN, SPHERICAL)
 _BLOCK = 1 << 16  # entries per block of the blockwise passes over the arcs
 
 
+def _check_n(n) -> None:
+    """Refuse, with ValueError, a vertex count that is not a nonnegative int."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"graph: n must be a nonnegative int, got {n!r}")
+
+
 @dataclass(frozen=True)
 class CsrGraph:
     """Compressed-adjacency graph with float64 arc weights.
@@ -60,8 +66,7 @@ class CsrGraph:
 
     def __post_init__(self):
         n, offsets, targets, weights = self.n, self.offsets, self.targets, self.weights
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError(f"graph: n must be a nonnegative int, got {n!r}")
+        _check_n(n)
         if not all(isinstance(a, np.ndarray) for a in (offsets, targets, weights)):
             raise ValueError("graph: offsets, targets and weights must be numpy arrays")
         if offsets.shape != (n + 1,) or offsets.dtype.kind not in "iu":
@@ -208,8 +213,7 @@ def build_csr(n: int, edges, symmetrize: bool = False) -> CsrGraph:
     ids and contiguous weights (16 bytes per arc) alive next to the
     result.
     """
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
+    _check_n(n)  # n sizes arrays before the graph is made
     if n > 2**31:  # targets are int32
         raise ValueError(f"vertex count {n} exceeds 2**31")
     arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.float64)

@@ -48,18 +48,20 @@ def heuristic_for_graph(graph: CsrGraph, anchor: int):
 class MemoTable:
     """Per-vertex cache of a deterministic vertex function.
 
-    Unset entries hold NaN.  Computed values must be finite, so none is
-    mistaken for unset: a non-finite value raises ``ValueError`` naming
-    the function.  Each vertex is computed at most once; ``computations``
-    counts evaluated vertices and ``requests`` counts lookups through
-    :meth:`get_many`.  The A* searches look a cell up when it is seeded
-    or improved and read its key from ``values`` after that, so
-    ``requests`` counts those fill-time lookups, not key reads.
+    ``values`` is the table, one entry per vertex, all NaN (unset) when
+    the table is made; the A* searches pass one from the graph's pool.
+    Computed values must be finite, so none is mistaken for unset: a
+    non-finite value raises ``ValueError`` naming the function.  Each
+    vertex is computed at most once; ``computations`` counts evaluated
+    vertices and ``requests`` counts lookups through :meth:`get_many`.
+    The A* searches look a cell up when it is seeded or improved and read
+    its key from ``values`` after that, so ``requests`` counts those
+    fill-time lookups, not key reads.
     """
 
-    def __init__(self, n: int, fn):
+    def __init__(self, values: np.ndarray, fn):
         self._fn = fn
-        self.values = np.full(n, np.nan)
+        self.values = values
         self.computations = 0
         self.requests = 0
 

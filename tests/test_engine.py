@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,10 @@ def test_step_policy_thresholds():
     # a bool delta once ran as Δ = 1
     for bad in (True, np.True_):
         with pytest.raises(ValueError, match="delta must be finite and positive, got (np.)?True"):
+            sp.StepPolicy(bad)
+    # a non-number once raised numpy's TypeError from isfinite
+    for bad in ("1", None, 1j):
+        with pytest.raises(ValueError, match="delta must be finite and positive, got "):
             sp.StepPolicy(bad)
     assert sp.StepPolicy(2.0).min_copies == 1
     assert sp.StepPolicy(2.0, min_copies=np.int64(64)).min_copies == 64
@@ -552,15 +557,42 @@ def _scratch_graph():
     return g
 
 
+# what each pooled array holds between searches; the stamp's contents are ignored
+_POOL_FILLS = {
+    "mask": False,
+    "settled": False,
+    "dist": np.inf,
+    "h": np.nan,
+    "signed_h": np.nan,
+    "owner": -1,
+    "shared": False,
+}
+
+
+def _assert_pool_clean(g, where):
+    for name, array in vars(g)["_pool"].items():
+        if name != "stamp":
+            clean = np.full(array.size, _POOL_FILLS[name], array.dtype)
+            assert np.array_equal(array, clean, equal_nan=True), (name, where)
+
+
+def _connected_pairs(g):
+    """Four pairs within the largest component, and one that leaves it."""
+    comp = sp.largest_component(g)
+    big = np.flatnonzero(comp.labels == comp.largest).tolist()
+    far = int(np.flatnonzero(comp.labels != comp.largest)[0])
+    return [(big[0], big[-1]), (big[3], big[40]), (big[77], big[20]), (big[12], big[100])], (big[5], far)
+
+
 def _interleaved_calls(g):
-    """sssp, bids, astar, multi and bids again: 1, 2, 1, 10 and 2 copies.
+    """sssp, bids, astar, bidastar, multi and bids again: 1, 2, 1, 2, 10 and 2 copies.
 
     Each call takes the graph object to run on and returns the answer
     with its counters.
     """
-    labels = sp.largest_component(g).labels
-    far = int(np.flatnonzero(labels != labels[0])[0])  # outside 0's component
-    qg = sp.build_query_graph([(0, 150), (3, 40), (77, 201), (12, 299), (5, far)], g.n)
+    pairs, apart = _connected_pairs(g)
+    s, t = pairs[0]
+    qg = sp.build_query_graph([*pairs, apart], g.n)
     assert qg.order == 10
 
     def sssp(h):
@@ -575,27 +607,74 @@ def _interleaved_calls(g):
         return b.distances.tolist(), b.steps, b.relaxations, b.settled_copies
 
     # the last bids pair is disconnected: early_out stops with copies pending
-    return [sssp, ppsp(0, 150, "bids"), ppsp(0, 150, "astar"), multi, ppsp(0, far, "bids")]
+    return [
+        sssp,
+        ppsp(s, t, "bids"),
+        ppsp(s, t, "astar"),
+        ppsp(s, t, "bidastar"),
+        multi,
+        ppsp(*apart, "bids"),
+    ]
 
 
 def test_scratch_reuse_is_exact():
     # one graph object serving searches of every width answers exactly as
-    # a fresh graph object does for each call, and gets its scratch back
-    # clean after every search
+    # a fresh graph object does for each call, and gets every pooled array
+    # back clean after every search; sssp's distances are the caller's,
+    # so it pools none
     g = _scratch_graph()
     sizes = []
     for call in _interleaved_calls(g):
         assert call(g) == call(_scratch_graph()), call
-        mask, settled, _ = vars(g).get("_scratch")
-        assert not mask.any() and not settled.any(), call
-        sizes.append(mask.size)
-    assert sizes == [g.n, 2 * g.n, 2 * g.n, 10 * g.n, 10 * g.n]
+        _assert_pool_clean(g, call)
+        pool = vars(g)["_pool"]
+        sizes.append((pool["mask"].size, pool["dist"].size if "dist" in pool else None))
+    n = g.n
+    assert sizes == [(n, None), (2 * n, 2 * n), (2 * n, 2 * n), (2 * n, 2 * n), (10 * n, 10 * n), (10 * n, 10 * n)]
+    pool = vars(g)["_pool"]
+    assert pool["h"].size == n and pool["signed_h"].size == 2 * n
+    assert pool["owner"].size == n and pool["shared"].size == n
+
+
+def test_release_resets_only_the_written_cells():
+    # a near query lists the cells it wrote, a far one writes too many to
+    # list; both leave the pool clean once released
+    g = geometric_graph(5_000, 6, 4)
+    s = 0
+    d = sp.dijkstra(g, s)
+    near = int(g.targets[g.offsets[s]])
+    far = int(np.argmax(np.where(np.isfinite(d), d, -1)))
+    for t, listed in ((near, True), (far, False)):
+        for search in (BidsSearch(g, s, t), BidAstarSearch(g, s, t, sp.heuristic_for_graph(g, s), sp.heuristic_for_graph(g, t))):
+            run_search(g, search)
+            assert search.best == pytest.approx(d[t], rel=1e-12)
+            assert (search._written is not None) == listed, (t, type(search))
+            if listed:
+                # every finite cell was written, and only those were
+                assert set(np.flatnonzero(np.isfinite(search.dist))) == set(search._written.tolist())
+            search._release()
+            _assert_pool_clean(g, (t, type(search)))
+    qg = sp.build_query_graph([(s, near), (near, int(g.targets[g.offsets[near]]))], g.n)
+    search = MultiBidsSearch(g, qg)
+    run_search(g, search)
+    assert search._written is not None
+    search._release()
+    _assert_pool_clean(g, "multi")
 
 
 def test_scratch_dropped_when_a_hook_raises():
+    # a search whose hook raises drops every array it took off the pool,
+    # dirty; the next searches allocate clean ones and answer exactly
     g = _scratch_graph()
-    want = sp.sssp(_scratch_graph(), 7, return_stats=True)
+    ref = _scratch_graph()
+    pairs, _ = _connected_pairs(g)
+    (s, t), qg = pairs[0], sp.build_query_graph(pairs, g.n)
+    want = sp.sssp(ref, 7, return_stats=True)
+    want_multi = sp.multi_bids(ref, qg)
+    want_astar = sp.ppsp(ref, s, t, "astar")
+    assert np.isfinite(want_multi.distances).all() and np.isfinite(want_astar.distance)
     sp.sssp(g, 7)
+    assert set(vars(g)["_pool"]) == {"mask", "settled", "stamp"}
 
     class Boom(SsspSearch):
         def on_improved(self, cells):
@@ -605,52 +684,113 @@ def test_scratch_dropped_when_a_hook_raises():
 
     with pytest.raises(RuntimeError):
         run_search(g, Boom(g, 7))
-    assert vars(g).get("_scratch") is None  # dropped, dirty, with the raising search
+    assert vars(g)["_pool"] == {}  # dropped, dirty, with the raising search
     dist, stats = sp.sssp(g, 7, return_stats=True)
     assert np.array_equal(dist, want[0]) and stats == want[1]
     assert np.array_equal(dist, sp.dijkstra(g, 7))
 
+    sp.multi_bids(g, qg)
+    assert set(vars(g)["_pool"]) == {"mask", "settled", "stamp", "dist", "owner", "shared"}
+
+    class BoomMulti(MultiBidsSearch):
+        def on_improved(self, cells):
+            if self.dist[cells].max() > 0.1:
+                raise RuntimeError("boom")
+            return super().on_improved(cells)
+
+    with pytest.raises(RuntimeError):
+        run_search(g, BoomMulti(g, qg))
+    assert vars(g)["_pool"] == {}
+    got = sp.multi_bids(g, qg)
+    assert np.array_equal(got.distances, want_multi.distances)
+    assert (got.steps, got.relaxations, got.settled_copies) == (want_multi.steps, want_multi.relaxations, want_multi.settled_copies)
+
+    # inside ppsp: a heuristic that fails past the source raises mid-run
+    sp.ppsp(g, s, t, "astar")
+    h = sp.heuristic_for_graph(g, t)
+
+    def failing(vertices):
+        return np.where(vertices == s, h(vertices), np.nan)
+
+    with pytest.raises(ValueError, match="non-finite"):
+        sp.ppsp(g, s, t, "astar", heuristic=failing)
+    assert set(vars(g)["_pool"]) == {"owner", "shared"}  # multi's, which astar does not take
+    assert sp.ppsp(g, s, t, "astar") == want_astar
+    _assert_pool_clean(g, "after the raises")
+
 
 def test_search_nested_in_a_hook_is_exact():
     g = _scratch_graph()
-    sp.sssp(g, 0)  # the outer search takes a warm scratch
+    (s, t), (a, b) = _connected_pairs(g)[0][:2]
+    sp.ppsp(g, s, t, "bids")  # the outer search takes a warm pool
     inner = []
 
-    class Nested(SsspSearch):
+    class Nested(BidsSearch):
         def on_improved(self, cells):
             if not inner:
-                inner.append(sp.ppsp(self.graph, 3, 40, "bids"))
-            return False
+                inner.append(sp.ppsp(self.graph, a, b, "bids"))
+            return super().on_improved(cells)
 
-    outer = Nested(g, 0)
+    outer = Nested(g, s, t)
     stats = run_search(g, outer)
     ref = _scratch_graph()
-    want_dist, want_stats = sp.sssp(ref, 0, return_stats=True)
-    assert np.array_equal(outer.dist, want_dist) and stats == want_stats
-    want_inner = sp.ppsp(ref, 3, 40, "bids")
-    assert inner == [want_inner] and want_inner.distance == sp.dijkstra(ref, 3)[40]
-    mask, settled, _ = vars(g).get("_scratch")
-    assert not mask.any() and not settled.any()
+    want = BidsSearch(ref, s, t)
+    want_stats = run_search(ref, want)
+    assert outer.best == want.best < np.inf
+    assert np.array_equal(outer.dist, want.dist) and stats == want_stats
+    want_inner = sp.ppsp(ref, a, b, "bids")
+    assert inner == [want_inner] and want_inner.distance == sp.dijkstra(ref, a)[b] < np.inf
+    outer._release()
+    _assert_pool_clean(g, "nested")
+
+
+def test_warm_queries_allocate_nothing_of_the_graph_size():
+    # on a warm graph object a near bids query and a near multi batch
+    # take every per-cell array from the pool: no allocation reaches the
+    # smallest array of their size (a mask, 1 B per cell)
+    g = random_graph(50_000, 4, 5)
+    s = 0
+    near = int(g.targets[g.offsets[s]])
+    qg = sp.build_query_graph([(s, near), (near, int(g.targets[g.offsets[near]]))], g.n)
+    assert qg.order == 3
+
+    def multi():
+        b = sp.multi_bids(g, qg)
+        return b.distances.tolist(), b.steps, b.relaxations, b.settled_copies
+
+    for copies, call in ((2, lambda: sp.ppsp(g, s, near, "bids")), (3, multi)):
+        want = call()  # warms the pool
+        tracemalloc.start()
+        try:
+            got = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < g.n * copies, (copies, peak)
+        _assert_pool_clean(g, copies)
 
 
 def test_derived_graph_starts_without_scratch():
     g = _scratch_graph()
-    assert vars(g).get("_scratch") is None
-    sp.sssp(g, 0)
-    assert vars(g).get("_scratch") is not None
-    assert vars(replace(g)).get("_scratch") is None
-    assert vars(g.with_coords(g.coords, "euclidean")).get("_scratch") is None
-    assert "_scratch" not in repr(g) and replace(g) == g
+    assert vars(g).get("_pool") is None
+    sp.ppsp(g, *_connected_pairs(g)[0][0], "bids")
+    assert set(vars(g)["_pool"]) == {"mask", "settled", "stamp", "dist"}
+    assert vars(replace(g)).get("_pool") is None
+    assert vars(g.with_coords(g.coords, "euclidean")).get("_pool") is None
+    assert "_pool" not in repr(g) and replace(g) == g
 
 
 def test_concurrent_searches_on_one_graph_are_exact():
-    # threads that share one graph object each take the scratch off it
-    # whole or allocate their own; a shared mask or stamp would corrupt
-    # answers or counters
+    # threads that share one graph object each take a pooled array off it
+    # whole or allocate their own; an array shared by two searches would
+    # corrupt answers or counters
     g = _scratch_graph()
-    jobs = [(s, t, strategy) for s, t in ((0, 150), (3, 40), (77, 201), (12, 299)) for strategy in ("sssp", "bids", "astar")]
+    pairs, _ = _connected_pairs(g)
+    jobs = [(s, t, strategy) for s, t in pairs for strategy in ("sssp", "bids", "astar", "bidastar")]
     ref = _scratch_graph()
     want = {job: sp.ppsp(ref, *job) for job in jobs}
+    assert all(answer.distance < np.inf for answer in want.values())
     got, errors = [], []
 
     def worker(k):
@@ -675,3 +815,4 @@ def test_concurrent_searches_on_one_graph_are_exact():
     assert not errors and len(got) == 6 * 12
     for job, answer in got:
         assert answer == want[job], job
+    _assert_pool_clean(g, "threads")

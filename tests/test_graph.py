@@ -382,6 +382,11 @@ def test_build_csr_input_forms():
     for bad in (np.array([0.0, 1.0, 1.0]), np.array([[0, 1], [1, 2]]), np.array(5.0)):
         with pytest.raises(ValueError):
             build_csr(3, bad)
+    # a vertex count that is not a nonnegative int meets the graph's own
+    # refusal before it sizes any array (3.0 and "3" once failed inside numpy)
+    for n in (3.0, "3", -1, True):
+        with pytest.raises(ValueError, match="^graph: n must be a nonnegative int, got"):
+            build_csr(n, rows[:2])
 
 
 def test_parallel_edges_kept():

@@ -167,7 +167,7 @@ def test_memo_computes_once():
         calls.append(np.array(v, copy=True))
         return v.astype(np.float64) * 2
 
-    memo = MemoTable(10, h)
+    memo = MemoTable(np.full(10, np.nan), h)
     assert memo.get_many(np.array([3])).tolist() == [6.0]
     assert memo.get_many(np.array([3])).tolist() == [6.0]
     assert memo.computations == 1
@@ -186,7 +186,7 @@ def test_memo_computes_a_vertex_given_twice_in_one_call_once():
         calls.append(v.tolist())
         return v.astype(np.float64) + 0.5
 
-    memo = MemoTable(10, h)
+    memo = MemoTable(np.full(10, np.nan), h)
     assert memo.get_many(np.array([7, 2, 7, 9, 2])).tolist() == [7.5, 2.5, 7.5, 9.5, 2.5]
     assert memo.computations == 3 and memo.requests == 5
     # a known vertex among the repeats computes only the fresh ones
