@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import INF, Search, StepPolicy, _gather_rows, _listed, _put, _reset, _scatter_min, _take, run_search, sssp
+from .engine import INF, Search, StepPolicy, _gather_rows, _scatter_min, run_search, sssp
 from .graph import CsrGraph
 from .io import as_pairs
 from .ppsp import ppsp
@@ -168,10 +168,9 @@ class MultiBidsSearch(Search):
         np.cumsum(np.bincount(ends, minlength=qg.order), out=offsets[1:])
         self._q_rows = (offsets, ends[order - e], order % e)
         # per vertex: a copy known finite there (-1: none yet), and whether
-        # two copies are; only then can a meeting sum there be finite.
-        # Both come from the graph's pool, like the distances.
-        self._owner = _take(graph, "owner", graph.n, -1, np.int32)
-        self._shared = _take(graph, "shared", graph.n, False, bool)
+        # two copies are; only then can a meeting sum there be finite
+        self._owner = self._take("owner", graph.n, -1, np.int32)
+        self._shared = self._take("shared", graph.n, False, bool)
 
     def seeds(self):
         c = self.copies
@@ -216,13 +215,6 @@ class MultiBidsSearch(Search):
             if self._update_radius():
                 frontier.discard(self.prune)
         return False
-
-    def _release(self):
-        cells = self._written
-        verts = cells // self.copies if _listed(cells, self._shared) else None
-        _put(self.graph, "owner", _reset(self._owner, verts, -1))
-        _put(self.graph, "shared", _reset(self._shared, verts, False))
-        super()._release()
 
     def _update_radius(self) -> bool:
         """Recompute the radii; True iff one fell."""

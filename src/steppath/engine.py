@@ -62,15 +62,19 @@ bounds checks: every ``CsrGraph`` is checked when it is made.
 
 A query costs what it touches, not O(n).  Every per-cell array of a
 search (the two masks, the stamp, the distances, a strategy's own) comes
-from a pool on the graph object (``_pool`` in its ``__dict__``), taken
-off it in one step: a search nested in a hook, or running concurrently,
-finds it empty and allocates its own, and a search whose hook raises
-drops what it took.  :func:`run_search` records the cells a run writes;
-whoever reads the answer (``ppsp``, ``multi_bids``) resets the search's
-arrays there and pools them again, filling an array whole where that
-costs less (see ``_SCATTER_BYTES``).  The pool keeps the widest search's
-arrays, about 18 B per cell, for the life of the graph.  :func:`sssp`
-hands its distances to the caller, so they are a new array.
+from a pool on the graph object (``_pool`` in its ``__dict__``), under
+one rule: a strategy names its arrays, and the engine resets and pools
+them.  :meth:`Search._take` takes a named array off the pool in one
+step, so a search nested in a hook, or running concurrently, finds it
+empty and allocates its own, and a search whose hook raises drops what
+it took.  :func:`run_search` takes its masks and stamp the same way and
+records the cells a run writes; whoever reads the answer (``sssp``,
+``ppsp``, ``multi_bids``) calls :meth:`Search._release`, which resets
+every array the search took there and pools it again, filling an array
+whole where that costs less (see ``_SCATTER_BYTES``).  The pool keeps
+the widest search's arrays, about 18 B per cell, for the life of the
+graph.  :func:`sssp` hands its distances to the caller, so they are a
+new array.
 """
 
 from __future__ import annotations
@@ -106,46 +110,6 @@ _RHO_RANGE = 2
 # writes a tenth of its cells, ran about 3% slower than with a new array
 # per query; at 128 it fills, and runs as fast
 _SCATTER_BYTES = 128
-
-
-def _take(graph: CsrGraph, name: str, size: int, fill, dtype=np.float64) -> np.ndarray:
-    """The first ``size`` cells of the graph's pooled ``name`` array, each ``fill``.
-
-    The array is taken off the graph in one step, so a search nested in a
-    hook, or running concurrently, finds none and gets a new one, as it
-    does when the pooled one is too short.
-    """
-    held = vars(graph).setdefault("_pool", {}).pop(name, None)  # not a field: the graph is frozen
-    if held is None or held.size < size:
-        held = np.zeros(size, dtype) if fill == 0 else np.full(size, fill, dtype)
-    return held[:size]
-
-
-def _put(graph: CsrGraph, name: str, cells: np.ndarray) -> None:
-    """Pool ``cells``, back at its fill, unless a longer ``name`` array is pooled.
-
-    ``cells`` is what :func:`_take` returned, or a new array.  A search
-    nested in a hook may have put back a longer one meanwhile.
-    """
-    whole = cells if cells.base is None else cells.base
-    pool = vars(graph).setdefault("_pool", {})
-    held = pool.get(name)
-    if held is None or held.size < whole.size:
-        pool[name] = whole
-
-
-def _listed(cells: np.ndarray | None, array: np.ndarray) -> bool:
-    """Whether writing ``array`` at ``cells`` costs less than filling it (None: too many to list)."""
-    return cells is not None and cells.size * _SCATTER_BYTES < array.nbytes
-
-
-def _reset(array: np.ndarray, cells: np.ndarray | None, fill) -> np.ndarray:
-    """``array`` with ``fill`` back at ``cells``, or filled whole where that costs less."""
-    if _listed(cells, array):
-        array[cells] = fill
-    else:
-        array.fill(fill)
-    return array
 
 
 @dataclass
@@ -295,12 +259,15 @@ class Search:
     bound there drops the newly pruned copies itself with
     :meth:`Frontier.discard`.
 
-    The distance array, all +inf, comes from the graph's pool.  After a
-    run, ``_written`` holds the cells the run wrote (None when it wrote
-    too many to list); :meth:`_release` resets the search's pooled arrays
-    there and pools them again, and a strategy with per-cell arrays of
-    its own extends it.  A search that is never released keeps its
-    arrays, so ``dist`` can be read after :func:`run_search`.
+    One rule holds for every per-cell array: a strategy names its
+    arrays, and the engine resets and pools them.  A strategy takes each
+    with :meth:`_take`, as the distances (all +inf) and
+    :func:`run_search`'s masks and stamp are taken, and the search holds
+    it.  After a run, ``_written`` holds the cells the run wrote (None
+    when it wrote too many to list), and :meth:`_release` resets every
+    held array there and pools it again.  A search that is never
+    released keeps its arrays, so ``dist`` can be read after
+    :func:`run_search`.
     """
 
     # SsspSearch is the one exception: sssp hands its distances to the caller
@@ -309,9 +276,10 @@ class Search:
     def __init__(self, graph: CsrGraph, copies: int = 1):
         self.graph = graph
         self.copies = copies
-        size = graph.n * copies  # cell v * copies + i
-        self.dist = _take(graph, "dist", size, INF) if self._pooled else np.full(size, INF)
+        self._held = []  # (name, array, fill) of each array taken off the pool
         self._written = None
+        size = graph.n * copies  # cell v * copies + i
+        self.dist = self._take("dist", size, INF) if self._pooled else np.full(size, INF)
 
     def seeds(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -328,15 +296,52 @@ class Search:
     def early_out(self, frontier: Frontier) -> bool:
         return False
 
+    def _take(self, name: str, size: int, fill, dtype=np.float64) -> np.ndarray:
+        """The first ``size`` cells of the pooled ``name`` array, each ``fill``; held till :meth:`_release`.
+
+        The array is taken off the graph in one step, so a search nested
+        in a hook, or running concurrently, finds none and gets a new one,
+        as it does when the pooled one is too short.  ``fill`` None: the
+        taker hands the array back clean or ignores what it holds, and a
+        new one is zeros.
+        """
+        held = vars(self.graph).setdefault("_pool", {}).pop(name, None)  # not a field: the graph is frozen
+        if held is None or held.size < size:
+            held = np.full(size, fill, dtype) if fill else np.zeros(size, dtype)
+        held = held[:size]
+        self._held.append((name, held, fill))
+        return held
+
     def _release(self) -> None:
-        """Reset the pooled arrays where the run wrote and pool them; the search is spent."""
-        _put(self.graph, "dist", _reset(self.dist, self._written, INF))
+        """Reset each held array where the run wrote and pool it again; the search is spent.
+
+        An array of ``n * copies`` entries is reset at the written cells,
+        one of ``n`` at their vertices, and one taken with fill None not
+        at all.  An array is filled whole where that costs less than
+        writing the cells one by one.  The pool keeps the longer of two
+        arrays of one name: a search nested in a hook may have pooled one
+        meanwhile.
+        """
+        cells, pool = self._written, vars(self.graph).setdefault("_pool", {})
+        for name, array, fill in self._held:
+            if fill is None:
+                pass
+            elif cells is None or cells.size * _SCATTER_BYTES >= array.nbytes:
+                array.fill(fill)
+            elif array.size == self.dist.size:
+                array[cells] = fill
+            else:
+                array[cells // self.copies] = fill
+            whole = array if array.base is None else array.base
+            if name not in pool or pool[name].size < whole.size:
+                pool[name] = whole
+        self._held = []
 
 
 class SsspSearch(Search):
     """Single-source shortest paths: the degenerate, prune-free strategy.
 
-    Its distance array is a new one, not a pooled one.
+    Its distance array is the caller's: a new one, never pooled.
     """
 
     _pooled = False
@@ -449,21 +454,23 @@ def run_search(
     counts scanned arcs and ``settled_copies`` counts distinct copies
     expanded at least once, as each step expands them.
 
-    The masks and the stamp come from the graph's pool, and go back clean
-    when the run returns: the run records the cells it writes (the seeds
-    and each step's improved cells) and clears the settled mask at those
-    only, or whole where that costs less.  The record is left in
-    ``search._written`` for ``search._release``; it is None once the run
-    has written so many cells that even the distance array costs less to
-    fill whole.  A hook that raises drops what the run took.
+    A strategy names its arrays, and the engine resets and pools them:
+    the run takes its masks and stamp with ``search._take``, as the
+    strategy took its own, and records the cells it writes (the seeds and
+    each step's improved cells) in ``search._written``.  There
+    ``search._release`` resets the settled mask with the rest; the record
+    is None once the run has written so many cells that even the distance
+    array costs less to fill whole.  The frontier mask comes back clean,
+    as the run clears it at the copies left pending, and what the stamp
+    holds is ignored.
     """
     if policy is None:
         policy = default_policy(graph)
     copies = search.copies
     size = graph.n * copies
-    mask = _take(graph, "mask", size, False, bool)
-    settled = _take(graph, "settled", size, False, bool)
-    stamp = _take(graph, "stamp", size, 0, np.int64)  # what it holds is ignored
+    mask = search._take("mask", size, None, bool)  # cleared at the pending copies
+    settled = search._take("settled", size, False, bool)
+    stamp = search._take("stamp", size, None, np.int64)  # what it holds is ignored
     frontier = Frontier(mask)
     dist = search.dist
     cells, values = search.seeds()
@@ -507,12 +514,7 @@ def run_search(
                 frontier.discard(search.prune)
             frontier.add_many(changed[~search.prune(changed)])
     mask[frontier.pending] = False  # early_out may stop with copies pending
-    if written is not None:
-        written = np.concatenate(written)
-    search._written = written
-    _put(graph, "mask", mask)
-    _put(graph, "settled", _reset(settled, written, False))
-    _put(graph, "stamp", stamp)
+    search._written = None if written is None else np.concatenate(written)
     return stats
 
 
@@ -529,6 +531,7 @@ def sssp(
     """
     search = SsspSearch(graph, source)
     stats = run_search(graph, search, policy=policy)
+    search._release()  # the masks go back to the pool; the distances are the caller's
     if return_stats:
         return search.dist, stats
     return search.dist

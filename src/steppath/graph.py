@@ -44,7 +44,9 @@ class CsrGraph:
     malformed graph: ``n`` is a nonnegative int; ``offsets`` are ``n + 1``
     integers rising from 0 to ``m = len(targets) == len(weights)``; every
     target lies in ``[0, n)``; every weight is finite and nonnegative (a
-    negative one would keep a search stepping for ever); coordinates have
+    negative one would keep a search stepping for ever) and
+    ``max_weight * 2 * (n - 1)`` is finite, so no simple path, nor the sum
+    of two that a bidirectional search offers, overflows; coordinates have
     shape ``(n, 2)``, a known kind, finite values and, for spherical rows,
     ``|latitude| <= 90`` and ``|longitude| <= 180``.  A broken arc rule
     raises ValueError starting ``graph:``.
@@ -84,6 +86,8 @@ class CsrGraph:
         top = float(weights.max()) if m else 0.0
         if m and not (weights.min() >= 0 and np.isfinite(top)):
             raise ValueError("graph: weights must be finite and nonnegative")
+        if not np.isfinite(top * (2 * (int(n) - 1))):  # a Python float: overflow gives inf, no warning
+            raise ValueError(f"graph: path sums overflow: max weight {top!r} * 2 * (n - 1) is not finite for n = {n}")
         object.__setattr__(self, "max_weight", top)
         if self.coords is None and self.coord_kind is None:
             return

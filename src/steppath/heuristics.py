@@ -115,10 +115,9 @@ def check_consistent(graph: CsrGraph, h) -> None:
 
     A non-finite value (NaN or infinity) is refused with its own message.
     """
-    values = np.asarray(h(np.arange(graph.n)), dtype=np.float64)
-    if not np.all(np.isfinite(values)):
+    worst = consistency_violation(graph, h(np.arange(graph.n)))
+    if worst == math.inf:
         raise ValueError("heuristic returned a non-finite value")
-    worst = consistency_violation(graph, values)
     if worst > CONSISTENCY_TOL:
         raise ValueError(f"heuristic is inconsistent: worst arc violation {worst:.3e} > {CONSISTENCY_TOL:.1e}")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import INF, Search, SsspSearch, StepPolicy, _listed, _put, _reset, _take, run_search
+from .engine import INF, Search, SsspSearch, StepPolicy, run_search
 from .graph import CsrGraph
 from .heuristics import MemoTable, heuristic_for_graph
 from .io import as_vertex
@@ -70,13 +70,12 @@ class AstarSearch(EtSearch):
     """Early termination with keys ordered by distance plus heuristic.
 
     The heuristic of a cell is looked up when the cell is seeded or
-    improved, so a key is one gather from the memo table's values, which
-    come from the graph's pool.
+    improved, so a key is one gather from the memo table's values.
     """
 
     def __init__(self, graph, source, target, heuristic):
         super().__init__(graph, source, target)
-        self.memo = MemoTable(_take(graph, "h", graph.n, np.nan), heuristic)
+        self.memo = MemoTable(self._take("h", graph.n, np.nan), heuristic)
 
     def seeds(self):
         cells, values = super().seeds()
@@ -89,10 +88,6 @@ class AstarSearch(EtSearch):
     def on_improved(self, cells):
         self.memo.get_many(cells)
         return super().on_improved(cells)
-
-    def _release(self):
-        _put(self.graph, "h", _reset(self.memo.values, self._written, np.nan))
-        super()._release()
 
 
 class BidsSearch(Search):
@@ -146,7 +141,7 @@ class BidAstarSearch(BidsSearch):
     with both inputs consistent, so are both of these.  Each cell's
     signed heuristic (+h forward, -h backward) is stored in a per-cell
     array when the cell is seeded or improved, so a key is one gather
-    from it.  That array and the memo table come from the graph's pool.
+    from it.
     """
 
     def __init__(self, graph, source, target, h_source, h_target):
@@ -155,8 +150,8 @@ class BidAstarSearch(BidsSearch):
         def forward_h(vertices):
             return 0.5 * (h_target(vertices) - h_source(vertices))
 
-        self.memo = MemoTable(_take(graph, "h", graph.n, np.nan), forward_h)
-        self._signed_h = _take(graph, "signed_h", graph.n * 2, np.nan)  # cell 2v: +h(v), 2v + 1: -h(v)
+        self.memo = MemoTable(self._take("h", graph.n, np.nan), forward_h)
+        self._signed_h = self._take("signed_h", graph.n * 2, np.nan)  # cell 2v: +h(v), 2v + 1: -h(v)
 
     def _fill(self, cells):
         h = self.memo.get_many(cells >> 1)
@@ -173,13 +168,6 @@ class BidAstarSearch(BidsSearch):
     def on_improved(self, cells):
         self._fill(cells)
         return super().on_improved(cells)
-
-    def _release(self):
-        cells = self._written
-        verts = cells >> 1 if _listed(cells, self.memo.values) else None
-        _put(self.graph, "h", _reset(self.memo.values, verts, np.nan))
-        _put(self.graph, "signed_h", _reset(self._signed_h, cells, np.nan))
-        super()._release()
 
 
 def _heuristic_pair(graph, source, target, heuristic):

@@ -585,7 +585,10 @@ def _connected_pairs(g):
 
 
 def _interleaved_calls(g):
-    """sssp, bids, astar, bidastar, multi and bids again: 1, 2, 1, 2, 10 and 2 copies.
+    """sssp, bids, astar, bidastar, multi, bids again, vc and plain-sssp.
+
+    The first six take 1, 2, 1, 2, 10 and 2 copies; the two batches run
+    one 1-copy sssp per cover vertex.
 
     Each call takes the graph object to run on and returns the answer
     with its counters.
@@ -606,7 +609,14 @@ def _interleaved_calls(g):
         b = sp.multi_bids(h, qg)
         return b.distances.tolist(), b.steps, b.relaxations, b.settled_copies
 
-    # the last bids pair is disconnected: early_out stops with copies pending
+    def cover(run):
+        def call(h):
+            b = run(h, qg)
+            return b.distances.tolist(), b.runs, b.steps, b.relaxations, b.settled_copies, b.cover.tolist()
+
+        return call
+
+    # the second bids pair is disconnected: early_out stops with copies pending
     return [
         sssp,
         ppsp(s, t, "bids"),
@@ -614,6 +624,8 @@ def _interleaved_calls(g):
         ppsp(s, t, "bidastar"),
         multi,
         ppsp(*apart, "bids"),
+        cover(sp.vc_sssp_batch),
+        cover(lambda h, qg: sp.baseline_batch(h, qg, "plain-sssp")),
     ]
 
 
@@ -630,7 +642,10 @@ def test_scratch_reuse_is_exact():
         pool = vars(g)["_pool"]
         sizes.append((pool["mask"].size, pool["dist"].size if "dist" in pool else None))
     n = g.n
-    assert sizes == [(n, None), (2 * n, 2 * n), (2 * n, 2 * n), (2 * n, 2 * n), (10 * n, 10 * n), (10 * n, 10 * n)]
+    assert sizes == [
+        (n, None), (2 * n, 2 * n), (2 * n, 2 * n), (2 * n, 2 * n), (10 * n, 10 * n), (10 * n, 10 * n),
+        (10 * n, 10 * n), (10 * n, 10 * n),
+    ]
     pool = vars(g)["_pool"]
     assert pool["h"].size == n and pool["signed_h"].size == 2 * n
     assert pool["owner"].size == n and pool["shared"].size == n

@@ -46,6 +46,24 @@ def test_negative_weight_rejected():
                 build_csr(3, [(0, 1, weight)], symmetrize=symmetrize)
 
 
+def test_weights_whose_path_sums_overflow_rejected():
+    # on the path 0 - 1 - 2 of two 1e308 arcs the distance to 2 is 2e308,
+    # past the float maximum: every search (and the oracle) would say +inf
+    # for a reachable vertex, so the graph refuses the weights
+    message = "^graph: path sums overflow"
+    with pytest.raises(ValueError, match=message):
+        build_csr(3, [(0, 1, 1e308), (1, 2, 1e308)], symmetrize=True)
+    offsets = np.array([0, 1, 3, 4], dtype=np.int64)
+    targets = np.array([1, 0, 2, 1], dtype=np.int32)
+    with pytest.raises(ValueError, match=message):
+        CsrGraph(3, offsets, targets, np.full(4, 1e308))
+    # the rule is max_weight * 2 * (n - 1): one vertex bounds nothing, and
+    # weights just under the bound pass with every path sum finite
+    assert build_csr(1, [(0, 0, 1e308)]).max_weight == 1e308
+    g = CsrGraph(3, offsets, targets, np.full(4, 4e307))
+    assert sp.ppsp(g, 0, 2, "bids").distance == sp.sssp(g, 0)[2] == 8e307
+
+
 def test_endpoint_out_of_range_rejected():
     with pytest.raises(ValueError):
         build_csr(3, [(0, 3, 1.0)])
@@ -649,12 +667,12 @@ def test_labelling_does_not_derive_symmetric():
 
 
 def test_labels_do_not_depend_on_weight_values():
-    # 0 - 1 by a zero-weight arc, 1 -> 2 near the float maximum, 3 -> 4
+    # 0 - 1 by a zero-weight arc, 1 -> 2 huge, 3 -> 4
     # tiny, a self-loop at 5, and 6 alone: the labelling reads the
     # structure only (a negative or NaN weight no longer makes a graph)
     offsets = np.array([0, 1, 2, 2, 3, 3, 4, 4], dtype=np.int64)
     targets = np.array([1, 2, 4, 5], dtype=np.int32)
-    odd = CsrGraph(7, offsets, targets, np.array([0.0, 1e308, 5e-324, 3.0]))
+    odd = CsrGraph(7, offsets, targets, np.array([0.0, 1e300, 5e-324, 3.0]))
     ones = CsrGraph(7, offsets, targets, np.ones(4))
     got, want = largest_component(odd), largest_component(ones)
     assert got.labels.tolist() == want.labels.tolist() == [0, 0, 0, 1, 1, 2, 3]
