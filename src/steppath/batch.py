@@ -4,7 +4,7 @@ A batch of (s, t) pairs is deduplicated into a query graph, held as its
 edge list: its vertices are the distinct endpoints, its edges the
 distinct pairs, and it checks its arrays when it is made.  Three exact
 ways to answer it are provided; each first checks that its endpoints
-lie in the graph, and answers one without edges with zeros:
+lie in the graph, and answers one without edges with zeros and no run:
 
 * :func:`multi_bids` runs one joint search with a copy per endpoint and a
   per-endpoint pruning radius of half its largest pending answer.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import INF, Search, StepPolicy, _gather_rows, _scatter_min, run_search, sssp
+from .engine import INF, Search, SearchStats, StepPolicy, _gather_rows, _scatter_min, run_search, sssp
 from .graph import CsrGraph
 from .io import as_pairs
 from .ppsp import ppsp
@@ -106,15 +106,15 @@ def _check_endpoints(qg: QueryGraph, n: int) -> None:
         raise ValueError(f"query graph: endpoint {qg.endpoints[-1]} out of range for {n} vertices")
 
 
-@dataclass
-class BatchAnswer:
-    """Per-pair distances (aligned with the input pairs) plus counters."""
+@dataclass(kw_only=True)
+class BatchAnswer(SearchStats):
+    """Per-pair distances (aligned with the input pairs), the number of
+    engine runs and, for the cover algorithms, the cover; built by
+    keyword, with the :class:`~steppath.engine.SearchStats` counters
+    summed over the runs."""
 
     distances: np.ndarray
     runs: int
-    steps: int
-    relaxations: int
-    settled_copies: int
     cover: np.ndarray | None = None
 
 
@@ -230,8 +230,9 @@ def multi_bids(
     policy: StepPolicy | None = None,
 ) -> BatchAnswer:
     """Answer the whole batch with one joint pruned search."""
-    if (edgeless := _validate_batch(graph, qg)) is not None:
-        return edgeless
+    _validate_batch(graph, qg)
+    if len(qg.edges) == 0:  # nothing to search, whatever the cell cap
+        return BatchAnswer(distances=np.zeros(qg.n_pairs), runs=0)
     cells = qg.order * graph.n
     if cells > DEFAULT_CELL_CAP:
         raise BatchTooLarge(
@@ -242,7 +243,7 @@ def multi_bids(
     stats = run_search(graph, search, policy=policy)
     distances = _fan_out(qg, search.edge_best)
     search._release()  # the answer is read: the arrays go back to the pool
-    return BatchAnswer(distances, 1, stats.steps, stats.relaxations, stats.settled_copies)
+    return BatchAnswer(distances=distances, runs=1, **vars(stats))
 
 
 def exact_vertex_cover(qg: QueryGraph) -> np.ndarray:
@@ -297,8 +298,7 @@ def vc_sssp_batch(
     beyond.  An edge with both endpoints covered is answered from the
     smaller index.
     """
-    if (edgeless := _validate_batch(graph, qg, cover=np.empty(0, np.int64))) is not None:
-        return edgeless
+    _validate_batch(graph, qg)
     cover = exact_vertex_cover(qg) if qg.order <= EXACT_COVER_LIMIT else greedy_vertex_cover(qg)
     return _cover_sssp(graph, qg, cover, policy)
 
@@ -312,16 +312,14 @@ def _cover_sssp(graph: CsrGraph, qg: QueryGraph, cover: np.ndarray, policy: Step
     anchor = np.where(in_cover[a], a, b)
     other = qg.endpoints[np.where(in_cover[a], b, a)]
     edge_dist = np.empty(len(qg.edges))
-    steps = relax = settled = 0
+    work = SearchStats()
     for k in cover:
         dist, stats = sssp(graph, int(qg.endpoints[k]), policy=policy, return_stats=True)
         mine = anchor == k
         edge_dist[mine] = dist[other[mine]]
         del dist  # one row alive at a time
-        steps += stats.steps
-        relax += stats.relaxations
-        settled += stats.settled_copies
-    return BatchAnswer(_fan_out(qg, edge_dist), len(cover), steps, relax, settled, cover=cover)
+        work += stats
+    return BatchAnswer(distances=_fan_out(qg, edge_dist), runs=len(cover), cover=cover, **vars(work))
 
 
 def baseline_batch(
@@ -335,20 +333,17 @@ def baseline_batch(
     index)."""
     if mode not in ("plain-bids", "plain-sssp"):
         raise ValueError(f"unknown baseline mode {mode!r}")
-    if (edgeless := _validate_batch(graph, qg)) is not None:
-        return edgeless
+    _validate_batch(graph, qg)
     if mode == "plain-sssp":
         # covering every edge's smaller endpoint makes each edge read that row
         return _cover_sssp(graph, qg, np.unique(qg.edges[:, 0]), policy)
     edge_dist = np.empty(len(qg.edges))
-    steps = relax = settled = 0
+    work = SearchStats()
     for e, (a, b) in enumerate(qg.edges):
         ans = ppsp(graph, int(qg.endpoints[a]), int(qg.endpoints[b]), "bids", policy=policy)
         edge_dist[e] = ans.distance
-        steps += ans.steps
-        relax += ans.relaxations
-        settled += ans.settled_copies
-    return BatchAnswer(_fan_out(qg, edge_dist), len(qg.edges), steps, relax, settled)
+        work += ans
+    return BatchAnswer(distances=_fan_out(qg, edge_dist), runs=len(qg.edges), **vars(work))
 
 
 def _run_batch(graph: CsrGraph, qg: QueryGraph, algo: str, policy: StepPolicy | None) -> BatchAnswer:
@@ -360,11 +355,9 @@ def _run_batch(graph: CsrGraph, qg: QueryGraph, algo: str, policy: StepPolicy | 
     return baseline_batch(graph, qg, algo, policy=policy)
 
 
-def _validate_batch(graph: CsrGraph, qg: QueryGraph, cover: np.ndarray | None = None) -> BatchAnswer | None:
-    """Refuse a batch the graph cannot answer; answer one without edges with zeros (and ``cover``)."""
+def _validate_batch(graph: CsrGraph, qg: QueryGraph) -> None:
+    """Refuse, with ValueError, a batch the graph cannot answer."""
     # every algorithm reads dist(t -> s) as dist(s -> t), true only undirected
     if not graph.symmetric:
         raise ValueError("batch queries need a symmetrized graph")
     _check_endpoints(qg, graph.n)
-    if len(qg.edges) == 0:
-        return BatchAnswer(np.zeros(qg.n_pairs), 0, 0, 0, 0, cover=cover)

@@ -15,15 +15,16 @@ every schedule, so the choice only moves the timings.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from .batch import BATCH_ALGOS, _run_batch, build_query_graph
-from .engine import StepPolicy, default_policy
+from .engine import SearchStats, StepPolicy, default_policy
 from .graph import CsrGraph
 from .io import as_pairs
-from .ppsp import STRATEGIES, ppsp
+from .ppsp import STRATEGIES, PpspAnswer, ppsp
 
 DEFAULT_WARMUP = 1
 DEFAULT_ROUNDS = 5
@@ -58,20 +59,14 @@ def step_policy(graph: CsrGraph, delta: float | str) -> StepPolicy:
     return default_policy(graph) if delta == "auto" else StepPolicy(float(delta))
 
 
-def _query_runner(graph, cfg, s, t):
-    def run(policy):
-        ans = ppsp(graph, s, t, cfg.strategy, policy=policy)
-        return np.asarray([ans.distance]), ans.steps, ans.relaxations, ans.settled_copies
-
-    return run
+def _counters(stats: SearchStats) -> dict:
+    """A record's counter fields, one per :class:`SearchStats` field, in its order."""
+    return {f.name: getattr(stats, f.name) for f in fields(SearchStats)}
 
 
-def _batch_runner(graph, cfg, qg):
-    def run(policy):
-        ans = _run_batch(graph, qg, cfg.algo, policy)
-        return ans.distances, ans.steps, ans.relaxations, ans.settled_copies
-
-    return run
+def _distances(answer) -> np.ndarray:
+    """A batch answer's distances, or a query answer's one distance, as an array."""
+    return np.asarray([answer.distance]) if isinstance(answer, PpspAnswer) else answer.distances
 
 
 def run_bench(graph: CsrGraph, cfg: BenchConfig) -> BenchReport:
@@ -86,31 +81,32 @@ def run_bench(graph: CsrGraph, cfg: BenchConfig) -> BenchReport:
         raise ValueError(f"algo must be one of {BATCH_ALGOS}")
     pairs = as_pairs(cfg.pairs)
 
+    # each runner takes the policy and returns the answer
     if cfg.mode == "query":
-        runners = [(f"{s}->{t}", _query_runner(graph, cfg, int(s), int(t)), {"source": int(s), "target": int(t)})
-                   for s, t in pairs]
+        runners = [(f"{s}->{t}", partial(ppsp, graph, int(s), int(t), cfg.strategy),
+                    {"source": int(s), "target": int(t)}) for s, t in pairs]
     else:
         qg = build_query_graph(pairs, graph.n)
-        runners = [(cfg.algo, _batch_runner(graph, cfg, qg), {"n_pairs": int(pairs.shape[0])})]
+        runners = [(cfg.algo, partial(_run_batch, graph, qg, cfg.algo), {"n_pairs": int(pairs.shape[0])})]
 
     policy = step_policy(graph, cfg.delta)
 
     report = BenchReport(resolved_delta=policy.delta)
     for name, run, meta in runners:
         for _ in range(cfg.warmup):
-            baseline = run(policy)[0]
+            baseline = _distances(run(policy=policy))
         times = []
-        last = None
+        distances = None
         for _ in range(cfg.rounds):
             t0 = time.perf_counter()
-            out = run(policy)
+            answer = run(policy=policy)
             times.append(time.perf_counter() - t0)
-            if last is not None and not np.array_equal(last[0], out[0]):
+            got = _distances(answer)
+            if distances is not None and not np.array_equal(distances, got):
                 raise BenchError(f"{name}: distances changed between timed rounds")
-            last = out
-        if cfg.warmup and not np.array_equal(baseline, last[0]):
+            distances = got
+        if cfg.warmup and not np.array_equal(baseline, distances):
             raise BenchError(f"{name}: warmup and timed distances disagree")
-        distances, steps, relaxations, settled = last
         record = {
             "kind": cfg.mode,
             "workload": name,
@@ -124,9 +120,7 @@ def run_bench(graph: CsrGraph, cfg: BenchConfig) -> BenchReport:
             "round_times": times,
             "mean_time": sum(times) / len(times),
             "distances": distances.tolist(),
-            "steps": steps,
-            "relaxations": relaxations,
-            "settled_copies": settled,
+            **_counters(answer),
         }
         record.update(meta)
         report.records.append(record)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as gio
 from .batch import BATCH_ALGOS, _run_batch, build_query_graph
-from .bench import DEFAULT_ROUNDS, DEFAULT_WARMUP, BenchConfig, run_bench, step_policy
+from .bench import DEFAULT_ROUNDS, DEFAULT_WARMUP, BenchConfig, _counters, run_bench, step_policy
 from .graph import generate_uniform_weights, largest_component
 from .ppsp import STRATEGIES, ppsp
 from .workloads import PATTERNS, pattern_pairs, percentile_pairs
@@ -130,9 +130,7 @@ def cmd_query(args):
         "delta": policy.delta,
         "min_copies": policy.min_copies,
         "distance": answer.distance,
-        "steps": answer.steps,
-        "relaxations": answer.relaxations,
-        "settled_copies": answer.settled_copies,
+        **_counters(answer),
     }
     if args.strategy in ("astar", "bidastar"):
         # 0 means the heuristic fell to zero and the search ran unguided
@@ -166,9 +164,7 @@ def cmd_batch(args):
             "delta": policy.delta,
             "min_copies": policy.min_copies,
             "runs": ans.runs,
-            "steps": ans.steps,
-            "relaxations": ans.relaxations,
-            "settled_copies": ans.settled_copies,
+            **_counters(ans),
         }
     )
     for rec in records:

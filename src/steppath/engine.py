@@ -81,7 +81,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.sparse._sparsetools import csr_row_index
@@ -356,9 +356,21 @@ class SsspSearch(Search):
 
 @dataclass
 class SearchStats:
+    """The work counters of one :func:`run_search`, or a sum of runs with ``+=``.
+
+    :class:`~steppath.ppsp.PpspAnswer` and
+    :class:`~steppath.batch.BatchAnswer` extend it, so every answer
+    carries the counters of the runs that made it.
+    """
+
     steps: int = 0
     relaxations: int = 0
     settled_copies: int = 0
+
+    def __iadd__(self, other: SearchStats) -> SearchStats:
+        for f in fields(SearchStats):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        return self
 
 
 def _gather_rows(view, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -432,7 +444,7 @@ def run_search(
     search: Search,
     policy: StepPolicy | None = None,
 ) -> SearchStats:
-    """Drive ``search`` to completion; returns instrumentation counters.
+    """Drive ``search`` to completion; returns the run's :class:`SearchStats`.
 
     Seeds enter the frontier unless ``search.prune`` rejects them.  Step
     ``i`` extracts the pending copies with keys up to
@@ -527,7 +539,8 @@ def sssp(
     """Exact single-source distances via the stepping loop.
 
     The result is independent of ``policy``, which only steers how the
-    work is scheduled.
+    work is scheduled.  With ``return_stats``, returns the distances and
+    the run's :class:`SearchStats`.
     """
     search = SsspSearch(graph, source)
     stats = run_search(graph, search, policy=policy)

@@ -96,7 +96,8 @@ def consistency_violation(graph: CsrGraph, h_values: np.ndarray) -> float:
 
     Equivalently the most negative induced weight, negated: a heuristic is
     consistent when the result is <= 0 (up to float tolerance).  A
-    non-finite value (NaN or infinity) is an infinite violation.
+    non-finite value (NaN or infinity) is an infinite violation, and so
+    is an arc whose slack overflows.
     """
     h_values = np.asarray(h_values, dtype=np.float64)
     if h_values.shape != (graph.n,):
@@ -106,17 +107,20 @@ def consistency_violation(graph: CsrGraph, h_values: np.ndarray) -> float:
     if graph.m == 0:
         return 0.0
     src = graph.arc_sources()
-    slack = graph.weights - h_values[src] + h_values[graph.targets]
+    with np.errstate(over="ignore"):  # an overflow is an infinite slack
+        slack = graph.weights - h_values[src] + h_values[graph.targets]
     return float(-slack.min())
 
 
 def check_consistent(graph: CsrGraph, h) -> None:
     """Raise if ``h`` is not consistent on ``graph`` within CONSISTENCY_TOL.
 
-    A non-finite value (NaN or infinity) is refused with its own message.
+    A non-finite value (NaN or infinity) is refused with its own message;
+    finite values whose slack overflows are an infinite violation.
     """
-    worst = consistency_violation(graph, h(np.arange(graph.n)))
-    if worst == math.inf:
+    values = h(np.arange(graph.n))
+    worst = consistency_violation(graph, values)
+    if worst == math.inf and not np.isfinite(values).all():
         raise ValueError("heuristic returned a non-finite value")
     if worst > CONSISTENCY_TOL:
         raise ValueError(f"heuristic is inconsistent: worst arc violation {worst:.3e} > {CONSISTENCY_TOL:.1e}")

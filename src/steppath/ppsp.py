@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import INF, Search, SsspSearch, StepPolicy, run_search
+from .engine import INF, Search, SearchStats, SsspSearch, StepPolicy, run_search
 from .graph import CsrGraph
 from .heuristics import MemoTable, heuristic_for_graph
 from .io import as_vertex
@@ -31,14 +31,11 @@ from .io import as_vertex
 STRATEGIES = ("sssp", "et", "bids", "astar", "bidastar")
 
 
-@dataclass
-class PpspAnswer:
-    """Distance plus the instrumentation counters of the run."""
+@dataclass(kw_only=True)
+class PpspAnswer(SearchStats):
+    """The distance, built by keyword, with the run's :class:`~steppath.engine.SearchStats` counters."""
 
     distance: float
-    steps: int
-    relaxations: int
-    settled_copies: int
     extras: dict = field(default_factory=dict)
 
 
@@ -212,7 +209,7 @@ def ppsp(
     if not (heuristic is None or callable(heuristic) or pair):
         raise ValueError(f"heuristic must be None, one callable or a pair of callables, got {heuristic!r}")
     if source == target:
-        return PpspAnswer(0.0, 0, 0, 0)
+        return PpspAnswer(distance=0.0)
 
     if strategy == "sssp":
         search: Search = SsspSearch(graph, source)
@@ -237,7 +234,7 @@ def ppsp(
     else:
         distance = float(search.best)
     search._release()  # the answer is read: the arrays go back to the pool
-    answer = PpspAnswer(distance, stats.steps, stats.relaxations, stats.settled_copies)
+    answer = PpspAnswer(distance=distance, **vars(stats))
     memo = getattr(search, "memo", None)
     if memo is not None:
         answer.extras["heuristic_computations"] = memo.computations

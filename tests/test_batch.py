@@ -6,7 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import steppath as sp
 import steppath.batch
+import steppath.io
 from steppath.batch import EXACT_COVER_LIMIT, MultiBidsSearch, _run_batch
+from steppath.cli import main
 from steppath.engine import run_search
 from helpers import g1, random_graph, random_pairs_same_component, two_triangles
 
@@ -385,6 +387,49 @@ def test_vc_sssp_empty_edge_set():
     ans = sp.vc_sssp_batch(g, sp.build_query_graph([(1, 1)], g.n))
     assert ans.runs == 0
     assert ans.distances.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("order", [3, EXACT_COVER_LIMIT + 5])
+def test_vc_sssp_edgeless_cover_is_empty_int64(order):
+    # both sides of EXACT_COVER_LIMIT: the exact and the greedy cover
+    g = sp.build_csr(40, [(v, v + 1, 1.0) for v in range(39)], symmetrize=True)
+    ans = sp.vc_sssp_batch(g, sp.build_query_graph([(v, v) for v in range(order)], g.n))
+    assert ans.cover.dtype == np.int64 and ans.cover.shape == (0,)
+    assert (ans.runs, ans.steps, ans.relaxations, ans.settled_copies) == (0, 0, 0, 0)
+    assert ans.distances.tolist() == [0.0] * order
+
+
+@pytest.mark.parametrize("algo", ["vc", "plain-sssp", "plain-bids"])
+def test_batch_counters_are_the_sums_over_its_runs(algo):
+    g = random_graph(300, 3, 5)
+    qg = sp.build_query_graph(random_pairs_same_component(g, 6, 3), g.n)
+    ans = _run_batch(g, qg, algo, None)
+    if algo == "plain-bids":
+        runs = [sp.ppsp(g, int(qg.endpoints[a]), int(qg.endpoints[b]), "bids") for a, b in qg.edges]
+    else:
+        # vc: one SSSP per cover index; plain-sssp: one per edge's smaller index
+        sources = ans.cover if algo == "vc" else np.unique(qg.edges[:, 0])
+        runs = [sp.sssp(g, int(qg.endpoints[k]), return_stats=True)[1] for k in sources]
+    assert ans.runs == len(runs) > 1
+    for name in ("steps", "relaxations", "settled_copies"):
+        assert getattr(ans, name) == sum(getattr(run, name) for run in runs) > 0, name
+
+
+@pytest.mark.parametrize("algo", sp.BATCH_ALGOS)
+def test_cli_batch_summary_carries_the_answer_counters(tmp_path, capsys, algo):
+    g = random_graph(120, 3, 6)
+    pairs = random_pairs_same_component(g, 5, 2)
+    graph_file, queries = tmp_path / "g.txt", tmp_path / "q.txt"
+    steppath.io.save_edge_list(g, graph_file)
+    steppath.io.save_pairs(pairs, queries)
+    assert main(["batch", "-g", str(graph_file), "--algo", algo, "--queries", str(queries)]) == 0
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    policy = sp.default_policy(g)
+    ans = _run_batch(g, sp.build_query_graph(pairs, g.n), algo, policy)
+    assert summary == (
+        f"record=batch algo={algo} pairs={len(pairs)} delta={policy.delta!r} min_copies={policy.min_copies} "
+        f"runs={ans.runs} steps={ans.steps} relaxations={ans.relaxations} settled_copies={ans.settled_copies}"
+    )
 
 
 def test_vc_sssp_greedy_above_limit():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import steppath as sp
+from steppath.batch import _run_batch
 from helpers import g1, random_graph, random_pairs_same_component
 
 
@@ -89,3 +90,33 @@ def test_run_bench_batch_algos_agree():
         if base is None:
             base = rec["distances"]
         assert rec["distances"] == base, algo
+
+
+RECORD_KEYS = ["kind", "workload", "strategy", "delta", "min_copies", "requested_delta", "seed",
+               "warmup_rounds", "timed_rounds", "round_times", "mean_time", "distances",
+               "steps", "relaxations", "settled_copies"]
+
+
+@pytest.mark.parametrize("algo", sp.BATCH_ALGOS)
+def test_run_bench_batch_record_carries_the_answer_counters(algo):
+    g = random_graph(150, 3, 17)
+    pairs = random_pairs_same_component(g, 6, 2)
+    cfg = sp.BenchConfig(mode="batch", pairs=pairs, algo=algo, delta=256.0, warmup=1, rounds=2)
+    (rec,) = sp.run_bench(g, cfg).records
+    ans = _run_batch(g, sp.build_query_graph(pairs, g.n), algo, sp.StepPolicy(256.0))
+    assert list(rec) == RECORD_KEYS + ["n_pairs"]
+    assert rec["distances"] == ans.distances.tolist()
+    assert (rec["steps"], rec["relaxations"], rec["settled_copies"]) == (
+        ans.steps, ans.relaxations, ans.settled_copies)
+
+
+def test_run_bench_query_record_keys_and_counters():
+    g = random_graph(150, 3, 17)
+    (s, t) = random_pairs_same_component(g, 1, 4).tolist()[0]
+    cfg = sp.BenchConfig(mode="query", pairs=[(s, t)], strategy="et", delta=256.0, warmup=0, rounds=1)
+    (rec,) = sp.run_bench(g, cfg).records
+    ans = sp.ppsp(g, s, t, "et", policy=sp.StepPolicy(256.0))
+    assert list(rec) == RECORD_KEYS + ["source", "target"]
+    assert rec["distances"] == [ans.distance]
+    assert (rec["steps"], rec["relaxations"], rec["settled_copies"]) == (
+        ans.steps, ans.relaxations, ans.settled_copies)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,18 @@ def test_non_finite_heuristic_is_inconsistent(value):
     assert sp.consistency_violation(g, np.full(g.n, value)) == math.inf
     with pytest.raises(ValueError, match="non-finite"):
         sp.check_consistent(g, lambda v: np.full(np.shape(v), value))
+
+
+def test_finite_heuristic_whose_slack_overflows_is_inconsistent():
+    # every value is finite, but 1 - 1.7e308 - 1.7e308 overflows to -inf:
+    # an infinite violation, reported as such and without a numpy warning
+    g = sp.build_csr(2, [(0, 1, 1.0)], symmetrize=True)
+    h = np.array([1.7e308, -1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sp.consistency_violation(g, h) == math.inf
+        with pytest.raises(ValueError, match=r"^heuristic is inconsistent: worst arc violation inf"):
+            sp.check_consistent(g, lambda v: h[v])
 
 
 def test_induced_weights_nonnegative_and_mirrored():
