@@ -28,8 +28,9 @@ from .ppsp import ppsp
 
 BATCH_ALGOS = ("multi", "vc", "plain-bids", "plain-sssp")
 
-# a cell costs 18 B in a joint search (8 B distance, 8 B scatter-min stamp,
-# 1 B frontier mask, 1 B settled mask), so the default cap comes to 4.5 GiB;
+# a cell costs 14 B in a joint search (8 B distance, 4 B int32 scatter-min
+# stamp, 1 B frontier mask, 1 B settled mask), so the default cap comes to
+# 3.5 GiB;
 # the meeting filter adds 5 B per vertex, whatever the number of copies.
 # All of it stays pooled on the graph object for the next search there
 DEFAULT_CELL_CAP = 2**28
@@ -159,13 +160,14 @@ class MultiBidsSearch(Search):
         self.edge_best = np.full(len(qg.edges), INF)
         self.closed = np.zeros(len(qg.edges), dtype=bool)
         self.radius = _radius(qg, self.edge_best, self.closed)
-        self._stamp = np.empty(len(qg.edges), dtype=np.int64)  # for _scatter_min
+        self._stamp = np.empty(len(qg.edges), dtype=np.int32)  # for _scatter_min
         # ends holds every edge's i, then every j: entry k's mate is k - E (mod 2E)
         e = len(qg.edges)
         ends = qg.edges.T.ravel()
         order = np.argsort(ends, kind="stable")
         offsets = np.zeros(qg.order + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=qg.order), out=offsets[1:])
+        self._q_lengths = np.bincount(ends, minlength=qg.order)  # each endpoint's edges
+        np.cumsum(self._q_lengths, out=offsets[1:])
         self._q_rows = (offsets, ends[order - e], order % e)
         # per vertex: a copy known finite there (-1: none yet), and whether
         # two copies are; only then can a meeting sum there be finite
@@ -179,12 +181,14 @@ class MultiBidsSearch(Search):
         return self.qg.endpoints * c + own, np.zeros(c)
 
     def prune(self, cells):
-        idx = cells % self.copies
+        c = self.copies
+        idx = cells - cells // c * c  # cells % c, which costs several times as much
         return self.dist[cells] >= 0.5 * self.radius[idx]
 
     def on_improved(self, cells):
         c = self.copies
-        verts, endpoint = np.divmod(cells, c)
+        verts = cells // c
+        endpoint = cells - verts * c
         # a vertex is shared once its owner is another copy, or another
         # cell of this call wrote a different copy there
         owner = self._owner[verts]
@@ -195,7 +199,7 @@ class MultiBidsSearch(Search):
         # elsewhere no other copy is finite, so every sum would be inf
         keep = self._shared[verts]
         cells, verts, endpoint = cells[keep], verts[keep], endpoint[keep]
-        neighbors, edges, deg = _gather_rows(self._q_rows, endpoint)
+        neighbors, edges, deg = _gather_rows(self._q_rows, endpoint, self._q_lengths)
         mates = (verts * c).repeat(deg)
         mates += neighbors
         sums = self.dist[cells].repeat(deg)
@@ -208,7 +212,8 @@ class MultiBidsSearch(Search):
         unanswered = (self.edge_best == INF) & ~self.closed
         if not unanswered.any():
             return False
-        dry = np.bincount(frontier.pending % self.copies, minlength=self.copies) == 0
+        c, pending = self.copies, frontier._live()
+        dry = np.bincount(pending - pending // c * c, minlength=c) == 0
         cut = unanswered & dry[self.qg.edges].any(axis=1)
         if cut.any():
             self.closed |= cut

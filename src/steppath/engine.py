@@ -72,9 +72,9 @@ records the cells a run writes; whoever reads the answer (``sssp``,
 ``ppsp``, ``multi_bids``) calls :meth:`Search._release`, which resets
 every array the search took there and pools it again, filling an array
 whole where that costs less (see ``_SCATTER_BYTES``).  The pool keeps
-the widest search's arrays, about 18 B per cell, for the life of the
-graph.  :func:`sssp` hands its distances to the caller, so they are a
-new array.
+the widest search's arrays, about 14 B per cell (8 B distance, a 4 B
+int32 stamp, two 1 B masks), for the life of the graph.  :func:`sssp`
+hands its distances to the caller, so they are a new array.
 """
 
 from __future__ import annotations
@@ -110,6 +110,11 @@ _RHO_RANGE = 2
 # writes a tenth of its cells, ran about 3% slower than with a new array
 # per query; at 128 it fills, and runs as fast
 _SCATTER_BYTES = 128
+# pending ids a frontier has room for when it starts; it doubles when full
+_FRONTIER_SLOTS = 1024
+# the scatter-min stamp holds int32 positions: a step with more survivors
+# than that is deduplicated by a sort
+_STAMP_LIMIT = 2**31
 
 
 @dataclass
@@ -158,33 +163,53 @@ class Frontier:
     """Deduplicating pending set of copy cells with thresholded extraction.
 
     A boolean membership mask is the dedup authority; the pending cells
-    themselves are kept as a compact id array, so extraction costs time
-    in the number of pending cells, not in the capacity.  The frontier
-    starts empty on ``mask``, one entry per cell, which must be all False.
+    themselves are kept in the first ``size`` entries of an id buffer,
+    which doubles when an insert overflows it and is compacted in place
+    when cells leave, so extraction costs time in the number of pending
+    cells, not in the capacity.  The buffer is the frontier's own, not
+    pooled: 8 B per id, starting at ``_FRONTIER_SLOTS`` ids, so at most
+    twice the most copies pending at once.  The frontier starts empty
+    on ``mask``, one entry per cell, which must be all False.
     """
 
     def __init__(self, mask: np.ndarray):
         self._mask = mask
-        self._ids = np.empty(0, dtype=np.int64)
+        self._ids = np.empty(_FRONTIER_SLOTS, dtype=np.int64)  # pending in [:size]
         self.size = 0
 
     @property
     def pending(self) -> np.ndarray:
         """The pending cell ids, in no particular order (a read-only view)."""
-        view = self._ids.view()
+        view = self._live()
         view.flags.writeable = False
         return view
 
-    def add_many(self, cells: np.ndarray) -> int:
-        """Insert cells (unique ids); returns how many were newly pending."""
+    def _live(self) -> np.ndarray:
+        """The pending cell ids as a writable view of the buffer; read it, don't write it."""
+        return self._ids[: self.size]
+
+    def add_many(self, cells: np.ndarray, prune=None) -> int:
+        """Insert cells (unique ids); returns how many were newly pending.
+
+        With ``prune``, a predicate like :meth:`Search.prune`, the cells it
+        rejects are left out as well.
+        """
         if cells.size == 0:
             return 0
-        fresh = cells[~self._mask[cells]]
+        skip = self._mask[cells]
+        if prune is not None:
+            skip |= prune(cells)
+        fresh = cells[(~skip).nonzero()[0]]
         if fresh.size == 0:
             return 0
         self._mask[fresh] = True
-        self.size += fresh.size
-        self._ids = np.concatenate([self._ids, fresh])
+        start, end = self.size, self.size + fresh.size
+        if end > self._ids.size:
+            grown = np.empty(max(2 * self._ids.size, end), dtype=np.int64)
+            grown[:start] = self._ids[:start]
+            self._ids = grown
+        self._ids[start:end] = fresh
+        self.size = end
         return int(fresh.size)
 
     def extract(self, threshold: float, key_fn, min_copies: int = 1) -> tuple[np.ndarray, float | None]:
@@ -193,30 +218,33 @@ class Frontier:
         When fewer than ``min_copies`` keys lie within the threshold, the
         threshold is raised to the ``min_copies``-th smallest pending key
         (every copy tied with it is taken too), or every pending copy is
-        taken if there are at most ``min_copies``.  Keys are re-read at
-        extraction time, so a copy improved since it was added is
-        classified by its current value.  When nothing is taken, also
-        returns the smallest pending key (inf if none is pending), which
-        lets the caller fast-forward over empty thresholds; otherwise the
-        second item is None.
+        taken if there are at most ``min_copies``; then no key is read.
+        Keys are re-read at extraction time, so a copy improved since it
+        was added is classified by its current value.  When nothing is
+        taken, also returns the smallest pending key (inf if none is
+        pending), which lets the caller fast-forward over empty
+        thresholds; otherwise the second item is None.
         """
-        if self.size == 0:
+        size = self.size
+        if size == 0:
             return np.empty(0, dtype=np.int64), INF
-        keys = key_fn(self._ids)
+        ids = self._live()
+        if min_copies > 1 and size <= min_copies:
+            out = ids.copy()
+            self._mask[out] = False
+            self.size = 0
+            return out, None
+        keys = key_fn(ids)
         take = keys <= threshold
         if min_copies > 1 and np.count_nonzero(take) < min_copies:
-            if self.size <= min_copies:
-                take = np.ones(self.size, dtype=bool)
-            else:
-                take = keys <= np.partition(keys, min_copies - 1)[min_copies - 1]
+            take = keys <= np.partition(keys, min_copies - 1)[min_copies - 1]
         # a step takes a mixed share of the frontier, and numpy gathers by
         # positions several times faster than it compresses by such a mask
-        out = self._ids[take.nonzero()[0]]
+        out = ids[take.nonzero()[0]]
         if out.size == 0:
             return out, float(keys.min())
         self._mask[out] = False
-        self.size -= int(out.size)
-        self._ids = self._ids[(~take).nonzero()[0]]
+        self._keep((~take).nonzero()[0])
         return out, None
 
     def discard(self, doomed) -> int:
@@ -228,13 +256,18 @@ class Frontier:
         """
         if self.size == 0:
             return 0
-        drop = doomed(self._ids)
+        ids = self._live()
+        drop = doomed(ids)
         dropped = int(np.count_nonzero(drop))
         if dropped:
-            self._mask[self._ids[drop]] = False
-            self._ids = self._ids[~drop]
-            self.size -= dropped
+            self._mask[ids[drop]] = False
+            self._keep((~drop).nonzero()[0])
         return dropped
+
+    def _keep(self, positions: np.ndarray) -> None:
+        """Keep only the pending ids at ``positions`` (rising), moved to the front."""
+        self._ids[: positions.size] = self._ids[positions]
+        self.size = int(positions.size)
 
 
 class Search:
@@ -373,18 +406,20 @@ class SearchStats:
         return self
 
 
-def _gather_rows(view, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gather_rows(view, rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The columns and data of ``rows`` in a well-formed CSR view, and each row's length.
 
     ``view`` is a well-formed ``(offsets, cols, data)`` whose offsets and
     cols share one integer type (the graph's ``CsrGraph._rows``, or a
     joint search's query rows), and ``rows`` are int64 row ids in range,
-    in any order and repeated at will.  The rows' slices come back
-    concatenated in the order given, as one call to scipy's compiled
-    ``csr_row_index``, which copies them without bounds checks.
+    in any order and repeated at will, and ``lengths`` holds each row's
+    length as int64 (``np.diff(offsets)``, kept beside the view so a call
+    reads one array, not two).  The rows' slices
+    come back concatenated in the order given, as one call to scipy's
+    compiled ``csr_row_index``, which copies them without bounds checks.
     """
     offsets, cols, data = view
-    deg = offsets[rows + 1] - offsets[rows]
+    deg = lengths[rows]
     total = int(deg.sum())
     out_cols = np.empty(total, dtype=cols.dtype)
     out_data = np.empty(total, dtype=data.dtype)
@@ -395,18 +430,29 @@ def _gather_rows(view, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _candidates(graph, dist, cells, copies):
-    """Push-phase relaxation candidates (target cell, candidate value)."""
+    """Push-phase relaxation candidates (target cell, candidate value).
+
+    Cell ``v * copies + i`` splits by shifts for two copies and by one
+    floor division otherwise: numpy's ``%`` and ``divmod`` on int64 cost
+    several times as much per entry.
+    """
     if copies == 1:
         verts = cells
+    elif copies == 2:
+        verts = cells >> 1
     else:
-        verts, slots = np.divmod(cells, copies)
-    targets, weights, deg = _gather_rows(graph._rows, verts)
+        verts = cells // copies
+    targets, weights, deg = _gather_rows(graph._rows, verts, graph._row_lengths)
     if targets.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0), 0
     tgt_cells = targets.astype(np.int64)
     cand = dist[cells].repeat(deg)
     cand += weights
-    if copies > 1:
+    if copies == 2:
+        tgt_cells <<= 1
+        tgt_cells |= (cells & 1).repeat(deg)
+    elif copies > 2:
+        slots = cells - verts * copies
         tgt_cells *= copies
         tgt_cells += slots.repeat(deg)
     return tgt_cells, cand, int(targets.size)
@@ -423,9 +469,10 @@ def _scatter_min(values: np.ndarray, keys: np.ndarray, cand: np.ndarray, stamp: 
     The survivors go through one ``np.minimum.at``.  Then each writes its
     position into ``stamp[key]``, and a key is kept where its position
     reads back: whichever write to a cell landed, exactly one of that
-    cell's survivors matches it.  Nothing is sorted.  ``stamp`` is an
-    int64 scratch array at least as long as ``values``; what it held
-    before is ignored and overwritten.
+    cell's survivors matches it.  Nothing is sorted, unless there are
+    ``_STAMP_LIMIT`` survivors or more, whose positions int32 cannot hold.
+    ``stamp`` is an int32 (or wider) scratch array at least as long as
+    ``values``; what it held before is ignored and overwritten.
     """
     # positions, not a mask: about half the candidates survive, and numpy
     # gathers by positions faster than it compresses by a mixed mask
@@ -434,7 +481,9 @@ def _scatter_min(values: np.ndarray, keys: np.ndarray, cand: np.ndarray, stamp: 
     if keys.size == 0:
         return keys
     np.minimum.at(values, keys, cand[live])
-    pos = np.arange(keys.size)
+    if keys.size >= _STAMP_LIMIT:
+        return np.unique(keys)
+    pos = np.arange(keys.size, dtype=np.int32)
     stamp[keys] = pos
     return keys[stamp[keys] == pos]
 
@@ -482,13 +531,13 @@ def run_search(
     size = graph.n * copies
     mask = search._take("mask", size, None, bool)  # cleared at the pending copies
     settled = search._take("settled", size, False, bool)
-    stamp = search._take("stamp", size, None, np.int64)  # what it holds is ignored
+    stamp = search._take("stamp", size, None, np.int32)  # what it holds is ignored
     frontier = Frontier(mask)
     dist = search.dist
     cells, values = search.seeds()
     dist[cells] = values
     written, n_written = [cells], cells.size  # None once no array gains from the list
-    frontier.add_many(cells[~search.prune(cells)])
+    frontier.add_many(cells, search.prune)
     stats = SearchStats()
     index = 0
     rho = policy.min_copies
@@ -524,8 +573,8 @@ def run_search(
                     written.append(changed)
             if search.on_improved(changed):
                 frontier.discard(search.prune)
-            frontier.add_many(changed[~search.prune(changed)])
-    mask[frontier.pending] = False  # early_out may stop with copies pending
+            frontier.add_many(changed, search.prune)
+    mask[frontier._live()] = False  # early_out may stop with copies pending
     search._written = None if written is None else np.concatenate(written)
     return stats
 

@@ -53,9 +53,9 @@ class CsrGraph:
 
     Instances are frozen.  The check finds ``max_weight``; the other facts
     derived from the arcs (``symmetric``, ``coord_scale``, the component
-    labels behind :func:`largest_component` and the arc view the engine
-    gathers from) are computed once per graph object, on first use; a
-    derived graph works them out afresh.
+    labels behind :func:`largest_component`, the arc view the engine
+    gathers from and its row lengths) are computed once per graph object,
+    on first use; a derived graph works them out afresh.
     """
 
     n: int
@@ -162,6 +162,11 @@ class CsrGraph:
         index = _index_type(self.m + 1)  # the offsets hold m itself
         targets = np.ascontiguousarray(self.targets, dtype=index)
         return self.offsets.astype(index), targets, np.ascontiguousarray(self.weights, dtype=float)
+
+    @cached_property
+    def _row_lengths(self) -> np.ndarray:
+        """Each vertex's arc count as int64, which the engine's row gather reads."""
+        return np.diff(self.offsets).astype(np.int64, copy=False)
 
     def with_coords(self, coords, kind: str) -> "CsrGraph":
         """This graph with float64 ``coords`` of ``kind`` (checked as on construction)."""

@@ -65,19 +65,24 @@ class MemoTable:
         self.computations = 0
         self.requests = 0
 
-    def get_many(self, vertices: np.ndarray) -> np.ndarray:
+    def get_many(self, vertices: np.ndarray, distinct: bool = False) -> np.ndarray:
+        """The values of ``vertices``, each computed if unset.
+
+        ``distinct`` vouches that ``vertices`` repeats no vertex, which
+        skips the check for repeats among the unset ones.
+        """
         self.requests += int(np.size(vertices))
-        missing = np.isnan(self.values[vertices])
-        if missing.any():
-            fresh = vertices[missing]
-            if fresh.size > 1:
-                # one sorted check; the A* searches mostly pass distinct
-                # cells, so the compression seldom runs (np.unique costs
-                # several times as much on the few dozen cells of a step)
+        fresh = vertices[np.isnan(self.values[vertices])]
+        if fresh.size:
+            if fresh.size > 1 and not distinct:
+                # one sorted check; bidastar's vertices repeat only where
+                # both copies of a vertex improved in one step, so the
+                # compression seldom runs (np.unique costs several times
+                # as much on the few dozen cells of a step)
                 fresh.sort()
-                repeat = fresh[1:] == fresh[:-1]
-                if repeat.any():
-                    fresh = np.delete(fresh, np.flatnonzero(repeat) + 1)
+                repeat = (fresh[1:] == fresh[:-1]).nonzero()[0]
+                if repeat.size:
+                    fresh = np.delete(fresh, repeat + 1)
             self.values[fresh] = self._compute(fresh)
         return self.values[vertices]
 
@@ -85,7 +90,7 @@ class MemoTable:
         """Evaluate the function; only finite values are accepted."""
         out = np.asarray(self._fn(vertices), dtype=np.float64)
         self.computations += int(np.size(vertices))
-        if not np.isfinite(out).all():
+        if np.count_nonzero(np.isfinite(out)) < out.size:
             name = getattr(self._fn, "__qualname__", repr(self._fn))
             raise ValueError(f"heuristic {name} returned a non-finite value")
         return out

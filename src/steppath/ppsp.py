@@ -55,11 +55,12 @@ class EtSearch(Search):
         return self.keys(cells) >= self.best
 
     def on_improved(self, cells):
-        if (cells == self.target).any():
-            d = float(self.dist[self.target])
-            if d < self.best:
-                self.best = d
-                return True
+        # the target's distance falls below the answer only in a step that
+        # improved it, so ``cells`` need not be searched for it
+        d = float(self.dist[self.target])
+        if d < self.best:
+            self.best = d
+            return True
         return False
 
 
@@ -83,7 +84,7 @@ class AstarSearch(EtSearch):
         return self.dist[cells] + self.memo.values[cells]
 
     def on_improved(self, cells):
-        self.memo.get_many(cells)
+        self.memo.get_many(cells, distinct=True)  # the improved cells of a step are distinct
         return super().on_improved(cells)
 
 
@@ -126,7 +127,7 @@ class BidsSearch(Search):
         # one side exhausts, no later step can change the answer
         if self.best < INF:
             return False
-        backward = np.count_nonzero(frontier.pending & 1)
+        backward = np.count_nonzero(frontier._live() & 1)
         return backward == 0 or backward == frontier.size
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import steppath as sp
+from steppath import engine
 from steppath.batch import MultiBidsSearch
 from steppath.engine import DEFAULT_MIN_COPIES, Frontier, SsspSearch, _scatter_min, run_search
 from steppath.ppsp import AstarSearch, BidAstarSearch, BidsSearch, EtSearch
@@ -84,6 +85,27 @@ def test_scatter_min_matches_write_min_loop(cells, offers):
     changed = _scatter(vals, keys, cand)
     assert sorted(changed.tolist()) == sorted(improved)
     assert vals.tolist() == want
+
+
+def test_scatter_min_past_the_stamp_limit(monkeypatch):
+    # a step with _STAMP_LIMIT survivors or more, whose positions int32
+    # cannot hold, is deduplicated by a sort: same cells, same answers
+    keys = np.array([3, 2, 0, 1, 0, 2, 3, 1])
+    cand = np.array([2.0, 3.0, 4.0, 6.0, 7.0, 8.0, 1.0, 5.0])
+    g = geometric_graph(2_000, 6, 3)
+    qg = sp.build_query_graph([(3, 1500), (40, 900), (3, 40)], g.n)
+
+    def runs():
+        vals = np.array([5.0, 3.0, 3.0, 9.0, 6.0])
+        changed = sorted(_scatter(vals, keys, cand).tolist())
+        answers = [sp.ppsp(g, 3, 1500, strategy) for strategy in ("et", "bids", "astar", "bidastar")]
+        batch = sp.multi_bids(g, qg)
+        return changed, vals.tolist(), answers, batch.distances.tolist(), batch.steps, batch.relaxations
+
+    want = runs()
+    monkeypatch.setattr(engine, "_STAMP_LIMIT", 2)
+    assert runs() == want
+    assert want[:2] == ([0, 3], [4.0, 3.0, 3.0, 1.0, 6.0])
 
 
 def test_step_policy_thresholds():
@@ -201,6 +223,114 @@ def test_frontier_discard():
     assert f.add_many(np.array([4, 9])) == 1
     out, left = f.extract(np.inf, lambda cells: cells.astype(float))
     assert sorted(out.tolist()) == [1, 4, 9] and left is None and f.size == 0
+
+
+# cells of the model-based frontier test, and their keys: few distinct
+# values, so steps meet many ties
+N_MODEL = 2_600
+MODEL_KEYS = np.random.default_rng(5).integers(0, 12, N_MODEL).astype(float)
+
+
+@st.composite
+def _frontier_ops(draw):
+    """add (order seed, first cell, count, stride), extract (threshold, ρ),
+    discard (key bound) and rekey (residue mod 5, ceiling) operations."""
+    add = st.tuples(
+        st.just("add"),
+        st.integers(0, 2**16),
+        st.integers(0, N_MODEL - 1),
+        st.integers(0, 1_300),
+        st.sampled_from([1, 2, 5]),
+    )
+    thresholds = st.sampled_from([-1.0, 0.0, 2.0, 5.0, 11.0, np.inf])
+    extract = st.tuples(st.just("extract"), thresholds, st.sampled_from([1, 2, 3, 128]))
+    discard = st.tuples(st.just("discard"), st.integers(0, 12))
+    rekey = st.tuples(st.just("rekey"), st.integers(0, 4), st.integers(0, 11))
+    return draw(st.lists(st.one_of(add, extract, discard, rekey), min_size=1, max_size=30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_frontier_ops())
+# 2,600 cells pending at once: the id buffer grows past its first size
+@example(
+    [
+        ("add", 0, 0, 1_300, 1),
+        ("add", 1, 1_300, 1_300, 1),
+        ("extract", 2.0, 128),
+        ("discard", 9),
+        ("add", 2, 0, 1_300, 2),
+        ("extract", -1.0, 3),
+        ("rekey", 1, 0),
+        ("extract", 0.0, 1),
+        ("extract", np.inf, 128),
+    ]
+)
+def test_frontier_matches_a_set_model(ops):
+    # a set of pending cells and their current keys is the reference
+    keys = MODEL_KEYS.copy()
+    reads = []
+
+    def key_fn(cells):
+        reads.append(cells.size)
+        return keys[cells]
+
+    mask = np.zeros(N_MODEL, bool)
+    f = Frontier(mask)
+    model = set()
+    for op in ops:
+        if op[0] == "add":
+            _, seed, first, count, stride = op
+            cells = np.unique(np.arange(first, first + count * stride, stride) % N_MODEL)
+            cells = np.random.default_rng(seed).permutation(cells)
+            fresh = set(cells.tolist()) - model
+            assert f.add_many(cells) == len(fresh)
+            model |= fresh
+        elif op[0] == "extract":
+            _, threshold, rho = op
+            want = {c for c in model if keys[c] <= threshold}
+            if rho > 1 and len(want) < rho:
+                if len(model) <= rho:
+                    want = set(model)
+                else:
+                    kth = sorted(keys[c] for c in model)[rho - 1]
+                    want = {c for c in model if keys[c] <= kth}
+            reads.clear()
+            out, left = f.extract(threshold, key_fn, rho)
+            assert out.size == len(want) and set(out.tolist()) == want
+            assert left == (None if want else min((keys[c] for c in model), default=np.inf))
+            if rho > 1 and 0 < len(model) <= rho:
+                assert reads == [], "a step that takes every pending copy reads no key"
+            model -= want
+        elif op[0] == "discard":
+            bound = op[1]
+            doomed = {c for c in model if keys[c] >= bound}
+            assert f.discard(lambda cells: keys[cells] >= bound) == len(doomed)
+            model -= doomed
+        else:
+            _, residue, ceiling = op
+            lowered = np.arange(residue, N_MODEL, 5)
+            keys[lowered] = np.minimum(keys[lowered], ceiling)  # keys re-read at extraction
+        pending = f.pending.tolist()
+        assert f.size == len(pending) == len(set(pending)) == len(model)
+        assert set(pending) == model
+        assert np.flatnonzero(mask).tolist() == sorted(model)
+
+
+def test_frontier_add_leaves_out_what_prune_rejects():
+    f = Frontier(np.zeros(10, bool))
+    f.add_many(np.array([2, 3]))
+    seen = []
+
+    def prune(cells):
+        seen.append(cells.tolist())
+        return cells >= 6
+
+    # 2 is pending and 6, 7 are pruned: only 4 enters
+    assert f.add_many(np.array([2, 6, 4, 7]), prune) == 1
+    assert seen == [[2, 6, 4, 7]]
+    assert sorted(f.pending.tolist()) == [2, 3, 4]
+    assert f.add_many(np.array([6]), prune) == 0 and f.size == 3
+    assert f.add_many(np.empty(0, dtype=np.int64), prune) == 0 and seen[-1] == [6]
 
 
 def test_frontier_single_direction():

@@ -196,6 +196,23 @@ def test_memo_computes_a_vertex_given_twice_in_one_call_once():
     assert sorted(calls) == [[2, 7, 9], [4]]
 
 
+def test_memo_distinct_lookups_count_as_any_other():
+    calls = []
+
+    def h(v):
+        calls.append(v.tolist())
+        return v.astype(np.float64) + 0.5
+
+    memo = MemoTable(np.full(10, np.nan), h)
+    assert memo.get_many(np.array([7, 2, 9]), distinct=True).tolist() == [7.5, 2.5, 9.5]
+    assert memo.computations == 3 and memo.requests == 3
+    assert memo.get_many(np.array([4, 9]), distinct=True).tolist() == [4.5, 9.5]
+    assert memo.computations == 4 and memo.requests == 5
+    assert calls == [[7, 2, 9], [4]]
+    with pytest.raises(ValueError, match="non-finite"):
+        MemoTable(np.full(3, np.nan), lambda v: np.full(v.size, np.inf)).get_many(np.array([0, 2]), distinct=True)
+
+
 def test_consistency_of_geometric_heuristic():
     g = geometric_graph(150, 4, 2)
     h = sp.heuristic_for_graph(g, 7)

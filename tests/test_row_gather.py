@@ -50,7 +50,8 @@ def _csr_and_rows(draw):
 @given(_csr_and_rows())
 def test_gather_rows_matches_concatenated_slices(case):
     (offsets, cols, data), rows = case
-    got_cols, got_data, deg = _gather_rows((offsets, cols, data), rows)
+    lengths = np.diff(offsets).astype(np.int64)  # as CsrGraph._row_lengths holds them
+    got_cols, got_data, deg = _gather_rows((offsets, cols, data), rows, lengths)
     spans = [slice(offsets[r], offsets[r + 1]) for r in rows]
     want_cols = np.concatenate([cols[s] for s in spans] + [cols[:0]])
     want_data = np.concatenate([data[s] for s in spans] + [data[:0]])
@@ -234,3 +235,21 @@ def test_answers_and_counters_stay_pinned():
         for algo, b in (("multi", sp.multi_bids(g, qg)), ("plain-bids", sp.baseline_batch(g, qg, "plain-bids"))):
             got[name, algo] = (b.distances.tolist(), b.steps, b.relaxations, b.settled_copies)
     assert got == PINNED
+
+
+# (heuristic requests, heuristic computations) of the A* queries on the
+# geometric graph above: (5, n - 9), then PIN_PAIRS without the self-pair
+PINNED_MEMO = {
+    "astar": [(2151, 879), (447, 371), (2157, 1110), (2157, 1085), (819, 568), (2214, 1155), (618, 471), (527, 332)],
+    "bidastar": [(1286, 804), (229, 189), (1378, 859), (1378, 859), (561, 464), (1344, 880), (382, 317), (375, 317)],
+}
+
+
+def test_astar_memo_counters_stay_pinned():
+    g = geometric_graph(3_000, 6, 12)
+    pairs = [(5, g.n - 9)] + [(s, t) for s, t in PIN_PAIRS if s != t]
+    got = {}
+    for strategy in PINNED_MEMO:
+        answers = [sp.ppsp(g, s, t, strategy) for s, t in pairs]
+        got[strategy] = [(a.extras["heuristic_requests"], a.extras["heuristic_computations"]) for a in answers]
+    assert got == PINNED_MEMO
