@@ -1,4 +1,4 @@
-"""Paired A/B timing of two steppath trees on the perfbench workloads.
+"""Paired A/B timing of two steppath trees on the perfbench workloads and ``p2p-grid``.
 
 Run from the repository root:
 
@@ -10,12 +10,15 @@ tree's ``src/steppath`` is the head side.  Both trees are imported in this
 one process under distinct package names, so the two sides share the
 interpreter, the numpy build and the state of the host.
 
-For each workload (default: all three), each side builds its own graphs
-from the same ``perfbench/cases.py`` inputs and set-ups 0..K-1, and gets
-the same requests.  An untimed check pass runs every request on both
-sides and compares the answers and the work counters of every
-``run_search`` inside it (steps, relaxations, settled copies, and the A*
-memo's requests and computations).  Then come the timed blocks: a block
+The workloads are perfbench's three (``perfbench/cases.py``) and
+``p2p-grid`` (``benchmarks/p2p_grid.py``), a high-diameter grid.  For each
+workload (default: all four), each side builds its own graphs from the
+same inputs and set-ups 0..K-1, and gets the same requests.  An untimed
+check pass runs every request on both sides and compares the answers and
+the work counters of every ``run_search`` inside it (steps, relaxations,
+settled copies, and the A* memo's requests and computations); it also
+checks the answers with the workload's ``wrong``, which reads scipy's
+Dijkstra.  Then come the timed blocks: a block
 is one pass over the requests, each request run four times in the order
 base, head, head, base or head, base, base, head, alternating from one
 request to the next and from one block to the next.  Either order cancels
@@ -51,6 +54,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import cases  # noqa: E402  (perfbench's workloads, read and never changed)
+import p2p_grid  # noqa: E402  (beside this file, which is on the path when run as a script)
+
+CASES = {**cases.CASES, p2p_grid.P2PGrid.name: p2p_grid.P2PGrid}
 
 
 class Side:
@@ -108,14 +114,15 @@ def same(a, b) -> bool:
     return a == b
 
 
-def build(case, side: Side, parts: int, workdir: Path) -> list:
-    """The side's requests of set-ups 0..parts-1, each on that side's graphs."""
+def build(case, side: Side, parts: int, workdir: Path) -> tuple[list, list]:
+    """The side's requests of set-ups 0..parts-1, each on that side's graphs, and their queries."""
     side.activate()
-    requests = []
+    requests, queries = [], []
     for part in range(parts):
         setup = case.setup(workdir, part)
         requests += case.requests(setup, setup.queries)
-    return requests
+        queries += setup.queries
+    return requests, queries
 
 
 def check(base: Side, head: Side, base_reqs, head_reqs) -> tuple[list, list[str]]:
@@ -158,12 +165,13 @@ def timed_block(base: Side, head: Side, base_reqs, head_reqs, answers, block: in
 
 
 def run_workload(name: str, base: Side, head: Side, args, workdir: Path) -> list[str]:
-    case = cases.CASES[name](args.seed)
-    base_reqs = build(case, base, args.parts, workdir)
-    head_reqs = build(case, head, args.parts, workdir)
+    case = CASES[name](args.seed)
+    base_reqs, queries = build(case, base, args.parts, workdir)
+    head_reqs, _ = build(case, head, args.parts, workdir)
     if [r.kind for r in base_reqs] != [r.kind for r in head_reqs]:
         return [f"{name}: the two sides made different requests"]
     answers, problems = check(base, head, base_reqs, head_reqs)
+    problems += [f"request {i} ({base_reqs[i].kind}): wrong answer" for i in sorted(case.wrong(queries, answers))]
     ratios, totals = [], defaultdict(lambda: [0.0, 0.0])
     for block in range(args.blocks):
         spent, wrong = timed_block(base, head, base_reqs, head_reqs, answers, block)
@@ -189,7 +197,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("base", help="git revision of the base side")
     parser.add_argument("head", nargs="?", help="git revision of the head side (default: the working tree)")
-    parser.add_argument("--workload", action="append", choices=sorted(cases.CASES), help="repeatable; default all")
+    parser.add_argument("--workload", action="append", choices=sorted(CASES), help="repeatable; default all")
     parser.add_argument("--blocks", type=int, default=10, help="timed passes over the requests")
     parser.add_argument("--parts", type=int, default=1, help=f"set-ups to draw requests from (at most {cases.SETUPS})")
     parser.add_argument("--seed", type=int, default=1)
@@ -205,7 +213,7 @@ def main(argv=None) -> int:
         head = Side("head", head_dir, "steppath_ab_head")
         head_name = args.head or "working tree"
         print(f"base {args.base}, head {head_name}, seed {args.seed}, set-ups {args.parts}", flush=True)
-        for name in args.workload or list(cases.CASES):
+        for name in args.workload or list(CASES):
             workdir = tmp / name
             workdir.mkdir()
             problems += run_workload(name, base, head, args, workdir)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import INF, Search, SearchStats, StepPolicy, _gather_rows, _scatter_min, run_search, sssp
-from .graph import CsrGraph
+from .graph import CsrGraph, largest_component
 from .io import as_pairs
 from .ppsp import ppsp
 
@@ -146,11 +146,11 @@ class MultiBidsSearch(Search):
     self-pairs, or all its pairs are disconnected) has radius -inf, so
     none of its copies is ever extracted.
 
-    An unanswered edge (i, j) whose copy i has nothing pending is closed:
-    with radius +inf, copy i explored its whole component unpruned and
-    never reached q_j, so the pair is disconnected.  Its answer stays
-    +inf and it no longer holds either radius open.  The graph must be
-    symmetric (:func:`multi_bids` checks it); the endpoints are checked here.
+    An edge whose endpoints lie in two components (the graph's cached
+    labels, :func:`~steppath.graph.largest_component`) is closed from
+    the start: its answer stays +inf, it holds neither radius open, and
+    it adds no work.  The graph must be symmetric (:func:`multi_bids`
+    checks it); the endpoints are checked here.
     """
 
     def __init__(self, graph: CsrGraph, qg: QueryGraph):
@@ -158,7 +158,8 @@ class MultiBidsSearch(Search):
         super().__init__(graph, copies=qg.order)
         self.qg = qg
         self.edge_best = np.full(len(qg.edges), INF)
-        self.closed = np.zeros(len(qg.edges), dtype=bool)
+        labels = largest_component(graph).labels[qg.endpoints]
+        self.closed = labels[qg.edges[:, 0]] != labels[qg.edges[:, 1]]
         self.radius = _radius(qg, self.edge_best, self.closed)
         self._stamp = np.empty(len(qg.edges), dtype=np.int32)  # for _scatter_min
         # ends holds every edge's i, then every j: entry k's mate is k - E (mod 2E)
@@ -207,19 +208,6 @@ class MultiBidsSearch(Search):
         if not _scatter_min(self.edge_best, edges, sums, self._stamp).size:
             return False
         return self._update_radius()
-
-    def early_out(self, frontier):
-        unanswered = (self.edge_best == INF) & ~self.closed
-        if not unanswered.any():
-            return False
-        c, pending = self.copies, frontier._live()
-        dry = np.bincount(pending - pending // c * c, minlength=c) == 0
-        cut = unanswered & dry[self.qg.edges].any(axis=1)
-        if cut.any():
-            self.closed |= cut
-            if self._update_radius():
-                frontier.discard(self.prune)
-        return False
 
     def _update_radius(self) -> bool:
         """Recompute the radii; True iff one fell."""

@@ -47,12 +47,13 @@ every pending copy up to a key, ties included, so the same copies are
 taken whatever order the frontier holds them in.  Copies improved
 mid-step are simply re-extracted at a later step, which keeps any
 schedule correct: a copy stays pending until it is extracted or pruned,
-and the loop runs until nothing is pending.  A minimum does not depend on
-the order of its inputs and every schedule ends at the same fixpoint, so
-distances are bit-identical for every step rule.  Answers assembled from
-sums at meeting points (the bidirectional strategies and batches on float
-weights) may differ in the last bit between schedules, because a schedule
-decides which meeting points get offered.
+and the loop runs until nothing is pending, its only exit.  A minimum
+does not depend on the order of its inputs and every schedule ends at
+the same fixpoint, so distances are bit-identical for every step rule.
+Answers assembled from sums at meeting points (the bidirectional
+strategies and batches on float weights) may differ in the last bit
+between schedules, because a schedule decides which meeting points get
+offered.
 
 A step's arcs are the CSR rows of its extracted vertices, copied out
 back to back by scipy's compiled ``csr_row_index`` (a private function
@@ -177,13 +178,6 @@ class Frontier:
         self._ids = np.empty(_FRONTIER_SLOTS, dtype=np.int64)  # pending in [:size]
         self.size = 0
 
-    @property
-    def pending(self) -> np.ndarray:
-        """The pending cell ids, in no particular order (a read-only view)."""
-        view = self._live()
-        view.flags.writeable = False
-        return view
-
     def _live(self) -> np.ndarray:
         """The pending cell ids as a writable view of the buffer; read it, don't write it."""
         return self._ids[: self.size]
@@ -273,10 +267,12 @@ class Frontier:
 class Search:
     """Hook bundle consumed by :func:`run_search`.
 
-    Subclasses fix the number of copies, seed the frontier, and define
-    the ordering key, the prune predicate, and the reaction to improved
-    cells (answer bookkeeping).  The base class is a full SSSP: nothing
-    is ever pruned.
+    Subclasses fix the number of copies and define four hooks: the
+    seeds, the ordering key, the prune predicate, and the reaction to
+    improved cells (answer bookkeeping).  The base class is a full SSSP:
+    nothing is ever pruned.  The loop ends only when nothing is pending,
+    so a search that can tell it has nothing to find (endpoints in two
+    components) seeds nothing, or prunes its seeds, and runs no step.
 
     A cell has a key once it has been seeded or reported to
     ``on_improved``: the loop calls ``keys`` and ``prune`` only on such
@@ -288,9 +284,6 @@ class Search:
     loop then drops every pending copy that ``prune`` now rejects.  A hook
     that under-reports a tightening only costs work: the copies it leaves
     pending get expanded, and those expansions offer real path lengths.
-    ``early_out`` runs before each extraction; a strategy that lowers a
-    bound there drops the newly pruned copies itself with
-    :meth:`Frontier.discard`.
 
     One rule holds for every per-cell array: a strategy names its
     arrays, and the engine resets and pools them.  A strategy takes each
@@ -324,9 +317,6 @@ class Search:
         return np.zeros(cells.shape, dtype=bool)
 
     def on_improved(self, cells: np.ndarray) -> bool:
-        return False
-
-    def early_out(self, frontier: Frontier) -> bool:
         return False
 
     def _take(self, name: str, size: int, fill, dtype=np.float64) -> np.ndarray:
@@ -508,6 +498,7 @@ def run_search(
     prune bound, every pending copy ``search.prune`` now rejects is
     dropped.  Then the improved cells that ``prune`` accepts are re-added.
     Extraction itself never prunes: the frontier holds no prunable copy.
+    The run ends when nothing is pending, and in no other way.
     The index advances by one per step, whether or not the step was
     widened.  ``steps`` counts rounds that extracted at least one copy;
     while ρ is 1, thresholds that cover nothing are skipped in one jump
@@ -522,14 +513,14 @@ def run_search(
     ``search._release`` resets the settled mask with the rest; the record
     is None once the run has written so many cells that even the distance
     array costs less to fill whole.  The frontier mask comes back clean,
-    as the run clears it at the copies left pending, and what the stamp
+    as the run ends only once nothing is pending, and what the stamp
     holds is ignored.
     """
     if policy is None:
         policy = default_policy(graph)
     copies = search.copies
     size = graph.n * copies
-    mask = search._take("mask", size, None, bool)  # cleared at the pending copies
+    mask = search._take("mask", size, None, bool)  # clean again once nothing is pending
     settled = search._take("settled", size, False, bool)
     stamp = search._take("stamp", size, None, np.int32)  # what it holds is ignored
     frontier = Frontier(mask)
@@ -544,9 +535,6 @@ def run_search(
     adapt = rho > 1
     rho_low, rho_high = max(1, rho // _RHO_RANGE), rho * _RHO_RANGE
     while frontier.size > 0:
-        # early_out may discard the last pending copies
-        if search.early_out(frontier) or frontier.size == 0:
-            break
         extracted, min_left = frontier.extract(policy.threshold(index), search.keys, rho)
         if extracted.size == 0:
             index = max(index + 1, policy.index_covering(min_left))
@@ -574,7 +562,6 @@ def run_search(
             if search.on_improved(changed):
                 frontier.discard(search.prune)
             frontier.add_many(changed, search.prune)
-    mask[frontier._live()] = False  # early_out may stop with copies pending
     search._written = None if written is None else np.concatenate(written)
     return stats
 

@@ -6,9 +6,10 @@ prune, and answer-update rules:
 * ``et`` seeds the source and prunes copies at or past the best answer.
 * ``astar`` is ``et`` with keys and prunes shifted by a consistent
   heuristic toward the target.
-* ``bids`` seeds both endpoints and prunes copies at or past half the
-  best answer; the answer is the best forward+backward sum seen at any
-  vertex relaxed by either side.
+* ``bids`` seeds both endpoints (neither when they lie in two
+  components) and prunes copies at or past half the best answer; the
+  answer is the best forward+backward sum seen at any vertex relaxed by
+  either side.
 * ``bidastar`` is ``bids`` with opposing averaged heuristics layered on
   the keys and prune checks: ``(h_target - h_source) / 2`` forward and
   its negation backward, built inline by :class:`BidAstarSearch`.
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import INF, Search, SearchStats, SsspSearch, StepPolicy, run_search
-from .graph import CsrGraph
+from .graph import CsrGraph, largest_component
 from .heuristics import MemoTable, heuristic_for_graph
 from .io import as_vertex
 
@@ -95,7 +96,9 @@ class BidsSearch(Search):
     backward copy (from the target; meaningful on symmetric graphs).
     Whenever either copy of a vertex improves, the sum of its two copies
     is offered as an answer candidate, and copies at or past half the
-    best answer are pruned.
+    best answer are pruned.  Endpoints in two components (the graph's
+    cached labels, :func:`~steppath.graph.largest_component`) seed
+    nothing, so the answer +inf costs no step.
     """
 
     def __init__(self, graph: CsrGraph, source: int, target: int):
@@ -107,6 +110,9 @@ class BidsSearch(Search):
         self.best = INF
 
     def seeds(self):
+        labels = largest_component(self.graph).labels
+        if labels[self.source] != labels[self.target]:  # no meeting point: nothing to search
+            return np.empty(0, dtype=np.int64), np.empty(0)
         cells = np.asarray([2 * self.source, 2 * self.target + 1], dtype=np.int64)
         return cells, np.zeros(2)
 
@@ -121,14 +127,6 @@ class BidsSearch(Search):
                 self.best = low
                 return True
         return False
-
-    def early_out(self, frontier):
-        # with the two sides disconnected no meeting point exists; once
-        # one side exhausts, no later step can change the answer
-        if self.best < INF:
-            return False
-        backward = np.count_nonzero(frontier._live() & 1)
-        return backward == 0 or backward == frontier.size
 
 
 class BidAstarSearch(BidsSearch):
@@ -218,8 +216,6 @@ def ppsp(
         search = EtSearch(graph, source, target)
     elif strategy == "astar":
         _, h_target = _heuristic_pair(graph, source, target, heuristic)
-        if h_target is None:
-            raise ValueError("astar needs a target heuristic")
         search = AstarSearch(graph, source, target, h_target)
     elif strategy == "bids":
         search = BidsSearch(graph, source, target)

@@ -173,11 +173,10 @@ def zero_heuristic():
 
 
 def watch_hook(search, hook, see):
-    """Make ``see(arg)`` run right after each call of one ``Search`` hook.
+    """Make ``see(cells)`` run right after each call of one ``Search`` hook.
 
-    ``early_out`` is handed the frontier right before each extraction, so
-    watching it sees the whole pending set at each extraction, and once
-    more when it ends the loop.
+    The hook is ``keys``, ``prune`` or ``on_improved``, and ``see`` is
+    handed the cells the hook was.
     """
     inner = getattr(search, hook)
 

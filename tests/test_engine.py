@@ -2,6 +2,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from steppath import engine
 from steppath.batch import MultiBidsSearch
 from steppath.engine import DEFAULT_MIN_COPIES, Frontier, SsspSearch, _scatter_min, run_search
 from steppath.ppsp import AstarSearch, BidAstarSearch, BidsSearch, EtSearch
-from helpers import g1, geometric_graph, random_graph, random_pairs_same_component, two_triangles, watch_hook
+from helpers import g1, geometric_graph, random_graph, random_pairs_same_component
 
 
 def _scatter(vals, keys, cand):
@@ -151,7 +152,7 @@ def test_frontier_distinct_copies_of_same_vertex():
     assert f.add_many(np.array([4])) == 1
     assert f.add_many(np.array([5])) == 1
     assert f.size == 2
-    assert sorted(f.pending.tolist()) == [4, 5]
+    assert sorted(f._live().tolist()) == [4, 5]
 
 
 def test_frontier_extract_inclusive():
@@ -216,9 +217,9 @@ def test_frontier_discard():
     assert f.size == 0
     f.add_many(np.array([1, 4, 6, 9]))
     assert f.discard(lambda cells: cells % 2 == 0) == 2
-    assert sorted(f.pending.tolist()) == [1, 9] and f.size == 2
+    assert sorted(f._live().tolist()) == [1, 9] and f.size == 2
     assert f.discard(lambda cells: np.zeros(cells.shape, dtype=bool)) == 0
-    assert sorted(f.pending.tolist()) == [1, 9]
+    assert sorted(f._live().tolist()) == [1, 9]
     # a dropped cell is no longer a member, so it can come back
     assert f.add_many(np.array([4, 9])) == 1
     out, left = f.extract(np.inf, lambda cells: cells.astype(float))
@@ -310,7 +311,7 @@ def test_frontier_matches_a_set_model(ops):
             _, residue, ceiling = op
             lowered = np.arange(residue, N_MODEL, 5)
             keys[lowered] = np.minimum(keys[lowered], ceiling)  # keys re-read at extraction
-        pending = f.pending.tolist()
+        pending = f._live().tolist()
         assert f.size == len(pending) == len(set(pending)) == len(model)
         assert set(pending) == model
         assert np.flatnonzero(mask).tolist() == sorted(model)
@@ -328,27 +329,9 @@ def test_frontier_add_leaves_out_what_prune_rejects():
     # 2 is pending and 6, 7 are pruned: only 4 enters
     assert f.add_many(np.array([2, 6, 4, 7]), prune) == 1
     assert seen == [[2, 6, 4, 7]]
-    assert sorted(f.pending.tolist()) == [2, 3, 4]
+    assert sorted(f._live().tolist()) == [2, 3, 4]
     assert f.add_many(np.array([6]), prune) == 0 and f.size == 3
     assert f.add_many(np.empty(0, dtype=np.int64), prune) == 0 and seen[-1] == [6]
-
-
-def test_frontier_single_direction():
-    # a bidirectional search gives up while it has no answer and only one
-    # side (even cells forward, odd cells backward) is still pending
-    search = BidsSearch(two_triangles(), 0, 4)
-    f = Frontier(np.zeros(12, bool))
-    f.add_many(np.array([0, 2, 4]))
-    assert search.early_out(f)
-    f.add_many(np.array([1]))
-    assert not search.early_out(f)
-    f.extract(np.inf, search.keys)
-    f.add_many(np.array([3, 7]))
-    assert search.early_out(f)
-    search.best = 5.0  # with an answer the search runs on
-    assert not search.early_out(f)
-    with pytest.raises(ValueError):
-        f.pending[0] = 9  # the accessor is read-only
 
 
 def test_sssp_g1():
@@ -475,17 +458,26 @@ def test_step_rule_keeps_integer_answers_exact(g, delta, min_copies, raw_pairs):
 # must drop it, for every strategy
 @example(sp.build_csr(5, [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 5.0), (3, 4, 1.0)], symmetrize=True), 1.0, 1, [(0, 2)])
 def test_frontier_never_holds_a_prunable_copy(g, delta, min_copies, raw_pairs):
-    # early_out runs right before each extraction and is handed the
-    # frontier, so watching it sees the whole pending set a step takes from
+    # a probe around Frontier.extract sees the whole pending set each
+    # step takes from
     policy = sp.StepPolicy(delta, min_copies=min_copies)
     pairs = [(s % g.n, t % g.n) for s, t in raw_pairs]
     rows = {s: sp.dijkstra(g, s) for s, _ in pairs}
 
-    def run(search):
+    def run(search, seeded=True):
         flagged = []
-        watch_hook(search, "early_out", lambda f: flagged.append(int(search.prune(f.pending).sum())))
-        run_search(g, search, policy)
-        assert flagged and not any(flagged), type(search).__name__
+        extract = Frontier.extract
+
+        def probe(frontier, *args):
+            flagged.append(int(search.prune(frontier._live()).sum()))
+            return extract(frontier, *args)
+
+        with mock.patch.object(Frontier, "extract", probe):
+            run_search(g, search, policy)
+        if seeded:
+            assert flagged and not any(flagged), type(search).__name__
+        else:  # endpoints in two components seed nothing, so no step runs
+            assert not flagged, type(search).__name__
 
     for s, t in pairs:
         if s == t:
@@ -497,14 +489,14 @@ def test_frontier_never_holds_a_prunable_copy(g, delta, min_copies, raw_pairs):
             BidsSearch(g, s, t),
             BidAstarSearch(g, s, t, h_s, h_t),
         ):
-            run(search)
+            run(search, seeded=np.isfinite(rows[s][t]) or isinstance(search, EtSearch))
             assert search.best == rows[s][t], type(search).__name__
     qg = sp.build_query_graph(pairs, g.n)
     if len(qg.edges):
         search = MultiBidsSearch(g, qg)
-        run(search)
-        ends = qg.endpoints[qg.edges]
-        assert search.edge_best.tolist() == [rows[s][t] if s in rows else rows[t][s] for s, t in ends]
+        want = [rows[s][t] if s in rows else rows[t][s] for s, t in qg.endpoints[qg.edges]]
+        run(search, seeded=np.isfinite(want).any())
+        assert search.edge_best.tolist() == want
 
 
 def _under_reporting(cls):
@@ -746,7 +738,7 @@ def _interleaved_calls(g):
 
         return call
 
-    # the second bids pair is disconnected: early_out stops with copies pending
+    # the second bids pair is disconnected: it seeds nothing and runs no step
     return [
         sssp,
         ppsp(s, t, "bids"),
@@ -779,6 +771,23 @@ def test_scratch_reuse_is_exact():
     pool = vars(g)["_pool"]
     assert pool["h"].size == n and pool["signed_h"].size == 2 * n
     assert pool["owner"].size == n and pool["shared"].size == n
+
+
+def test_a_disconnected_pair_adds_no_work():
+    # a pair across components is closed from the start in a batch and
+    # seeds nothing alone, so it adds no step, arc or settled copy
+    g = _scratch_graph()
+    pairs, apart = _connected_pairs(g)
+    alone = sp.multi_bids(g, sp.build_query_graph(pairs, g.n))
+    both = sp.multi_bids(g, sp.build_query_graph(pairs + [apart], g.n))
+    _assert_pool_clean(g, "multi")
+    assert both.distances.tolist() == alone.distances.tolist() + [np.inf]
+    assert (both.steps, both.relaxations, both.settled_copies) == (alone.steps, alone.relaxations, alone.settled_copies)
+    for strategy in ("bids", "bidastar"):
+        answer = sp.ppsp(g, *apart, strategy)
+        _assert_pool_clean(g, strategy)
+        assert answer.distance == np.inf
+        assert (answer.steps, answer.relaxations, answer.settled_copies) == (0, 0, 0), strategy
 
 
 def test_release_resets_only_the_written_cells():

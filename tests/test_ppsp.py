@@ -100,7 +100,7 @@ def test_bids_requires_symmetric():
 def test_astar_requires_coordinates_or_heuristic():
     with pytest.raises(ValueError):
         sp.ppsp(g1(), 0, 3, "astar")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bidastar needs heuristics toward both endpoints$"):
         sp.ppsp(g1(), 0, 3, "bidastar", heuristic=zero_heuristic())
 
 
@@ -117,19 +117,17 @@ def test_malformed_heuristic_is_refused():
 
 def test_disconnected_bids_early_out():
     # a triangle around the source and a 9-vertex path ending at the
-    # target: at Δ = 1 the forward side is done after two steps, while
-    # the backward side would need eight more
+    # target: the endpoints' component labels differ, so neither side is
+    # seeded and no step runs
     path = [(v, v + 1, 1.0) for v in range(3, 11)]
     g = sp.build_csr(12, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), *path], symmetrize=True)
-    search = BidsSearch(g, 0, 11)
-    forward_pending = []  # per early_out call: is an even (forward) cell pending?
-    watch_hook(search, "early_out", lambda f: forward_pending.append(bool(np.any(f.pending % 2 == 0))))
-    stats = run_search(g, search, sp.StepPolicy(1.0))
-    assert search.best == np.inf
-    # the loop stops as soon as the forward side is exhausted
-    assert forward_pending[:-1] and all(forward_pending[:-1]) and not forward_pending[-1]
-    assert stats.steps == 2
+    zero = zero_heuristic()
+    for search in (BidsSearch(g, 0, 11), BidAstarSearch(g, 0, 11, zero, zero)):
+        stats = run_search(g, search, sp.StepPolicy(1.0))
+        assert search.best == np.inf
+        assert stats.steps == 0, type(search).__name__
     assert sp.ppsp(g, 0, 11, "bids").distance == np.inf
+    assert sp.ppsp(g, 0, 11, "bidastar", heuristic=(zero, zero)).distance == np.inf
 
 
 def test_disconnected_et_returns_inf():
